@@ -1,13 +1,14 @@
 """Command-line surface: simulate | bounds | verify | fit.
 
 Config-file driven (JSON data model, unknown keys rejected), one seed per
-run, CSV outputs written atomically.  Exit codes: 0 success, 1 verification
-or fit failure, 2 configuration error.
+run, CSV outputs written atomically.  Exit codes: 0 success, 1 verification,
+certification or fit failure, 2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from .bounds import DecaySeq, DivergenceError, bstar_from_b, bstar_renewal_oracl
 from .dependence import certificate_for_model, empirical_beta_small
 from .estimate import Dataset, FitConfig, fit_mle, loglik_gradient, semiparametric_fit
 from .kernels import (
+    CertificationError,
     b_exact_from_table,
     certify_b0,
     table_kernel,
@@ -147,6 +149,25 @@ def _build_link(name: str):
     raise ConfigError(f"unknown link {name!r}")
 
 
+def _config_errors(build):
+    """Report a block that cannot be constructed (missing key, wrong shape,
+    invalid value) as a :class:`ConfigError`."""
+
+    @functools.wraps(build)
+    def wrapped(block: dict):
+        try:
+            return build(block)
+        except ConfigError:
+            raise
+        except KeyError as exc:
+            raise ConfigError(f"{build.__name__}: missing key {exc}") from exc
+        except (TypeError, ValueError, ConstructionError, UnsupportedCovariateError) as exc:
+            raise ConfigError(f"{build.__name__}: {exc}") from exc
+
+    return wrapped
+
+
+@_config_errors
 def build_model(block: dict):
     cls = block["class"]
     if cls == "observation_driven_binary":
@@ -188,6 +209,7 @@ def build_model(block: dict):
     raise ConfigError(f"unknown model class {cls!r}")
 
 
+@_config_errors
 def build_covariates(block: dict):
     kind = block["kind"]
     if kind == "iid_normal":
@@ -240,17 +262,9 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int, quiet: bool) -> int:
     max_burnin = int(sim.get("max_burnin", 4096))
     spec = build_model(cfg["model"])
     cov = build_covariates(cfg.get("covariates", {"kind": "iid_const", "mean": 0.0}))
-    try:
-        kernel = model_to_kernel(spec)
-    except (ConstructionError, CertificationError) as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    kernel = model_to_kernel(spec)
     x = sample_covariates(cov, window + max_burnin, SeededRng(seed, 1))
-    try:
-        path = sample_forward(kernel, x, window, eps, SeededRng(seed, 2))
-    except HorizonError as exc:
-        print(f"burn-in horizon error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    path = sample_forward(kernel, x, window, eps, SeededRng(seed, 2))
     write_atomic(os.path.join(out_dir, "path.csv"), path_to_csv(path))
     cert = {
         "burnin_used": path.burnin_used,
@@ -282,9 +296,6 @@ def cmd_bounds(cfg: dict, out_dir: str, seed: int, quiet: bool) -> int:
         cert = certificate_for_model(
             spec, cov, metric=metric, p_moment=p_moment, n_max=n_max, horizon=horizon, kernel=kernel
         )
-    except ConstructionError as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     except (UnsupportedCovariateError, DivergenceError) as exc:
         print(f"bound assembly failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -601,6 +612,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (ConstructionError, CertificationError) as exc:
+        print(f"certification failure: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except HorizonError as exc:
+        print(f"burn-in horizon error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

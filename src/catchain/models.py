@@ -1,8 +1,7 @@
 """Concrete categorical time-series model classes and their certified kernels.
 
-Five families are implemented, all driven by a latent linear index passed
-through a CDF link (or through orthant probabilities for the discrete-choice
-family):
+Five families are implemented, all driven by a latent index passed through a
+CDF link, a softmax, or orthant probabilities:
 
 - ``BinaryInfiniteOrderSpec``: logit/probit regression on infinitely many
   category lags plus a covariate term.
@@ -12,6 +11,19 @@ family):
 - ``MultinomialSpec``: multinomial-logit extension with matrix recursions.
 - ``DiscreteChoiceSpec``: component-indicator responses driven by latent
   utilities plus independent noise.
+
+Each family is one class; shared code never asks which family it holds.
+``model_to_kernel`` needs every spec to define ``n_categories``,
+``covariate_dim``, ``b0_profile`` (see :func:`~catchain.kernels.certify_b0`),
+``stationarity()`` and ``kernel_parts(...)`` (the other kernel fields).  The
+latent families derive from ``_LatentRecursion``, the linear recursion
+``lam_t = sum_k A_k v(y_{t-k}) + Gamma x_t + sum_j B_j lam_{t-j}``.  A new
+linear family defines ``A``, ``B``, ``Gamma``, ``block_dim``,
+``category_vector(c)`` (the ``v``), ``response(lam)`` (the category law given
+the leading latent block) and its TV Lipschitz constant ``tv_lipschitz``, and
+inherits the rest.  The nonlinear family replaces the step and the
+contraction certificate.  ``_latent_scan`` is the one engine behind kernel
+evaluation (``latent_recursion``), ``latent_path`` and forward sampling.
 
 ``model_to_kernel`` turns a spec into a :class:`~catchain.kernels.KernelHandle`
 whose decay metadata is derived from the contraction structure of the latent
@@ -23,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -111,216 +124,8 @@ def russell_damping(persistence: float, feedback: float, link: LinkFunction):
 
 
 # ---------------------------------------------------------------------------
-# model specs
+# certificates of the latent recursion
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class BinaryInfiniteOrderSpec:
-    """Binary response regressed on (possibly infinitely many) category lags.
-
-    ``a[j-1]`` multiplies the category ``j`` steps back; ``a_tail`` extends
-    the absolute coefficients beyond the stored ones for envelope purposes.
-    """
-
-    a: np.ndarray
-    gamma: np.ndarray
-    link: LinkFunction = field(default_factory=logistic_link)
-    a_tail: GeometricTail | PolynomialTail | None = None
-
-    def __post_init__(self):
-        self.a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-
-    @property
-    def n_categories(self) -> int:
-        return 2
-
-    @property
-    def covariate_dim(self) -> int:
-        return self.gamma.size
-
-    def abs_coeff_seq(self) -> DecaySeq:
-        """|a_j| indexed from 0 at lag 1, with the declared tail."""
-        vals = np.abs(self.a) if self.a.size else np.zeros(1)
-        return DecaySeq(np.clip(vals, 0.0, None), tail=self.a_tail)
-
-
-@dataclass
-class ObservationDrivenBinarySpec:
-    """Binary response with a linear latent recursion."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    link: LinkFunction = field(default_factory=logistic_link)
-
-    def __post_init__(self):
-        self.alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
-        self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-
-    @property
-    def n_categories(self) -> int:
-        return 2
-
-    @property
-    def covariate_dim(self) -> int:
-        return self.gamma.size
-
-
-@dataclass
-class NonlinearBinarySpec:
-    """Binary response with a scalar contractive latent map."""
-
-    g: Callable[[float], float]
-    kappa: float
-    alpha: float
-    gamma: np.ndarray
-    link: LinkFunction = field(default_factory=logistic_link)
-
-    def __post_init__(self):
-        self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        if not 0.0 < self.kappa < 1.0:
-            raise ConstructionError(f"declared contraction {self.kappa} not in (0,1)")
-
-    @property
-    def n_categories(self) -> int:
-        return 2
-
-    @property
-    def covariate_dim(self) -> int:
-        return self.gamma.size
-
-    def verify_contraction(self, rng=None, n_pairs: int = 256, span: float = 20.0) -> None:
-        gen = np.random.default_rng(0 if rng is None else rng)
-        s = gen.uniform(-span, span, size=(n_pairs, 2))
-        lhs = np.abs(np.vectorize(self.g)(s[:, 0]) - np.vectorize(self.g)(s[:, 1]))
-        rhs = self.kappa * np.abs(s[:, 0] - s[:, 1])
-        if np.any(lhs > rhs * (1.0 + 1e-9) + 1e-12):
-            raise ConstructionError("latent map exceeds its declared contraction factor")
-
-
-@dataclass
-class MultinomialSpec:
-    """Multinomial-logit autoregression with reference category 0."""
-
-    A: Sequence[np.ndarray]
-    B: Sequence[np.ndarray]
-    Gamma: np.ndarray
-    n_categories: int
-
-    def __post_init__(self):
-        k = self.n_categories - 1
-        self.A = [np.atleast_2d(np.asarray(m, dtype=float)) for m in self.A]
-        self.B = [np.atleast_2d(np.asarray(m, dtype=float)) for m in self.B]
-        self.Gamma = np.atleast_2d(np.asarray(self.Gamma, dtype=float))
-        for m in list(self.A) + list(self.B):
-            if m.shape != (k, k):
-                raise ConstructionError(f"lag matrices must be {(k, k)}, got {m.shape}")
-        if self.Gamma.shape[0] != k:
-            raise ConstructionError("covariate loading must have N-1 rows")
-
-    @property
-    def covariate_dim(self) -> int:
-        return self.Gamma.shape[1]
-
-
-@dataclass
-class DiscreteChoiceSpec:
-    """Component indicators ``Y_t = (1{mu_{i,t} + eps_{i,t} > 0})_i``.
-
-    The alphabet is the set of all component patterns, coded as bitmasks, so
-    a spec with ``n_components`` utilities has ``2**n_components`` categories.
-    Noise components are independent with a symmetric full-support marginal.
-    """
-
-    A: Sequence[np.ndarray]
-    B: Sequence[np.ndarray]
-    Gamma: np.ndarray
-    n_components: int
-    noise: str = "logistic"
-
-    def __post_init__(self):
-        k = self.n_components
-        self.A = [np.atleast_2d(np.asarray(m, dtype=float)) for m in self.A]
-        self.B = [np.atleast_2d(np.asarray(m, dtype=float)) for m in self.B]
-        self.Gamma = np.atleast_2d(np.asarray(self.Gamma, dtype=float))
-        for m in list(self.A) + list(self.B):
-            if m.shape != (k, k):
-                raise ConstructionError(f"lag matrices must be {(k, k)}, got {m.shape}")
-        if self.noise not in ("logistic", "gaussian"):
-            raise ConstructionError(f"unsupported noise {self.noise!r}")
-
-    @property
-    def n_categories(self) -> int:
-        return 2**self.n_components
-
-    @property
-    def covariate_dim(self) -> int:
-        return self.Gamma.shape[1]
-
-    def noise_cdf(self) -> Callable:
-        return expit if self.noise == "logistic" else ndtr
-
-    def noise_lipschitz(self) -> float:
-        return 0.25 if self.noise == "logistic" else 1.0 / math.sqrt(2.0 * math.pi)
-
-
-# ---------------------------------------------------------------------------
-# category encodings and latent-state plumbing
-# ---------------------------------------------------------------------------
-
-
-def category_vector(spec, category: int) -> np.ndarray:
-    """Forcing vector contributed by a lagged category."""
-    if isinstance(spec, MultinomialSpec):
-        v = np.zeros(spec.n_categories - 1)
-        if category > 0:
-            v[category - 1] = 1.0
-        return v
-    if isinstance(spec, DiscreteChoiceSpec):
-        return np.array([(category >> i) & 1 for i in range(spec.n_components)], dtype=float)
-    return np.array([float(category)])
-
-
-def _block_dim(spec) -> int:
-    if isinstance(spec, MultinomialSpec):
-        return spec.n_categories - 1
-    if isinstance(spec, DiscreteChoiceSpec):
-        return spec.n_components
-    return 1
-
-
-def _lag_counts(spec) -> tuple[int, int]:
-    """(p, q): number of category lags and latent lags in the forcing."""
-    if isinstance(spec, ObservationDrivenBinarySpec):
-        return spec.alpha.size, spec.beta.size
-    if isinstance(spec, (MultinomialSpec, DiscreteChoiceSpec)):
-        return len(spec.A), len(spec.B)
-    if isinstance(spec, NonlinearBinarySpec):
-        return 1, 1
-    raise UnsupportedKernelError(f"no latent recursion for {type(spec).__name__}")
-
-
-def companion_matrix(spec) -> np.ndarray:
-    """Stacked-lag companion matrix of the latent recursion."""
-    p, q = _lag_counts(spec)
-    k = _block_dim(spec)
-    if isinstance(spec, NonlinearBinarySpec):
-        raise UnsupportedKernelError("nonlinear latent maps have no companion form")
-    if q == 0:
-        return np.zeros((k, k))
-    blocks = spec.B if isinstance(spec, (MultinomialSpec, DiscreteChoiceSpec)) else [
-        np.array([[bj]]) for bj in spec.beta
-    ]
-    dim = q * k
-    A = np.zeros((dim, dim))
-    for j, Bj in enumerate(blocks):
-        A[:k, j * k : (j + 1) * k] = Bj
-    if q > 1:
-        A[k:, : (q - 1) * k] = np.eye((q - 1) * k)
-    return A
 
 
 @dataclass(frozen=True)
@@ -329,59 +134,6 @@ class StationarityReport:
     spectral_radius: float
     margin: float
     note: str = ""
-
-
-def stationarity_check(spec) -> StationarityReport:
-    """Spectral-radius check of the latent recursion's companion matrix."""
-    if isinstance(spec, BinaryInfiniteOrderSpec):
-        summable = spec.abs_coeff_seq().is_summable
-        return StationarityReport(
-            passed=summable,
-            spectral_radius=0.0,
-            margin=STATIONARITY_MARGIN,
-            note="lag coefficients" + ("" if summable else " not summable"),
-        )
-    if isinstance(spec, NonlinearBinarySpec):
-        return StationarityReport(
-            passed=spec.kappa <= 1.0 - STATIONARITY_MARGIN,
-            spectral_radius=spec.kappa,
-            margin=STATIONARITY_MARGIN,
-            note="declared contraction factor of the latent map",
-        )
-    A = companion_matrix(spec)
-    note = ""
-    try:
-        rho = float(np.max(np.abs(np.linalg.eigvals(A)))) if A.size else 0.0
-    except np.linalg.LinAlgError:
-        rho = float("inf")
-        note = "eigenproblem did not converge; treating as non-stationary"
-    return StationarityReport(
-        passed=rho <= 1.0 - STATIONARITY_MARGIN,
-        spectral_radius=rho,
-        margin=STATIONARITY_MARGIN,
-        note=note,
-    )
-
-
-def _inf_norm(A: np.ndarray) -> float:
-    return float(np.abs(A).sum(axis=1).max()) if A.size else 0.0
-
-
-def _category_forcing_bound(spec) -> float:
-    """Largest one-step forcing change achievable by altering category lags."""
-    if isinstance(spec, ObservationDrivenBinarySpec):
-        return float(np.abs(spec.alpha).sum())
-    if isinstance(spec, NonlinearBinarySpec):
-        return abs(spec.alpha)
-    vecs = [category_vector(spec, c) for c in range(spec.n_categories)]
-    total = 0.0
-    for A_lag in spec.A:
-        worst = 0.0
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                worst = max(worst, float(np.abs(A_lag @ (vecs[i] - vecs[j])).max()))
-        total += worst
-    return total
 
 
 @dataclass(frozen=True)
@@ -397,30 +149,8 @@ class ContractionConstants:
     L: float
 
 
-def contraction_constants(spec, r_cap: int = 512) -> ContractionConstants:
-    if isinstance(spec, NonlinearBinarySpec):
-        L = max(1.0, spec.kappa, abs(spec.alpha), float(np.abs(spec.gamma).max(initial=0.0)))
-        return ContractionConstants(r=1, kappa=spec.kappa, L=L)
-    A = companion_matrix(spec)
-    report = stationarity_check(spec)
-    if not report.passed:
-        raise ConstructionError(
-            f"spectral radius {report.spectral_radius} leaves no contracting power"
-        )
-    gamma_mat = spec.Gamma if isinstance(spec, (MultinomialSpec, DiscreteChoiceSpec)) else spec.gamma.reshape(1, -1)
-    L = max(
-        1.0,
-        _inf_norm(A),
-        _category_forcing_bound(spec),
-        float(np.abs(gamma_mat).max(initial=0.0)),
-    )
-    power = np.eye(A.shape[0])
-    for r in range(1, r_cap + 1):
-        power = power @ A
-        norm = _inf_norm(power)
-        if norm < 1.0:
-            return ContractionConstants(r=r, kappa=max(norm, 0.0), L=L)
-    raise ConstructionError(f"no contracting power found within {r_cap} steps")
+def _inf_norm(A: np.ndarray) -> float:
+    return float(np.abs(A).sum(axis=1).max()) if A.size else 0.0
 
 
 def _power_norm_sum(A: np.ndarray, r: int, kappa: float) -> tuple[float, float]:
@@ -450,132 +180,6 @@ def _power_norm_sum(A: np.ndarray, r: int, kappa: float) -> tuple[float, float]:
     return total, max(c_r, 1.0)
 
 
-# ---------------------------------------------------------------------------
-# latent recursion
-# ---------------------------------------------------------------------------
-
-
-def _forcing(spec, past_y, past_x, j: int) -> np.ndarray:
-    """Forcing vector for the latent update ``j`` steps before the present."""
-    p, _ = _lag_counts(spec)
-    k = _block_dim(spec)
-    out = np.zeros(k)
-    if isinstance(spec, ObservationDrivenBinarySpec):
-        for lag in range(p):
-            out[0] += spec.alpha[lag] * past_y[j + lag]
-        out[0] += float(spec.gamma @ past_x[j])
-        return out
-    if isinstance(spec, NonlinearBinarySpec):
-        out[0] = spec.alpha * past_y[j] + float(spec.gamma @ past_x[j])
-        return out
-    for lag, Am in enumerate(spec.A):
-        out += Am @ category_vector(spec, int(past_y[j + lag]))
-    out += spec.Gamma @ past_x[j]
-    return out
-
-
-def latent_recursion(spec, past_y, past_x, n: int) -> np.ndarray:
-    """Latent state obtained by iterating the update map ``n`` times from 0.
-
-    ``past_y`` and ``past_x`` are most recent first and must reach back far
-    enough (``n + p - 1`` categories, ``n`` covariates).  Returns the stacked
-    state; its leading block is the index driving the current response.
-    """
-    p, q = _lag_counts(spec)
-    k = _block_dim(spec)
-    past_y = np.asarray(past_y)
-    past_x = np.atleast_2d(np.asarray(past_x, dtype=float))
-    if past_x.shape[0] < n or past_y.size < n + p - 1:
-        raise ValueError("history too short for the requested recursion depth")
-    if isinstance(spec, NonlinearBinarySpec):
-        lam = 0.0
-        for j in range(n - 1, -1, -1):
-            lam = spec.g(lam) + spec.alpha * past_y[j] + float(spec.gamma @ past_x[j])
-            if not np.isfinite(lam):
-                raise OverflowError("latent recursion diverged; contraction unverified")
-        return np.array([lam])
-    blocks = np.zeros((max(q, 1), k))
-    b_mats = (
-        spec.B
-        if isinstance(spec, (MultinomialSpec, DiscreteChoiceSpec))
-        else [np.array([[bj]]) for bj in spec.beta]
-    )
-    for j in range(n - 1, -1, -1):
-        first = _forcing(spec, past_y, past_x, j)
-        for i, Bj in enumerate(b_mats):
-            first = first + Bj @ blocks[i]
-        if q > 1:
-            blocks[1:] = blocks[:-1]
-        blocks[0] = first
-        if not np.all(np.isfinite(first)):
-            raise OverflowError("latent recursion diverged; contraction unverified")
-    return blocks.reshape(-1)
-
-
-def latent_path(spec, y, x) -> np.ndarray:
-    """Leading latent block along a realized path, initialized at zero.
-
-    ``y[t]`` and ``x[t]`` are time ordered; row ``t`` of the result is the
-    index that generated ``y[t]`` (so it uses categories strictly before
-    ``t`` and the covariate at ``t``).
-    """
-    y = np.asarray(y)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("y and x must have equal length")
-    T = y.shape[0]
-    p, q = _lag_counts(spec)
-    k = _block_dim(spec)
-    out = np.zeros((T, k))
-    if isinstance(spec, NonlinearBinarySpec):
-        lam = 0.0
-        for t in range(T):
-            prev_y = y[t - 1] if t >= 1 else 0
-            lam = spec.g(lam) + spec.alpha * prev_y + float(spec.gamma @ x[t])
-            out[t, 0] = lam
-        return out
-    blocks = np.zeros((max(q, 1), k))
-    b_mats = (
-        spec.B
-        if isinstance(spec, (MultinomialSpec, DiscreteChoiceSpec))
-        else [np.array([[bj]]) for bj in spec.beta]
-    )
-    for t in range(T):
-        first = np.zeros(k)
-        if isinstance(spec, ObservationDrivenBinarySpec):
-            for lag in range(p):
-                if t - 1 - lag >= 0:
-                    first[0] += spec.alpha[lag] * y[t - 1 - lag]
-            first[0] += float(spec.gamma @ x[t])
-        else:
-            for lag, Am in enumerate(spec.A):
-                if t - 1 - lag >= 0:
-                    first += Am @ category_vector(spec, int(y[t - 1 - lag]))
-            first += spec.Gamma @ x[t]
-        for i, Bj in enumerate(b_mats):
-            first = first + Bj @ blocks[i]
-        if q > 1:
-            blocks[1:] = blocks[:-1]
-        blocks[0] = first
-        out[t] = first
-    return out
-
-
-# ---------------------------------------------------------------------------
-# kernels
-# ---------------------------------------------------------------------------
-
-
-def _tv_block_lipschitz(spec) -> float:
-    """TV sensitivity of the response law to the leading latent block
-    (sup norm on the block)."""
-    if isinstance(spec, (ObservationDrivenBinarySpec, NonlinearBinarySpec)):
-        return spec.link.lipschitz_const
-    if isinstance(spec, MultinomialSpec):
-        return 0.25 * (spec.n_categories - 1)
-    return spec.noise_lipschitz() * spec.n_components
-
-
 def _geometric_envelope(scale: float, rate: float, horizon: int, cap: float | None = None) -> DecaySeq:
     """DecaySeq for ``min(cap, scale * rate**m)`` with a geometric tail."""
     m = np.arange(horizon + 1, dtype=float)
@@ -588,6 +192,473 @@ def _geometric_envelope(scale: float, rate: float, horizon: int, cap: float | No
         vals = np.minimum(vals, cap)
     tail = GeometricTail(rate) if vals[-1] > 0 else None
     return DecaySeq(vals, tail=tail)
+
+
+# ---------------------------------------------------------------------------
+# model specs
+# ---------------------------------------------------------------------------
+
+
+class _BinaryLink:
+    """Binary response ``P(Y=1) = F(lam)`` through the spec's ``link``, with
+    covariate loading ``gamma``."""
+
+    n_categories = 2
+    block_dim = 1
+
+    @property
+    def covariate_dim(self) -> int:
+        return self.gamma.size
+
+    @property
+    def Gamma(self) -> np.ndarray:
+        return self.gamma.reshape(1, -1)
+
+    @property
+    def b0_profile(self) -> tuple:
+        return ("binary", self.link.cdf, self.link.lipschitz_const)
+
+    @property
+    def tv_lipschitz(self) -> float:
+        return self.link.lipschitz_const
+
+    def category_vector(self, category: int) -> np.ndarray:
+        return np.array([float(category)])
+
+    def response(self, lam: np.ndarray) -> np.ndarray:
+        pr = float(self.link.cdf(lam[0]))
+        return np.array([1.0 - pr, pr])
+
+
+class _LatentRecursion:
+    """Linear latent recursion ``lam_t = sum_k A_k v(y_{t-k}) + Gamma x_t +
+    sum_j B_j lam_{t-j}`` and the kernel certified from its contraction."""
+
+    def _coerce_matrices(self) -> None:
+        """Store ``A``, ``B`` and ``Gamma`` as float arrays; lag matrices
+        must be square in the block dimension."""
+        k = self.block_dim
+        self.A = [np.atleast_2d(np.asarray(m, dtype=float)) for m in self.A]
+        self.B = [np.atleast_2d(np.asarray(m, dtype=float)) for m in self.B]
+        self.Gamma = np.atleast_2d(np.asarray(self.Gamma, dtype=float))
+        for m in list(self.A) + list(self.B):
+            if m.shape != (k, k):
+                raise ConstructionError(f"lag matrices must be {(k, k)}, got {m.shape}")
+
+    @property
+    def covariate_dim(self) -> int:
+        return self.Gamma.shape[1]
+
+    @property
+    def lag_counts(self) -> tuple[int, int]:
+        """(p, q): number of category lags and latent lags in the forcing."""
+        return len(self.A), len(self.B)
+
+    def forcing(self, y_lags, x_t) -> np.ndarray:
+        """Forcing vector from the category lags (most recent first) and the
+        current covariate."""
+        out = np.zeros(self.block_dim)
+        for Am, c in zip(self.A, y_lags):
+            out += Am @ self.category_vector(int(c))
+        out += self.Gamma @ x_t
+        return out
+
+    def category_forcing_bound(self) -> float:
+        """Largest one-step forcing change achievable by altering category lags."""
+        vecs = [self.category_vector(c) for c in range(self.n_categories)]
+        total = 0.0
+        for A_lag in self.A:
+            total += max(
+                (float(np.abs(A_lag @ (u - v)).max()) for u, v in combinations(vecs, 2)),
+                default=0.0,
+            )
+        return total
+
+    def companion_matrix(self) -> np.ndarray:
+        """Stacked-lag companion matrix of the latent recursion."""
+        _, q = self.lag_counts
+        k = self.block_dim
+        if q == 0:
+            return np.zeros((k, k))
+        dim = q * k
+        A = np.zeros((dim, dim))
+        for j, Bj in enumerate(self.B):
+            A[:k, j * k : (j + 1) * k] = Bj
+        if q > 1:
+            A[k:, : (q - 1) * k] = np.eye((q - 1) * k)
+        return A
+
+    def stationarity(self) -> StationarityReport:
+        """Spectral-radius check of the companion matrix."""
+        A = self.companion_matrix()
+        note = ""
+        try:
+            rho = float(np.max(np.abs(np.linalg.eigvals(A)))) if A.size else 0.0
+        except np.linalg.LinAlgError:
+            rho = float("inf")
+            note = "eigenproblem did not converge; treating as non-stationary"
+        return StationarityReport(
+            passed=rho <= 1.0 - STATIONARITY_MARGIN,
+            spectral_radius=rho,
+            margin=STATIONARITY_MARGIN,
+            note=note,
+        )
+
+    def contraction(self, r_cap: int = 512) -> ContractionConstants:
+        """Smallest power of the companion matrix that contracts in sup norm."""
+        A = self.companion_matrix()
+        report = self.stationarity()
+        if not report.passed:
+            raise ConstructionError(
+                f"spectral radius {report.spectral_radius} leaves no contracting power"
+            )
+        L = max(
+            1.0,
+            _inf_norm(A),
+            self.category_forcing_bound(),
+            float(np.abs(self.Gamma).max(initial=0.0)),
+        )
+        power = np.eye(A.shape[0])
+        for r in range(1, r_cap + 1):
+            power = power @ A
+            norm = _inf_norm(power)
+            if norm < 1.0:
+                return ContractionConstants(r=r, kappa=max(norm, 0.0), L=L)
+        raise ConstructionError(f"no contracting power found within {r_cap} steps")
+
+    def envelope(self, cc: ContractionConstants) -> tuple[float, float, float]:
+        """``(s, prefac, rate)``: ``s`` bounds the summed latent response to a
+        unit forcing, and ``prefac * rate**m`` bounds it after ``m`` steps."""
+        s_a, c_r = _power_norm_sum(self.companion_matrix(), cc.r, cc.kappa)
+        if cc.kappa == 0.0:
+            # no latent memory at all: only the finitely many category lags matter
+            return s_a, 1.0, 0.0
+        # ||A^s|| <= (C_r / kappa) * rate**s, smooth in s so a geometric tail
+        # is an exact continuation of the stored envelope values
+        return s_a, c_r / cc.kappa, cc.kappa ** (1.0 / cc.r)
+
+    def stepper(self):
+        """``(step, state)``: ``step(y_lags, x_t)`` advances the stacked
+        latent ``state`` (zero at the start) by one time step and returns its
+        leading block."""
+        forcing, B = self.forcing, self.B
+        _, q = self.lag_counts
+        state = np.zeros((max(q, 1), self.block_dim))
+
+        def step(y_lags, x_t):
+            first = forcing(y_lags, x_t)
+            for i, Bj in enumerate(B):
+                first = first + Bj @ state[i]
+            if q > 1:
+                state[1:] = state[:-1]
+            state[0] = first
+            return first
+
+        return step, state
+
+    def kernel_parts(self, max_lag_y, max_lag_x, env_horizon: int, b0_grid) -> dict:
+        """Kernel fields from the contraction of the latent recursion."""
+        cc = self.contraction()
+        s_a, prefac, rate = self.envelope(cc)
+        p, q = self.lag_counts
+        tv_lip = self.tv_lipschitz
+        d_max = self.category_forcing_bound() * s_a
+        b0 = certify_b0(self.b0_profile, d_max, grid=b0_grid)
+        e_scale = tv_lip * float(np.abs(self.Gamma).max(initial=0.0)) * prefac
+        cap = min(b0, tv_lip * d_max)
+        gap_scale = 0.0
+        if rate == 0.0:
+            b_vals = np.zeros(max(p + 1, 2))
+            b_vals[: max(p, 1)] = cap
+            b_vals[0] = b0
+            b_env = DecaySeq(b_vals)
+            e_env = DecaySeq(np.array([e_scale, 0.0]))
+        else:
+            # histories agreeing on m lags share the last m - p + 1 forcing terms
+            gap_scale = tv_lip * d_max * prefac * rate ** (1 - p)
+            b_env = _geometric_envelope(gap_scale, rate, env_horizon, cap=cap)
+            vals = b_env.values.copy()
+            vals[0] = max(vals[0], b0)
+            b_env = DecaySeq(vals, tail=b_env.tail)
+            e_env = _geometric_envelope(e_scale, rate, env_horizon)
+
+        if max_lag_x is None:
+            if gap_scale > 0.0:
+                max_lag_x = int(
+                    min(256, max(8, math.ceil(math.log(1e-14 / max(gap_scale, 1e-280)) / math.log(rate))))
+                )
+            else:
+                max_lag_x = max(8, p + q)
+        if max_lag_y is None:
+            max_lag_y = max_lag_x + p - 1 if p >= 1 else max_lag_x
+        max_lag_y = max(max_lag_y, 1)
+
+        def probs_fn(y, x):
+            n_steps = min(max_lag_x, y.size - p + 1 if p >= 1 else max_lag_x, x.shape[0])
+            lam = latent_recursion(self, y, x, max(n_steps, 0))
+            return self.response(lam[: self.block_dim])
+
+        return {
+            "probs_fn": probs_fn,
+            "truncation": TruncationPolicy(max_lag_y=max_lag_y, max_lag_x=max_lag_x),
+            "b": b_env,
+            "e": e_env,
+            "b0_certificate": b0,
+            "label": type(self).__name__,
+            "extra": {
+                "spec": self,
+                "contraction": cc,
+                "latent_gap_bound": d_max,
+                "latent_sampler": lambda x, u: _latent_scan(self, x, u=u)[:2],
+            },
+        }
+
+
+@dataclass
+class BinaryInfiniteOrderSpec(_BinaryLink):
+    """Binary response regressed on (possibly infinitely many) category lags.
+
+    ``a[j-1]`` multiplies the category ``j`` steps back; ``a_tail`` extends
+    the absolute coefficients beyond the stored ones for envelope purposes.
+    """
+
+    a: np.ndarray
+    gamma: np.ndarray
+    link: LinkFunction = field(default_factory=logistic_link)
+    a_tail: GeometricTail | PolynomialTail | None = None
+
+    def __post_init__(self):
+        self.a = np.atleast_1d(np.asarray(self.a, dtype=float))
+        self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
+
+    def abs_coeff_seq(self) -> DecaySeq:
+        """|a_j| indexed from 0 at lag 1, with the declared tail."""
+        vals = np.abs(self.a) if self.a.size else np.zeros(1)
+        return DecaySeq(np.clip(vals, 0.0, None), tail=self.a_tail)
+
+    def stationarity(self) -> StationarityReport:
+        summable = self.abs_coeff_seq().is_summable
+        return StationarityReport(
+            passed=summable,
+            spectral_radius=0.0,
+            margin=STATIONARITY_MARGIN,
+            note="lag coefficients" + ("" if summable else " not summable"),
+        )
+
+    def kernel_parts(self, max_lag_y, max_lag_x, env_horizon: int, b0_grid) -> dict:
+        """Kernel fields from the tail sums of the lag coefficients."""
+        abs_a = self.abs_coeff_seq()
+        b0 = certify_b0(self.b0_profile, abs_a.total(), grid=b0_grid)
+        L_F = self.tv_lipschitz
+        horizon = max(env_horizon, abs_a.values.size + 1)
+        # |a_j| sits at index j-1, so the mass beyond lag m starts at index m
+        env_vals = np.array([min(b0, L_F * abs_a.sum_from(m)) for m in range(horizon + 1)])
+        b_env = DecaySeq(np.minimum.accumulate(env_vals), tail=self.a_tail)
+        e0 = L_F * float(np.abs(self.gamma).max(initial=0.0))
+        if max_lag_y is None:
+            if self.a_tail is None:
+                max_lag_y = self.a.size
+            else:
+                max_lag_y = next((m for m in range(1, 4096) if b_env.value(m) < 1e-14), 4096)
+        max_lag_y = max(max_lag_y, 1)
+        max_lag_x = 1 if max_lag_x is None else max_lag_x
+        a_trunc = self.a[:max_lag_y]
+
+        def probs_fn(y, x):
+            mu = float(a_trunc @ y[: a_trunc.size]) + float(self.gamma @ x[0])
+            return self.response(np.array([mu]))
+
+        return {
+            "probs_fn": probs_fn,
+            "truncation": TruncationPolicy(max_lag_y=max_lag_y, max_lag_x=max_lag_x),
+            "b": b_env,
+            "e": DecaySeq(np.array([e0, 0.0])),
+            "b0_certificate": b0,
+            "label": "binary-infinite-order",
+            "extra": {"spec": self},
+        }
+
+
+@dataclass
+class ObservationDrivenBinarySpec(_BinaryLink, _LatentRecursion):
+    """Binary response with a linear latent recursion."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    link: LinkFunction = field(default_factory=logistic_link)
+
+    def __post_init__(self):
+        self.alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
+        self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
+        self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
+
+    @property
+    def lag_counts(self) -> tuple[int, int]:
+        return self.alpha.size, self.beta.size
+
+    @property
+    def B(self) -> list[np.ndarray]:
+        return [np.array([[bj]]) for bj in self.beta]
+
+    def forcing(self, y_lags, x_t) -> np.ndarray:
+        out = np.zeros(1)
+        for a, c in zip(self.alpha, y_lags):
+            out[0] += a * c
+        out[0] += float(self.gamma @ x_t)
+        return out
+
+    def category_forcing_bound(self) -> float:
+        return float(np.abs(self.alpha).sum())
+
+
+@dataclass
+class NonlinearBinarySpec(_BinaryLink, _LatentRecursion):
+    """Binary response with a scalar contractive latent map
+    ``lam_t = g(lam_{t-1}) + alpha * y_{t-1} + gamma' x_t``."""
+
+    g: Callable[[float], float]
+    kappa: float
+    alpha: float
+    gamma: np.ndarray
+    link: LinkFunction = field(default_factory=logistic_link)
+
+    lag_counts = (1, 1)
+
+    def __post_init__(self):
+        self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
+        if not 0.0 < self.kappa < 1.0:
+            raise ConstructionError(f"declared contraction {self.kappa} not in (0,1)")
+
+    def verify_contraction(self, rng=None, n_pairs: int = 256, span: float = 20.0) -> None:
+        gen = np.random.default_rng(0 if rng is None else rng)
+        s = gen.uniform(-span, span, size=(n_pairs, 2))
+        lhs = np.abs(np.vectorize(self.g)(s[:, 0]) - np.vectorize(self.g)(s[:, 1]))
+        rhs = self.kappa * np.abs(s[:, 0] - s[:, 1])
+        if np.any(lhs > rhs * (1.0 + 1e-9) + 1e-12):
+            raise ConstructionError("latent map exceeds its declared contraction factor")
+
+    def category_forcing_bound(self) -> float:
+        return abs(self.alpha)
+
+    def companion_matrix(self) -> np.ndarray:
+        raise UnsupportedKernelError("nonlinear latent maps have no companion form")
+
+    def stationarity(self) -> StationarityReport:
+        return StationarityReport(
+            passed=self.kappa <= 1.0 - STATIONARITY_MARGIN,
+            spectral_radius=self.kappa,
+            margin=STATIONARITY_MARGIN,
+            note="declared contraction factor of the latent map",
+        )
+
+    def contraction(self, r_cap: int = 512) -> ContractionConstants:
+        """The declared factor, after a numeric sweep of the latent map."""
+        self.verify_contraction()
+        L = max(1.0, self.kappa, abs(self.alpha), float(np.abs(self.gamma).max(initial=0.0)))
+        return ContractionConstants(r=1, kappa=self.kappa, L=L)
+
+    def envelope(self, cc: ContractionConstants) -> tuple[float, float, float]:
+        # scalar latent: the gap contracts by exactly kappa per step
+        return 1.0 / (1.0 - cc.kappa), 1.0, cc.kappa
+
+    def stepper(self):
+        g, alpha, gamma = self.g, self.alpha, self.gamma
+        state = np.zeros((1, 1))
+
+        def step(y_lags, x_t):
+            state[0, 0] = g(state[0, 0]) + alpha * y_lags[0] + float(gamma @ x_t)
+            return state[0]
+
+        return step, state
+
+
+@dataclass
+class MultinomialSpec(_LatentRecursion):
+    """Multinomial-logit autoregression with reference category 0."""
+
+    A: Sequence[np.ndarray]
+    B: Sequence[np.ndarray]
+    Gamma: np.ndarray
+    n_categories: int
+
+    def __post_init__(self):
+        self._coerce_matrices()
+        if self.Gamma.shape[0] != self.block_dim:
+            raise ConstructionError("covariate loading must have N-1 rows")
+
+    @property
+    def block_dim(self) -> int:
+        return self.n_categories - 1
+
+    @property
+    def b0_profile(self) -> tuple:
+        return ("multinomial", self.n_categories)
+
+    @property
+    def tv_lipschitz(self) -> float:
+        return 0.25 * (self.n_categories - 1)
+
+    def category_vector(self, category: int) -> np.ndarray:
+        v = np.zeros(self.n_categories - 1)
+        if category > 0:
+            v[category - 1] = 1.0
+        return v
+
+    def response(self, lam: np.ndarray) -> np.ndarray:
+        z = np.concatenate([[0.0], lam])
+        z = z - z.max()
+        ez = np.exp(z)
+        return ez / ez.sum()
+
+
+@dataclass
+class DiscreteChoiceSpec(_LatentRecursion):
+    """Component indicators ``Y_t = (1{mu_{i,t} + eps_{i,t} > 0})_i``.
+
+    The alphabet is the set of all component patterns, coded as bitmasks, so
+    a spec with ``n_components`` utilities has ``2**n_components`` categories.
+    Noise components are independent with a symmetric full-support marginal.
+    """
+
+    A: Sequence[np.ndarray]
+    B: Sequence[np.ndarray]
+    Gamma: np.ndarray
+    n_components: int
+    noise: str = "logistic"
+
+    def __post_init__(self):
+        self._coerce_matrices()
+        if self.noise not in ("logistic", "gaussian"):
+            raise ConstructionError(f"unsupported noise {self.noise!r}")
+
+    @property
+    def n_categories(self) -> int:
+        return 2**self.n_components
+
+    @property
+    def block_dim(self) -> int:
+        return self.n_components
+
+    @property
+    def b0_profile(self) -> tuple:
+        return ("discrete_choice", self.noise_cdf(), self.n_components, self.noise_lipschitz())
+
+    @property
+    def tv_lipschitz(self) -> float:
+        return self.noise_lipschitz() * self.n_components
+
+    def noise_cdf(self) -> Callable:
+        return expit if self.noise == "logistic" else ndtr
+
+    def noise_lipschitz(self) -> float:
+        return 0.25 if self.noise == "logistic" else 1.0 / math.sqrt(2.0 * math.pi)
+
+    def category_vector(self, category: int) -> np.ndarray:
+        return np.array([(category >> i) & 1 for i in range(self.n_components)], dtype=float)
+
+    def response(self, lam: np.ndarray) -> np.ndarray:
+        return discrete_choice_cellprob(self, lam)
 
 
 def discrete_choice_cellprob(spec: DiscreteChoiceSpec, lam) -> np.ndarray:
@@ -605,24 +676,95 @@ def discrete_choice_cellprob(spec: DiscreteChoiceSpec, lam) -> np.ndarray:
     return cells
 
 
-def _response_probs(spec, lam_first_block: np.ndarray) -> np.ndarray:
-    if isinstance(spec, (ObservationDrivenBinarySpec, NonlinearBinarySpec, BinaryInfiniteOrderSpec)):
-        pr = float(spec.link.cdf(lam_first_block[0]))
-        return np.array([1.0 - pr, pr])
-    if isinstance(spec, MultinomialSpec):
-        z = np.concatenate([[0.0], lam_first_block])
-        z = z - z.max()
-        ez = np.exp(z)
-        return ez / ez.sum()
-    return discrete_choice_cellprob(spec, lam_first_block)
+def category_vector(spec, category: int) -> np.ndarray:
+    """Forcing vector contributed by a lagged category."""
+    return spec.category_vector(category)
 
 
-def _b0_profile(spec):
-    if isinstance(spec, (ObservationDrivenBinarySpec, NonlinearBinarySpec, BinaryInfiniteOrderSpec)):
-        return ("binary", spec.link.cdf, spec.link.lipschitz_const)
-    if isinstance(spec, MultinomialSpec):
-        return ("multinomial", spec.n_categories)
-    return ("discrete_choice", spec.noise_cdf(), spec.n_components, spec.noise_lipschitz())
+def companion_matrix(spec) -> np.ndarray:
+    """Stacked-lag companion matrix of the latent recursion."""
+    return spec.companion_matrix()
+
+
+def stationarity_check(spec) -> StationarityReport:
+    """Spectral-radius (or contraction, or summability) check of the spec."""
+    return spec.stationarity()
+
+
+def contraction_constants(spec, r_cap: int = 512) -> ContractionConstants:
+    return spec.contraction(r_cap)
+
+
+# ---------------------------------------------------------------------------
+# latent recursion
+# ---------------------------------------------------------------------------
+
+
+def _latent_scan(spec, x: np.ndarray, y=None, pre=(), u=None):
+    """Run the latent recursion from a zero state over covariates ``x[0..T-1]``.
+
+    Categories before time 0 are ``pre`` (most recent first), then zero.
+    Those from time 0 on are ``y`` or, without ``y``, drawn from the response
+    law by inverting ``u[t]``.  Returns ``(categories, lam, state)``: the
+    categories, the leading latent block at every time, the final state.
+    """
+    p, _ = spec.lag_counts
+    T = x.shape[0]
+    hist = np.zeros(p + T, dtype=np.int64)
+    pre = np.asarray(pre, dtype=np.int64)[:p]
+    hist[p - pre.size : p] = pre[::-1]
+    if y is not None:
+        y = np.asarray(y)[:T]
+        hist[p : p + y.size] = y
+    step, state = spec.stepper()
+    response = spec.response
+    lam = np.empty((T, spec.block_dim))
+    for t in range(T):
+        first = step(hist[t : t + p][::-1], x[t])
+        lam[t] = first
+        if u is not None:
+            hist[p + t] = int((response(first).cumsum() < u[t]).sum())
+    if not np.isfinite(lam).all():
+        raise OverflowError("latent recursion diverged; contraction unverified")
+    return hist[p:], lam, state
+
+
+def latent_recursion(spec, past_y, past_x, n: int) -> np.ndarray:
+    """Latent state obtained by iterating the update map ``n`` times from 0.
+
+    ``past_y`` and ``past_x`` are most recent first and must reach back far
+    enough (``n + p - 1`` categories, ``n`` covariates).  Returns the stacked
+    state; its leading block is the index driving the current response.
+    """
+    p, _ = spec.lag_counts
+    past_y = np.asarray(past_y)
+    past_x = np.atleast_2d(np.asarray(past_x, dtype=float))
+    if past_x.shape[0] < n or past_y.size < n + p - 1:
+        raise ValueError("history too short for the requested recursion depth")
+    # past_y[0] is the category one step before the present; the first n - 1
+    # categories fall inside the recursion window, the next p before it
+    m = max(n - 1, 0)
+    _, _, state = _latent_scan(spec, past_x[:n][::-1], y=past_y[:m][::-1], pre=past_y[m : n + p - 1])
+    return state.reshape(-1)
+
+
+def latent_path(spec, y, x) -> np.ndarray:
+    """Leading latent block along a realized path, initialized at zero.
+
+    ``y[t]`` and ``x[t]`` are time ordered; row ``t`` of the result is the
+    index that generated ``y[t]`` (so it uses categories strictly before
+    ``t`` and the covariate at ``t``).
+    """
+    y = np.asarray(y)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[0] != y.shape[0]:
+        raise ValueError("y and x must have equal length")
+    return _latent_scan(spec, x, y=y)[1]
+
+
+# ---------------------------------------------------------------------------
+# kernels
+# ---------------------------------------------------------------------------
 
 
 def model_to_kernel(
@@ -638,133 +780,17 @@ def model_to_kernel(
     stationarity check or the one-step sensitivity certification fails.  The
     returned handle carries geometric (or tail-sum) envelopes for the decay
     sequences and evaluates probabilities through the latent recursion
-    truncated at the handle's lag policy.
+    truncated at the handle's lag policy.  Kernels of latent-recursion
+    families record a forward sampler ``extra["latent_sampler"](x, u)``.
     """
     report = stationarity_check(spec)
     if not report.passed:
         raise ConstructionError(
             f"stationarity check failed: spectral radius {report.spectral_radius}"
         )
-
-    if isinstance(spec, BinaryInfiniteOrderSpec):
-        abs_a = spec.abs_coeff_seq()
-        cat_bound = abs_a.total()
-        b0 = certify_b0(_b0_profile(spec), cat_bound, grid=b0_grid)
-        L_F = spec.link.lipschitz_const
-        horizon = max(env_horizon, abs_a.values.size + 1)
-        # |a_j| sits at index j-1, so the mass beyond lag m starts at index m
-        env_vals = np.array(
-            [min(b0, L_F * abs_a.sum_from(m)) for m in range(horizon + 1)]
-        )
-        b_env = DecaySeq(np.minimum.accumulate(env_vals), tail=spec.a_tail)
-        e0 = L_F * float(np.abs(spec.gamma).max(initial=0.0))
-        e_env = DecaySeq(np.array([e0, 0.0]))
-        if max_lag_y is None:
-            if spec.a_tail is None:
-                max_lag_y = spec.a.size
-            else:
-                max_lag_y = next(
-                    (m for m in range(1, 4096) if b_env.value(m) < 1e-14), 4096
-                )
-        max_lag_y = max(max_lag_y, 1)
-        max_lag_x = 1 if max_lag_x is None else max_lag_x
-        a_trunc = spec.a[:max_lag_y]
-
-        def probs_fn(y, x, _a=a_trunc, _spec=spec):
-            mu = float(_a @ y[: _a.size]) + float(_spec.gamma @ x[0])
-            return _response_probs(_spec, np.array([mu]))
-
-        trunc = TruncationPolicy(max_lag_y=max_lag_y, max_lag_x=max_lag_x)
-        return KernelHandle(
-            n_categories=2,
-            covariate_dim=spec.covariate_dim,
-            probs_fn=probs_fn,
-            truncation=trunc,
-            b=b_env,
-            e=e_env,
-            b0_certificate=b0,
-            b0_profile=_b0_profile(spec),
-            label="binary-infinite-order",
-            extra={"spec": spec},
-        )
-
-    if isinstance(spec, NonlinearBinarySpec):
-        spec.verify_contraction()
-
-    cc = contraction_constants(spec)
-    p, q = _lag_counts(spec)
-    tv_lip = _tv_block_lipschitz(spec)
-    if isinstance(spec, NonlinearBinarySpec):
-        s_a, c_r = 1.0 / (1.0 - cc.kappa), 1.0
-    else:
-        s_a, c_r = _power_norm_sum(companion_matrix(spec), cc.r, cc.kappa)
-    d_max = _category_forcing_bound(spec) * s_a
-    b0 = certify_b0(_b0_profile(spec), d_max, grid=b0_grid)
-    lx = float(
-        np.abs(spec.Gamma).max(initial=0.0)
-        if isinstance(spec, (MultinomialSpec, DiscreteChoiceSpec))
-        else np.abs(spec.gamma).max(initial=0.0)
-    )
-
-    if isinstance(spec, NonlinearBinarySpec):
-        # scalar latent: the gap contracts by exactly kappa per step
-        rate = cc.kappa
-        gap_scale = tv_lip * d_max
-        e_scale = tv_lip * lx
-    elif cc.kappa == 0.0:
-        # no latent memory at all: only the finitely many category lags matter
-        rate = 0.0
-        gap_scale = tv_lip * d_max
-        e_scale = tv_lip * lx
-    else:
-        rate = cc.kappa ** (1.0 / cc.r)
-        # ||A^s|| <= (C_r / kappa) * rate**s, smooth in s so a geometric tail
-        # is an exact continuation of the stored envelope values; histories
-        # agreeing on m lags share the last m - p + 1 forcing terms
-        prefac = c_r / cc.kappa
-        gap_scale = tv_lip * d_max * prefac * rate ** (1 - p)
-        e_scale = tv_lip * lx * prefac
-
-    cap = min(b0, tv_lip * d_max)
-    if rate == 0.0:
-        b_vals = np.zeros(max(p + 1, 2))
-        b_vals[: max(p, 1)] = cap
-        b_vals[0] = b0
-        b_env = DecaySeq(b_vals)
-        e_env = DecaySeq(np.array([e_scale, 0.0]))
-    else:
-        b_env = _geometric_envelope(gap_scale, rate, env_horizon, cap=cap)
-        vals = b_env.values.copy()
-        vals[0] = max(vals[0], b0)
-        b_env = DecaySeq(vals, tail=b_env.tail)
-        e_env = _geometric_envelope(e_scale, rate, env_horizon)
-
-    if max_lag_x is None:
-        if rate > 0.0 and gap_scale > 0.0:
-            max_lag_x = int(
-                min(256, max(8, math.ceil(math.log(1e-14 / max(gap_scale, 1e-280)) / math.log(rate))))
-            )
-        else:
-            max_lag_x = max(8, p + q)
-    if max_lag_y is None:
-        max_lag_y = max_lag_x + p - 1 if p >= 1 else max_lag_x
-    max_lag_y = max(max_lag_y, 1)
-
-    def probs_fn(y, x, _spec=spec, _p=p, _mlx=max_lag_x):
-        n_steps = min(_mlx, y.size - _p + 1 if _p >= 1 else _mlx, x.shape[0])
-        lam = latent_recursion(_spec, y, x, max(n_steps, 0))
-        return _response_probs(_spec, lam[: _block_dim(_spec)])
-
-    trunc = TruncationPolicy(max_lag_y=max_lag_y, max_lag_x=max_lag_x)
     return KernelHandle(
         n_categories=spec.n_categories,
         covariate_dim=spec.covariate_dim,
-        probs_fn=probs_fn,
-        truncation=trunc,
-        b=b_env,
-        e=e_env,
-        b0_certificate=b0,
-        b0_profile=_b0_profile(spec),
-        label=type(spec).__name__,
-        extra={"spec": spec, "contraction": cc, "latent_gap_bound": d_max},
+        b0_profile=spec.b0_profile,
+        **spec.kernel_parts(max_lag_y, max_lag_x, env_horizon, b0_grid),
     )

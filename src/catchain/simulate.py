@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gamma, hyp1f1
 
 from .bounds import DecaySeq, GeometricTail, bstar_from_b
 from .kernels import KernelHandle, successor_code, transition_table
@@ -54,6 +55,21 @@ class UnsupportedCovariateError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _gaussian_norm_p(mean: float, sd: float, p: float) -> float:
+    """``(E|X|^p)^(1/p)`` for ``X ~ N(mean, sd^2)`` and finite ``p > 0``, by
+    the closed form in Kummer's function ``1F1``."""
+    if sd == 0.0:
+        return abs(mean)
+    moment = (
+        sd**p
+        * 2.0 ** (p / 2.0)
+        * gamma((p + 1.0) / 2.0)
+        / math.sqrt(math.pi)
+        * hyp1f1(-p / 2.0, 0.5, -(mean**2) / (2.0 * sd**2))
+    )
+    return float(moment ** (1.0 / p))
+
+
 @dataclass(frozen=True)
 class IIDCovariates:
     """Independent draws; ``kind`` is ``"normal"`` or ``"const"``."""
@@ -80,9 +96,7 @@ class IIDCovariates:
         if self.kind == "const":
             return abs(self.mean) * self.dim
         if not math.isinf(p):
-            from scipy.stats import norm
-
-            return float(norm(self.mean, self.sd).moment(int(p)) ** (1.0 / p)) * self.dim
+            return _gaussian_norm_p(self.mean, self.sd, p) * self.dim
         raise UnsupportedCovariateError("unbounded covariates have no sup norm")
 
 
@@ -117,9 +131,7 @@ class AR1Covariates:
     def norm_p(self, p: float) -> float:
         if math.isinf(p):
             raise UnsupportedCovariateError("AR(1) covariates are unbounded")
-        from scipy.stats import norm
-
-        return self.dim * float(norm(0, self.stationary_sd).moment(int(p)) ** (1.0 / p))
+        return self.dim * _gaussian_norm_p(0.0, self.stationary_sd, p)
 
 
 @dataclass(frozen=True)
@@ -207,7 +219,6 @@ class SamplePath:
     lam: np.ndarray | None
     burnin_used: int
     stationarity_gap_bound: float
-    seed_note: str = ""
 
 
 @dataclass
@@ -244,72 +255,16 @@ def _history_probs(kernel: KernelHandle, y_real: list, x: np.ndarray, t: int, z_
     return kernel.probs(hist, x_hist)
 
 
-_LATENT_CLASSES = (
-    "ObservationDrivenBinarySpec",
-    "NonlinearBinarySpec",
-    "MultinomialSpec",
-    "DiscreteChoiceSpec",
-)
-
-
-def _latent_forward(spec, x: np.ndarray, gen) -> tuple[np.ndarray, np.ndarray]:
-    """Sample a latent-recursion model forward, carrying the state exactly.
-
-    Zero initialization of both the latent state and the category prehistory,
-    matching the finite-depth approximation the burn-in certificate targets.
-    """
-    from .models import _block_dim, _lag_counts, _response_probs, category_vector
-
-    T = x.shape[0]
-    p, q = _lag_counts(spec)
-    k = _block_dim(spec)
-    y = np.zeros(T, dtype=np.int64)
-    lam = np.zeros((T, k))
-    blocks = np.zeros((max(q, 1), k))
-    is_nonlinear = type(spec).__name__ == "NonlinearBinarySpec"
-    if not is_nonlinear:
-        b_mats = (
-            spec.B
-            if type(spec).__name__ in ("MultinomialSpec", "DiscreteChoiceSpec")
-            else [np.array([[bj]]) for bj in spec.beta]
-        )
-    u = gen.random(T)
-    for t in range(T):
-        first = np.zeros(k)
-        if type(spec).__name__ == "ObservationDrivenBinarySpec":
-            for lag in range(p):
-                if t - 1 - lag >= 0:
-                    first[0] += spec.alpha[lag] * y[t - 1 - lag]
-            first[0] += float(spec.gamma @ x[t])
-        elif is_nonlinear:
-            prev = y[t - 1] if t >= 1 else 0
-            first[0] = spec.g(blocks[0, 0]) + spec.alpha * prev + float(spec.gamma @ x[t])
-        else:
-            for lag, Am in enumerate(spec.A):
-                if t - 1 - lag >= 0:
-                    first += Am @ category_vector(spec, int(y[t - 1 - lag]))
-            first += spec.Gamma @ x[t]
-        if not is_nonlinear:
-            for i, Bj in enumerate(b_mats):
-                first = first + Bj @ blocks[i]
-        if q > 1:
-            blocks[1:] = blocks[:-1]
-        blocks[0] = first
-        lam[t] = first
-        probs = _response_probs(spec, first)
-        y[t] = int((probs.cumsum() < u[t]).sum())
-    return y, lam
-
-
 def sample_forward(kernel: KernelHandle, x: np.ndarray, window: int, eps: float, rng) -> SamplePath:
     """Simulate a window with burn-in certified against the decay envelope.
 
     The burn-in is the smallest ``n`` with
     ``sum_{l < window} b*_{n + l} <= eps``; the covariate path must be long
     enough to cover it (``len(x) >= window + n``).  Initialization is the
-    all-zero past.  Kernels built from latent-recursion specs are simulated
-    by carrying the latent state forward (the exact finite-depth
-    approximation); other kernels fall back to per-step evaluation.
+    all-zero past.  Kernels that record ``extra["latent_sampler"]`` (those
+    built from latent-recursion specs) are simulated by carrying the latent
+    state forward (the exact finite-depth approximation); other kernels fall
+    back to per-step evaluation.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -320,9 +275,9 @@ def sample_forward(kernel: KernelHandle, x: np.ndarray, window: int, eps: float,
     burnin, gap = _required_burnin(kernel.b, window, eps, x.shape[0] - window)
     total = burnin + window
     x_used = x[:total]
-    spec = kernel.extra.get("spec") if kernel.extra else None
-    if spec is not None and type(spec).__name__ in _LATENT_CLASSES:
-        y, lam_all = _latent_forward(spec, x_used, gen)
+    latent_sampler = kernel.extra.get("latent_sampler")
+    if latent_sampler is not None:
+        y, lam_all = latent_sampler(x_used, gen.random(total))
         lam = lam_all[burnin:]
     else:
         y = np.empty(total, dtype=np.int64)
@@ -386,9 +341,7 @@ def glued_coupling(
         # rung ``path_idx`` uses kernel_b up to (and including) time path_idx
         if path_idx >= 0 and t <= path_idx:
             return _history_probs(kernel_b, y_real, x_b, t, z_b)
-        z = z_a if path_idx < 0 else z_b
-        x = x_a if path_idx < 0 else x_a
-        return _history_probs(kernel_a, y_real, x, t, z)
+        return _history_probs(kernel_a, y_real, x_a, t, z_a if path_idx < 0 else z_b)
 
     prev = []
     for t in range(1, length + 1):

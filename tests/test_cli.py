@@ -235,3 +235,30 @@ def test_bounds_markov_fixture_matches_power_column(tmp_path):
     vals = np.array([float(r.split(",")[1]) for r in rows])
     b0 = vals[0]
     np.testing.assert_array_equal(vals[1:], np.cumprod(np.full(vals.size - 1, b0)))
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds", "fit"])
+def test_uncertifiable_sensitivity_fails_with_status_one(tmp_path, command):
+    # alpha 40 pushes the one-step sensitivity certificate to 1
+    cfg = base_config()
+    cfg["model"]["alpha"] = [40.0]
+    cfg["fit"] = {"selftest": True, "n": 200}
+    cfg_path = write_config(tmp_path, cfg)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "c"), "--quiet"]) == EXIT_FAILURE
+
+
+@pytest.mark.parametrize(
+    "block,patch",
+    [
+        ("model", {"class": "multinomial", "A": [], "B": [], "n_categories": 3}),
+        ("model", {"class": "multinomial", "A": [[[0.3]]], "B": [], "Gamma": [[0.2], [0.1]], "n_categories": 3}),
+        ("covariates", {"kind": "ar1", "rho": 1.5}),
+    ],
+    ids=["missing-Gamma", "wrong-shape-A", "explosive-ar1"],
+)
+def test_malformed_block_is_config_error(tmp_path, block, patch):
+    cfg = base_config()
+    cfg[block] = patch
+    cfg_path = write_config(tmp_path, cfg)
+    for command in ("simulate", "bounds"):
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "m"), "--quiet"]) == EXIT_CONFIG

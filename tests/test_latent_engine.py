@@ -1,0 +1,75 @@
+"""The latent recursion agrees across its entry points.
+
+``estimate._mu_path`` (the ``lfilter`` fast path), ``latent_path`` (time
+ordered) and ``latent_recursion`` (most recent first, as the kernels use it)
+must describe the same index.
+"""
+
+import numpy as np
+import pytest
+
+from catchain.estimate import _mu_path
+from catchain.models import (
+    DiscreteChoiceSpec,
+    MultinomialSpec,
+    NonlinearBinarySpec,
+    ObservationDrivenBinarySpec,
+    latent_path,
+    latent_recursion,
+    logistic_link,
+    russell_damping,
+)
+from catchain.prob import SeededRng
+
+T = 40
+
+
+def _path(seed: int, n_categories: int, dim: int = 1):
+    gen = SeededRng(seed).generator()
+    return gen.integers(0, n_categories, size=T), gen.normal(size=(T, dim))
+
+
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [([0.4], [0.5]), ([0.4, -0.2], [0.5, 0.3]), ([0.7], [])],
+    ids=["p1q1", "p2q2", "p1q0"],
+)
+def test_lfilter_fast_path_equals_latent_path(alpha, beta):
+    spec = ObservationDrivenBinarySpec(alpha=alpha, beta=beta, gamma=[0.3, -0.1])
+    y, x = _path(17, 2, dim=2)
+    fast = _mu_path(spec.alpha, spec.beta, spec.gamma, y.astype(float), x)
+    np.testing.assert_allclose(fast, latent_path(spec, y, x)[:, 0], rtol=0, atol=1e-12)
+
+
+def _latent_specs():
+    g, kappa = russell_damping(0.6, 0.3, logistic_link())
+    lag_a = [np.array([[0.3, -0.1], [0.2, 0.3]]), np.array([[0.1, 0.0], [-0.2, 0.1]])]
+    lag_b = [np.array([[0.3, 0.1], [0.0, 0.2]]), np.array([[0.1, 0.0], [0.0, 0.1]])]
+    gamma = np.array([[0.2], [-0.4]])
+    return [
+        ObservationDrivenBinarySpec(alpha=[0.4, -0.3], beta=[0.5, 0.2], gamma=[0.3]),
+        NonlinearBinarySpec(g=g, kappa=kappa, alpha=0.7, gamma=[-0.5]),
+        MultinomialSpec(A=lag_a, B=lag_b, Gamma=gamma, n_categories=3),
+        DiscreteChoiceSpec(A=lag_a, B=lag_b, Gamma=gamma, n_components=2),
+    ]
+
+
+@pytest.mark.parametrize("spec", _latent_specs(), ids=lambda s: type(s).__name__)
+def test_latent_recursion_on_reversed_history_equals_last_path_row(spec):
+    y, x = _path(29, spec.n_categories)
+    k = latent_path(spec, y, x).shape[1]
+    # the index at time T-1 sees categories before T-1 and covariates up to
+    # T-1; the category prehistory before time 0 is zero
+    past_y = np.concatenate([y[:-1][::-1], np.zeros(2, dtype=y.dtype)])
+    lam = latent_recursion(spec, past_y, x[::-1], T)
+    np.testing.assert_array_equal(lam[:k], latent_path(spec, y, x)[-1])
+
+
+def test_divergent_recursion_raises_overflow_on_every_entry_point():
+    spec = ObservationDrivenBinarySpec(alpha=[0.4], beta=[10.0], gamma=[1.0])
+    y, x = np.zeros(400, dtype=int), np.ones((400, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError):
+            latent_path(spec, y, x)
+        with pytest.raises(OverflowError):
+            latent_recursion(spec, y, x, 400)

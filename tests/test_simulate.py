@@ -261,3 +261,18 @@ def test_path_csv_header_and_length():
     lines = text.splitlines()
     assert lines[0] == "t,y,x_1,lambda_1"
     assert len(lines) == 31
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
+def test_gaussian_norm_p_is_the_absolute_moment(p):
+    from scipy.integrate import quad
+    from scipy.stats import norm
+
+    def abs_moment(mean, sd):
+        val, _ = quad(lambda v: abs(v) ** p * norm.pdf(v, mean, sd), -np.inf, np.inf, epsabs=0, epsrel=1e-13)
+        return val ** (1.0 / p)
+
+    iid = IIDCovariates(mean=0.7, sd=1.3, dim=2)
+    assert iid.norm_p(p) == pytest.approx(2 * abs_moment(0.7, 1.3), rel=1e-9)
+    ar1 = AR1Covariates(rho=0.5, sd=1.0)
+    assert ar1.norm_p(p) == pytest.approx(abs_moment(0.0, ar1.stationary_sd), rel=1e-9)
