@@ -256,22 +256,38 @@ def bstar_from_b(b: DecaySeq, horizon: int) -> DecaySeq:
 
     The result's ``tail_sum_bound`` is set from the renewal-series total, so
     ``sum_from`` is a certified bound even past the horizon.
+
+    The iteration stops early, with the same values as the full loop.  Let
+    ``support`` be one past the last index with ``b_k != 0`` (the last one,
+    not the first zero: the head may rise by up to 1e-15 after a zero).
+    Entry ``j`` of the distribution is the reset ``j`` steps back times a
+    product of ``1 - b``, so after ``support`` consecutive resets that are
+    exactly 0.0 the entries below ``support`` are exactly 0.0.  Every later
+    reset then sums products that are each exactly 0.0 (a zero mass, or
+    ``b_k == 0`` at ``k >= support``), the zero block shifts forward, and
+    every remaining entry is exactly 0.0.  For a geometric tail the resets
+    underflow to 0.0 within a few thousand steps, so the cost stops growing
+    with the square of the horizon.
     """
     _check_b(b)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     bh = b.head(horizon + 1)
-    out = np.empty(horizon + 1)
+    keep = 1.0 - bh
+    support = int(np.flatnonzero(bh)[-1]) + 1 if np.any(bh) else 0
+    out = np.zeros(horizon + 1)
     out[0] = bh[0]
     dist = np.zeros(horizon + 1)
     dist[0] = 1.0
+    zero_run = 0
     for n in range(1, horizon + 1):
         reset = float(dist[:n] @ bh[:n])
-        new = np.zeros_like(dist)
-        new[0] = reset
-        new[1 : n + 1] = dist[:n] * (1.0 - bh[:n])
-        dist = new
+        dist[1 : n + 1] = dist[:n] * keep[:n]
+        dist[0] = reset
         out[n] = reset
+        zero_run = zero_run + 1 if reset == 0.0 else 0
+        if zero_run >= support:
+            break
     tail_bound = None
     if b.is_summable:
         low, high = bstar_sum_bracket(b, max(horizon, 256))

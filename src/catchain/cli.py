@@ -136,6 +136,20 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _int_field(block: dict, key: str, default: int, minimum: int, where: str) -> int:
+    value = block.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{where}.{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _real_field(block: dict, key: str, default: float, where: str, above: float = 0.0) -> float:
+    value = block.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not above < value < math.inf:
+        raise ConfigError(f"{where}.{key} must be a finite number > {above:g}, got {value!r}")
+    return float(value)
+
+
 def emit_config(cfg: dict) -> str:
     """Canonical serialization; parse(emit(parse(x))) == parse(x)."""
     return json.dumps(cfg, indent=2, sort_keys=True) + "\n"
@@ -257,9 +271,9 @@ def write_atomic(path: str, text: str) -> None:
 
 def cmd_simulate(cfg: dict, out_dir: str, seed: int, quiet: bool) -> int:
     sim = cfg.get("simulate", {})
-    window = int(sim.get("window", 100))
-    eps = float(sim.get("eps", 1e-3))
-    max_burnin = int(sim.get("max_burnin", 4096))
+    window = _int_field(sim, "window", 100, 1, "simulate")
+    eps = _real_field(sim, "eps", 1e-3, "simulate")
+    max_burnin = _int_field(sim, "max_burnin", 4096, 0, "simulate")
     spec = build_model(cfg["model"])
     cov = build_covariates(cfg.get("covariates", {"kind": "iid_const", "mean": 0.0}))
     kernel = model_to_kernel(spec)
@@ -284,11 +298,15 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int, quiet: bool) -> int:
 
 def cmd_bounds(cfg: dict, out_dir: str, seed: int, quiet: bool) -> int:
     blk = cfg.get("bounds", {})
-    horizon = int(blk.get("horizon", 64))
-    n_max = int(blk.get("n_max", 20))
+    horizon = _int_field(blk, "horizon", 64, 0, "bounds")
+    n_max = _int_field(blk, "n_max", 20, 1, "bounds")
+    if horizon and n_max > horizon:  # horizon 0 picks a default long enough for n_max
+        raise ConfigError(f"bounds.n_max ({n_max}) must not exceed bounds.horizon ({horizon})")
     metric = blk.get("metric", "l1")
+    if metric not in ("l1", "discrete"):
+        raise ConfigError(f"bounds.metric must be 'l1' or 'discrete', got {metric!r}")
     p_raw = blk.get("p_moment", "inf")
-    p_moment = math.inf if p_raw in ("inf", None) else float(p_raw)
+    p_moment = math.inf if p_raw in ("inf", None) else _real_field(blk, "p_moment", None, "bounds", 1.0)
     spec = build_model(cfg["model"])
     cov = build_covariates(cfg.get("covariates", {"kind": "iid_normal"}))
     try:

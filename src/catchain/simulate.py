@@ -244,11 +244,14 @@ def _required_burnin(b: DecaySeq, window: int, eps: float, max_burnin: int) -> t
     )
 
 
-def _history_probs(kernel: KernelHandle, y_real: list, x: np.ndarray, t: int, z_init) -> np.ndarray:
-    """Kernel law at time ``t`` (1-based) given realized categories and the
-    pre-time-0 past ``z_init`` (most recent first)."""
+def _history_probs(kernel: KernelHandle, y_real, x: np.ndarray, t: int, z_init) -> np.ndarray:
+    """Kernel law at time ``t`` (1-based) given realized categories
+    ``y_real[:t-1]`` (a list or array, oldest first) and the pre-time-0 past
+    ``z_init`` (most recent first).  Only the ``max_lag_y`` most recent
+    categories and ``max_lag_x`` most recent covariates are read, which is
+    all the kernel keeps, so a step costs O(memory), not O(t)."""
     mly, mlx = kernel.truncation.max_lag_y, kernel.truncation.max_lag_x
-    hist = y_real[t - 2 :: -1] if t >= 2 else []
+    hist = list(y_real[max(t - 1 - mly, 0) : t - 1])[::-1]
     if len(hist) < mly:
         hist = hist + list(z_init[: mly - len(hist)])
     x_hist = x[t - 1 :: -1][:mlx]
@@ -264,7 +267,11 @@ def sample_forward(kernel: KernelHandle, x: np.ndarray, window: int, eps: float,
     all-zero past.  Kernels that record ``extra["latent_sampler"]`` (those
     built from latent-recursion specs) are simulated by carrying the latent
     state forward (the exact finite-depth approximation); other kernels fall
-    back to per-step evaluation.
+    back to per-step evaluation, which passes only the kernel's truncated
+    memory (``max_lag_y`` categories, ``max_lag_x`` covariates) and so costs
+    O(memory) per step.  The burn-in search iterates ``b*`` only until it
+    is exactly 0.0 for good (see :func:`bstar_from_b`), so for a
+    geometrically decaying ``b`` its cost is linear in ``len(x)``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -282,7 +289,7 @@ def sample_forward(kernel: KernelHandle, x: np.ndarray, window: int, eps: float,
     else:
         y = np.empty(total, dtype=np.int64)
         for t in range(1, total + 1):
-            p = _history_probs(kernel, list(y[: t - 1]), x_used, t, np.zeros(0, dtype=np.int64))
+            p = _history_probs(kernel, y, x_used, t, np.zeros(0, dtype=np.int64))
             y[t - 1] = int(gen.choice(kernel.n_categories, p=p / p.sum()))
         lam = None
     return SamplePath(

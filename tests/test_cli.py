@@ -262,3 +262,30 @@ def test_malformed_block_is_config_error(tmp_path, block, patch):
     cfg_path = write_config(tmp_path, cfg)
     for command in ("simulate", "bounds"):
         assert main([command, "--config", cfg_path, "--out", str(tmp_path / "m"), "--quiet"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command,block,key,value",
+    [
+        ("simulate", "simulate", "eps", 0),
+        ("simulate", "simulate", "window", "abc"),
+        ("simulate", "simulate", "max_burnin", -3),
+        ("simulate", "simulate", "window", -5),
+        ("simulate", "simulate", "window", 0),
+        ("bounds", "bounds", "n_max", 0),
+        ("bounds", "bounds", "horizon", -1),
+        ("bounds", "bounds", "metric", "sup"),
+        ("bounds", "bounds", "p_moment", "x"),
+        ("bounds", "bounds", "n_max", 49),
+    ],
+)
+def test_malformed_numeric_field_is_config_error(tmp_path, capsys, command, block, key, value):
+    cfg = base_config()
+    cfg[block][key] = value
+    if key == "p_moment":
+        cfg["bounds"]["metric"] = "discrete"
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "n"
+    assert main([command, "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert f"{block}.{key}" in capsys.readouterr().err
+    assert not any(out.iterdir())

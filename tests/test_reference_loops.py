@@ -1,0 +1,205 @@
+"""Linear-time paths against the full-horizon loops they replace.
+
+``bstar_from_b`` stops once every later ``b*`` is exactly 0.0, and the
+per-step sampler reads only the kernel's truncated memory.  Both must give
+the same bytes as the straightforward loops kept here as references.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from catchain.bounds import (
+    DecaySeq,
+    DivergenceError,
+    GeometricTail,
+    PolynomialTail,
+    bstar_from_b,
+    bstar_sum_bracket,
+)
+from catchain.kernels import table_kernel
+from catchain.models import BinaryInfiniteOrderSpec, ObservationDrivenBinarySpec, model_to_kernel
+from catchain.prob import SeededRng, as_generator
+from catchain.simulate import _coupled_step, _required_burnin, glued_coupling, sample_forward
+
+# -- b* recursion ------------------------------------------------------------------
+
+
+def _reference_bstar(b: DecaySeq, horizon: int):
+    """Full-horizon iteration: a fresh distribution every step, no early exit."""
+    bh = b.head(horizon + 1)
+    out = np.empty(horizon + 1)
+    out[0] = bh[0]
+    dist = np.zeros(horizon + 1)
+    dist[0] = 1.0
+    for n in range(1, horizon + 1):
+        reset = float(dist[:n] @ bh[:n])
+        new = np.zeros_like(dist)
+        new[0] = reset
+        new[1 : n + 1] = dist[:n] * (1.0 - bh[:n])
+        dist = new
+        out[n] = reset
+    tail_bound = None
+    if b.is_summable:
+        low, high = bstar_sum_bracket(b, max(horizon, 256))
+        tail_bound = max(high - float(out[1:].sum()), 0.0)
+    return out.tobytes(), tail_bound
+
+
+def _outcome(fn, b, horizon):
+    try:
+        return fn(b, horizon)
+    except DivergenceError:
+        return "DivergenceError"
+
+
+def _new_bstar(b, horizon):
+    res = bstar_from_b(b, horizon)
+    return res.values.tobytes(), res.tail_sum_bound
+
+
+def _assert_same_as_reference(b, horizon):
+    assert _outcome(_new_bstar, b, horizon) == _outcome(_reference_bstar, b, horizon)
+
+
+_heads = st.lists(st.floats(0.0, 0.9), min_size=1, max_size=6).map(
+    lambda v: np.sort(np.array(v))[::-1]
+)
+_settings = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@_settings
+@given(vals=_heads, horizon=st.integers(0, 1500))
+def test_bstar_finite_support_matches_reference(vals, horizon):
+    _assert_same_as_reference(DecaySeq(vals), horizon)
+
+
+@_settings
+@given(vals=_heads, rate=st.floats(0.05, 0.95), horizon=st.integers(0, 1500))
+def test_bstar_geometric_tail_matches_reference(vals, rate, horizon):
+    _assert_same_as_reference(DecaySeq(vals, tail=GeometricTail(rate)), horizon)
+
+
+@_settings
+@given(vals=_heads, power=st.floats(1.5, 4.0), horizon=st.integers(0, 1500))
+def test_bstar_polynomial_tail_matches_reference(vals, power, horizon):
+    # continuous at the junction, so the sequence stays nonincreasing
+    coeff = float(vals[-1]) * float(vals.size) ** power
+    _assert_same_as_reference(DecaySeq(vals, tail=PolynomialTail(coeff, power)), horizon)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    first=st.floats(0.05, 0.4),
+    rate=st.floats(0.05, 0.4),
+    horizon=st.integers(2100, 4000),
+)
+def test_bstar_past_underflow_matches_reference(first, rate, horizon):
+    b = DecaySeq.geometric(first, rate, n_stored=4)
+    _assert_same_as_reference(b, horizon)
+    # these horizons lie past the underflow point, so the early exit is taken
+    assert bstar_from_b(b, horizon).values[-1] == 0.0
+
+
+@pytest.mark.parametrize(
+    "values, horizon",
+    [
+        ([0.0], 0),
+        ([0.0], 5),
+        ([0.0, 0.0, 0.0], 40),
+        ([0.3, 0.0], 12),
+        ([0.3, 0.0], 700),  # 0.3**n underflows near n = 620
+        ([0.3, 0.0, 1e-15], 200),
+        ([0.4, 0.2, 0.0, 1e-15], 1200),
+        ([0.0, 0.0, 1e-15], 120),  # b*_3 = 1e-15 follows two exact zeros
+    ],
+)
+def test_bstar_edge_cases_match_reference(values, horizon):
+    _assert_same_as_reference(DecaySeq(np.array(values)), horizon)
+
+
+def test_bstar_readme_spec_matches_reference_past_underflow():
+    kernel = model_to_kernel(ObservationDrivenBinarySpec(alpha=[0.4], beta=[0.5], gamma=[0.3]))
+    _assert_same_as_reference(kernel.b, 3000)
+    assert bstar_from_b(kernel.b, 3000).values[-1] == 0.0
+
+
+# -- per-step sampler --------------------------------------------------------------
+
+
+def _full_history_law(kernel, y_real, x, t, z_init):
+    """Kernel law at time ``t`` given the whole realized past, most recent first."""
+    hist = list(y_real[: t - 1])[::-1] + list(z_init)
+    return kernel.probs(hist, x[t - 1 :: -1])
+
+
+def _reference_forward(kernel, x, window, eps, seed):
+    gen = as_generator(SeededRng(seed))
+    burnin, _ = _required_burnin(kernel.b, window, eps, x.shape[0] - window)
+    y = []
+    for t in range(1, burnin + window + 1):
+        p = _full_history_law(kernel, y, x, t, [])
+        y.append(int(gen.choice(kernel.n_categories, p=p / p.sum())))
+    return np.array(y[burnin:], dtype=np.int64), burnin
+
+
+def _reference_glued(kernel_a, kernel_b, x_a, x_b, z_a, z_b, length, seed):
+    gen = as_generator(SeededRng(seed))
+
+    def law(path_idx, y_real, t):
+        if path_idx >= 0 and t <= path_idx:
+            return _full_history_law(kernel_b, y_real, x_b, t, z_b)
+        return _full_history_law(kernel_a, y_real, x_a, t, z_a if path_idx < 0 else z_b)
+
+    prev = []
+    for t in range(1, length + 1):
+        p = law(-1, prev, t)
+        prev.append(int(gen.choice(p.size, p=p / p.sum())))
+    y1 = np.array(prev, dtype=np.int64)
+    diag = np.zeros(length, dtype=np.int64)
+    for j in range(0, length + 1):
+        cur = []
+        for t in range(1, length + 1):
+            cur.append(_coupled_step(law(j - 1, prev, t), law(j, cur, t), prev[t - 1], gen))
+        if j >= 1:
+            diag[j - 1] = cur[j - 1]
+        prev = cur
+    return y1, diag
+
+
+def _table_kernels():
+    gen = np.random.default_rng(21)
+    table_a = 0.6 * gen.dirichlet(np.ones(3), size=9) + 0.4 / 3
+    table_b = 0.6 * gen.dirichlet(np.ones(3), size=9) + 0.4 / 3
+    return table_kernel(table_a), table_kernel(table_b)
+
+
+def _covariate_kernels():
+    # three covariate lags, so the covariate window is sliced as well
+    spec_a = BinaryInfiniteOrderSpec(a=[0.5, 0.25, 0.125], gamma=[0.3])
+    spec_b = BinaryInfiniteOrderSpec(a=[0.4, 0.3, 0.1], gamma=[0.6])
+    return model_to_kernel(spec_a, max_lag_x=3), model_to_kernel(spec_b, max_lag_x=3)
+
+
+@pytest.mark.parametrize("kernels", [_table_kernels, _covariate_kernels])
+def test_sample_forward_matches_full_history_reference(kernels):
+    kernel, _ = kernels()
+    assert "latent_sampler" not in kernel.extra
+    x = SeededRng(22).generator().normal(size=(400, 1))
+    path = sample_forward(kernel, x, 150, 1e-3, SeededRng(23))
+    y_ref, burnin = _reference_forward(kernel, x, 150, 1e-3, 23)
+    assert path.burnin_used == burnin
+    np.testing.assert_array_equal(path.y, y_ref)
+
+
+@pytest.mark.parametrize("kernels", [_table_kernels, _covariate_kernels])
+def test_glued_coupling_matches_full_history_reference(kernels):
+    kernel_a, kernel_b = kernels()
+    gen = SeededRng(24).generator()
+    x_a, x_b = gen.normal(size=(14, 1)), gen.normal(size=(14, 1))
+    pair = glued_coupling(kernel_a, kernel_b, x_a, x_b, [0, 1, 1], [1, 0, 1], 14, SeededRng(25))
+    y1, y2 = _reference_glued(kernel_a, kernel_b, x_a, x_b, [0, 1, 1], [1, 0, 1], 14, 25)
+    np.testing.assert_array_equal(pair.y1, y1)
+    np.testing.assert_array_equal(pair.y2, y2)
+    assert pair.mismatch.any()
