@@ -61,18 +61,42 @@ class ContractionError(ValueError):
 
 @dataclass(frozen=True)
 class GeometricTail:
-    """Beyond the stored values, ``value(m) = last * rate**(m - last_index)``."""
+    """Beyond the stored values, ``value(m) = last * rate**(m - last_index)``.
+
+    A tail class defines everything about the :class:`DecaySeq` ``seq`` it
+    extends past storage: ``value``, the mass ``sum_from`` an index, whether
+    it is ``summable``, the first-moment tail ``moment_tail(h)`` =
+    ``sum_{s>h} (s-h) value(s)`` and the tail of ``scale * value**(1/q)``
+    (``root``).
+    """
 
     rate: float
+    summable = True
 
     def __post_init__(self):
         if not 0.0 < self.rate < 1.0:
             raise DecayError(f"geometric rate must lie in (0,1), got {self.rate}")
 
+    def value(self, seq: "DecaySeq", m: int) -> float:
+        return float(seq.values[-1] * self.rate ** (m - seq.values.size + 1))
+
+    def sum_from(self, seq: "DecaySeq", m: int) -> float:
+        return float(self.value(seq, m) / (1.0 - self.rate))
+
+    def moment_tail(self, seq: "DecaySeq", h: int) -> float:
+        # geometric decay from index h+1 on: value(h+1) / (1 - r)^2
+        return seq.value(h + 1) / (1.0 - self.rate) ** 2
+
+    def root(self, scale: float, q: float) -> "GeometricTail":
+        # the scale is carried by the transformed stored values
+        return GeometricTail(self.rate ** (1.0 / q))
+
 
 @dataclass(frozen=True)
 class PolynomialTail:
-    """Beyond the stored values, ``value(m) = coeff * m**(-power)``."""
+    """Beyond the stored values, ``value(m) = coeff * m**(-power)``.  Sums are
+    bounded by their first term plus an integral and raise
+    :class:`DivergenceError` where they diverge."""
 
     coeff: float
     power: float
@@ -81,16 +105,44 @@ class PolynomialTail:
         if self.coeff < 0:
             raise DecayError("polynomial tail coefficient must be >= 0")
 
+    @property
+    def summable(self) -> bool:
+        return self.power > 1.0
+
+    def value(self, seq: "DecaySeq", m: int) -> float:
+        return float(self.coeff * float(m) ** (-self.power))
+
+    def sum_from(self, seq: "DecaySeq", m: int) -> float:
+        if not self.summable:
+            raise DivergenceError(f"polynomial tail with power {self.power} <= 1 is not summable")
+        c, k = self.coeff, self.power
+        # c*m^-k plus integral_m^inf c*x^-k dx
+        return float(c * (float(m) ** (-k) + float(m) ** (1.0 - k) / (k - 1.0)))
+
+    def moment_tail(self, seq: "DecaySeq", h: int) -> float:
+        c, k = self.coeff, self.power
+        if k <= 2.0:
+            raise DivergenceError("moment tail of e requires polynomial power > 2")
+        return c * float(h) ** (2.0 - k) / ((k - 1.0) * (k - 2.0))
+
+    def root(self, scale: float, q: float) -> "PolynomialTail":
+        if self.power / q <= 1.0:
+            raise DivergenceError("discrete-metric cost not summable at this moment order")
+        return PolynomialTail(scale * self.coeff ** (1.0 / q), self.power / q)
+
 
 @dataclass
 class DecaySeq:
     """Nonnegative real sequence indexed from 0 with an explicit tail model.
 
-    ``tail=None`` means the sequence is zero beyond the stored values.
+    Past the stored values the sequence follows ``tail`` (a
+    :class:`GeometricTail` or :class:`PolynomialTail`, which define
+    everything about the tail); ``tail=None`` means it is zero there.
     ``tail_sum_bound``, when set, is a certified upper bound on
-    ``sum_{m >= len(values)} value(m)`` and overrides the tail model in
-    ``sum_from``; it is used for sequences (like ``b*``) whose tail has no
-    closed form but whose total is known by other means.
+    ``sum_{m >= len(values)} value(m)`` and takes precedence over the tail
+    model in every sum (``sum_from`` at any index, ``is_summable``); it is
+    used for sequences (like ``b*``) whose tail has no closed form but whose
+    total is known by other means.
     """
 
     values: np.ndarray
@@ -154,22 +206,19 @@ class DecaySeq:
     def value(self, m: int) -> float:
         if m < 0:
             raise IndexError("negative index")
-        n = self.values.size
-        if m < n:
+        if m < self.values.size:
             return float(self.values[m])
-        if self.tail is None:
-            return 0.0
-        if isinstance(self.tail, GeometricTail):
-            return float(self.values[-1] * self.tail.rate ** (m - n + 1))
-        return float(self.tail.coeff * float(m) ** (-self.tail.power))
+        return 0.0 if self.tail is None else self.tail.value(self, m)
 
     def head(self, n: int) -> np.ndarray:
-        """Values at indices ``0..n-1`` with the tail model applied."""
-        stored = self.values[: min(n, len(self))]
+        """Values at indices ``0..n-1`` with the tail model applied, one
+        scalar tail value at a time (a vectorized power differs in the last
+        bit from Python's ``**``)."""
         if n <= len(self):
-            return stored.copy()
-        extra = np.array([self.value(m) for m in range(len(self), n)])
-        return np.concatenate([stored, extra])
+            return self.values[:n].copy()
+        if self.tail is None:
+            return np.concatenate([self.values, np.zeros(n - len(self))])
+        return np.concatenate([self.values, [self.tail.value(self, m) for m in range(len(self), n)]])
 
     # -- structure checks --------------------------------------------------
 
@@ -189,47 +238,28 @@ class DecaySeq:
     def is_summable(self) -> bool:
         if self.tail_sum_bound is not None:
             return math.isfinite(self.tail_sum_bound)
-        if self.tail is None or isinstance(self.tail, GeometricTail):
-            return True
-        return self.tail.power > 1.0
+        return self.tail is None or self.tail.summable
 
     # -- sums ----------------------------------------------------------------
-
-    def _tail_sum(self) -> float:
-        """Upper bound on the sum of all values beyond the stored ones."""
-        if self.tail_sum_bound is not None:
-            return self.tail_sum_bound
-        if self.tail is None:
-            return 0.0
-        n = self.values.size
-        if isinstance(self.tail, GeometricTail):
-            r = self.tail.rate
-            return float(self.values[-1] * r / (1.0 - r))
-        if self.tail.power <= 1.0:
-            raise DivergenceError(
-                f"polynomial tail with power {self.tail.power} <= 1 is not summable"
-            )
-        c, k = self.tail.coeff, self.tail.power
-        # value(m) = c*m^-k for m >= n; bound sum by c*(n^-k + integral_n^inf x^-k dx)
-        return float(c * (float(n) ** (-k) + float(n) ** (1.0 - k) / (k - 1.0)))
 
     def sum_from(self, m: int) -> float:
         """Upper bound on ``sum_{i >= m} value(i)``."""
         if not self.is_summable:
             raise DivergenceError("sequence is not summable under its tail model")
         n = self.values.size
-        if m >= n:
-            if self.tail is None:
-                return 0.0
-            if self.tail_sum_bound is not None:
-                # no pointwise tail model: fall back to the certified total
-                return self.tail_sum_bound
-            if isinstance(self.tail, GeometricTail):
-                r = self.tail.rate
-                return float(self.value(m) / (1.0 - r))
-            c, k = self.tail.coeff, self.tail.power
-            return float(c * (float(m) ** (-k) + float(m) ** (1.0 - k) / (k - 1.0)))
-        return float(self.values[m:].sum()) + self._tail_sum()
+        if m < n:
+            return float(self.values[m:].sum()) + self.sum_from(n)
+        if self.tail_sum_bound is not None:
+            # bounds the whole mass past storage, so also the mass past m
+            return self.tail_sum_bound
+        return 0.0 if self.tail is None else self.tail.sum_from(self, m)
+
+    def moment_tail(self, h: int) -> float:
+        """Upper bound on ``sum_{s > h} (s - h) value(s)``."""
+        if self.tail is None:
+            s_idx = np.arange(h + 1, len(self))
+            return float(((s_idx - h) * self.values[h + 1 :]).sum())
+        return self.tail.moment_tail(self, h)
 
     def total(self) -> float:
         return self.sum_from(0)
@@ -455,14 +485,23 @@ class DependenceBoundCurve:
         return text
 
 
-def _require_pointwise(seq: DecaySeq, n: int, name: str) -> None:
-    """A sequence known only through a tail-sum bound has no pointwise tail;
+def _working_horizon(n_max: int, horizon: int | None, ingredients: dict) -> int:
+    """Check the curve ingredients and return the working horizon.
+
+    A sequence known only through a tail-sum bound has no pointwise tail;
     padding it with zeros would silently weaken a bound curve."""
-    if seq.tail is None and (seq.tail_sum_bound or 0.0) > 0.0 and len(seq) < n:
-        raise ValueError(
-            f"{name} stores {len(seq)} values but {n} are needed and its tail"
-            " has no pointwise model; recompute it to the working horizon"
-        )
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    horizon = horizon or max(4 * n_max, 64)
+    for name, seq in ingredients.items():
+        if not seq.is_summable:
+            raise DivergenceError(f"ingredient {name} is not summable")
+        if seq.tail is None and (seq.tail_sum_bound or 0.0) > 0.0 and len(seq) < horizon + 1:
+            raise ValueError(
+                f"{name} stores {len(seq)} values but {horizon + 1} are needed and its tail"
+                " has no pointwise model; recompute it to the working horizon"
+            )
+    return horizon
 
 
 def _kappa_seq(e: DecaySeq, other: DecaySeq, exp_abs_x0: float, horizon: int) -> np.ndarray:
@@ -509,22 +548,7 @@ def _sum_tail_estimate(
     eh = e.head(horizon + 1)
     t_conv = float(sum(eh[s] * other.sum_from(max(horizon + 1 - s, 1)) for s in range(horizon + 1)))
     t_conv += e.sum_from(horizon + 1) * other.total()
-    if isinstance(e.tail, GeometricTail) or e.tail is None:
-        # sum_{s>H} (s-H) e_s; for a geometric tail this is e(H+1)/(1-r)^2
-        if e.tail is None and len(e) <= horizon + 1:
-            t_mom = 0.0
-        elif e.tail is None:
-            s_idx = np.arange(horizon + 1, len(e))
-            t_mom = float(((s_idx - horizon) * e.values[horizon + 1 :]).sum())
-        else:
-            r = e.tail.rate
-            t_mom = e.value(horizon + 1) / (1.0 - r) ** 2
-    else:
-        if e.tail.power <= 2.0:
-            raise DivergenceError("moment tail of e requires polynomial power > 2")
-        c, k = e.tail.coeff, e.tail.power
-        t_mom = c * float(horizon) ** (2.0 - k) / ((k - 1.0) * (k - 2.0))
-    t_kappa = t_conv + 2.0 * exp_abs_x0 * t_mom
+    t_kappa = t_conv + 2.0 * exp_abs_x0 * e.moment_tail(horizon)
     # convolution tail sum_{j>H} sum_i b*_i kappa_{j-i-1}, bounded term by
     # term as b*_i times the kappa mass beyond lag max(H-i, 1)
     kap = _kappa_seq(e, other, exp_abs_x0, horizon)
@@ -553,13 +577,7 @@ def beta_bound(
     and the aggregated bound ``beta(n) <= sum_{j>=n} g_j``, with the sum past
     the working horizon bounded from the ingredient tail models.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    horizon = horizon or max(4 * n_max, 64)
-    for name, s in (("bstar", bstar), ("c", c), ("e", e)):
-        if not s.is_summable:
-            raise DivergenceError(f"ingredient {name} is not summable")
-        _require_pointwise(s, horizon + 1, name)
+    horizon = _working_horizon(n_max, horizon, {"bstar": bstar, "c": c, "e": e})
     g = _curve_terms(bstar, c, e, exp_abs_x0, horizon)
     tail = _sum_tail_estimate(bstar, c, e, exp_abs_x0, horizon)
     rev_cum = np.concatenate([np.cumsum(g[::-1])[::-1], [0.0]])
@@ -593,13 +611,7 @@ def tau_bound(
     last computed term, which requires the curve to have entered its
     decreasing regime; a generous horizon is chosen by default.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    horizon = horizon or max(4 * n_max, 64)
-    for name, s in (("bstar", bstar), ("a", a), ("e", e)):
-        if not s.is_summable:
-            raise DivergenceError(f"ingredient {name} is not summable")
-        _require_pointwise(s, horizon + 1, name)
+    horizon = _working_horizon(n_max, horizon, {"bstar": bstar, "a": a, "e": e})
     h = _curve_terms(bstar, a, e, exp_abs_x0, horizon)
     tail_sup = float(h[horizon])
     running = np.maximum.accumulate(h[1:][::-1])[::-1]

@@ -113,6 +113,9 @@ def load_config(path: str) -> dict:
     _check_keys(cfg, _TOP_KEYS, "config root")
     if "seed" in cfg and not isinstance(cfg["seed"], int):
         raise ConfigError("seed must be an integer")
+    for key in ("model", "covariates", "simulate", "bounds", "fit", "verify"):
+        if key in cfg and not isinstance(cfg[key], dict):
+            raise ConfigError(f"{key} block must be an object, got {cfg[key]!r}")
     if "model" in cfg:
         mdl = cfg["model"]
         cls = mdl.get("class")
@@ -374,10 +377,10 @@ def _verify_checks(cfg: dict, seed: int):
     from .prob import tv_distance
 
     vblk = cfg.get("verify", {})
-    replicas = int(vblk.get("replicas", 20000))
-    length = int(vblk.get("length", 8))
-    pairs = int(vblk.get("pairs", 3))
-    sequences = int(vblk.get("sequences", 20))
+    replicas = _int_field(vblk, "replicas", 20000, 1, "verify")
+    length = _int_field(vblk, "length", 8, 2, "verify")
+    pairs = _int_field(vblk, "pairs", 3, 1, "verify")
+    sequences = _int_field(vblk, "sequences", 20, 1, "verify")
 
     # reset-chain visit probabilities: two independent routes must agree
     gen = SeededRng(seed, 10).generator()
@@ -533,10 +536,11 @@ def cmd_fit(cfg: dict, out_dir: str, seed: int, quiet: bool, data_path: str | No
     if model_blk is None or model_blk.get("class") != "observation_driven_binary":
         print("fit requires an observation_driven_binary model block", file=sys.stderr)
         return EXIT_CONFIG
+    n = _int_field(blk, "n", 5000, 1, "fit")
+    warmup = None if blk.get("warmup") is None else _int_field(blk, "warmup", None, 0, "fit")
     template = build_model(model_blk)
     selftest = bool(blk.get("selftest", False))
     if selftest:
-        n = int(blk.get("n", 5000))
         cov = build_covariates(cfg.get("covariates", {"kind": "iid_normal"}))
         kernel = model_to_kernel(template)
         x = sample_covariates(cov, n + 500, SeededRng(seed, 21))
@@ -552,7 +556,7 @@ def cmd_fit(cfg: dict, out_dir: str, seed: int, quiet: bool, data_path: str | No
         except (OSError, ValueError) as exc:
             print(f"cannot read dataset: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-    fit_cfg = FitConfig(warmup=blk.get("warmup"))
+    fit_cfg = FitConfig(warmup=warmup)
     try:
         result = fit_mle(template, data, fit_cfg)
     except Exception as exc:  # noqa: BLE001 - surfaced as exit status

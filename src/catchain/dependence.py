@@ -51,14 +51,7 @@ def c_from_a(a: DecaySeq, x0_norm_p: float, q_exp: float) -> DecaySeq:
     tail = None
     tail_sum = None
     if a.tail is not None:
-        from .bounds import GeometricTail, PolynomialTail
-
-        if isinstance(a.tail, GeometricTail):
-            tail = GeometricTail(a.tail.rate ** (1.0 / q_exp))
-        else:
-            if a.tail.power / q_exp <= 1.0:
-                raise DivergenceError("discrete-metric cost not summable at this moment order")
-            tail = PolynomialTail(scale * a.tail.coeff ** (1.0 / q_exp), a.tail.power / q_exp)
+        tail = a.tail.root(scale, q_exp)
     elif a.tail_sum_bound is not None:
         if q_exp == 1.0:
             tail_sum = scale * a.tail_sum_bound

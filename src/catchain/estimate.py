@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 from scipy.signal import lfilter
-from scipy.stats import norm
 
 from .models import (
     ObservationDrivenBinarySpec,
@@ -161,15 +160,6 @@ def conditional_loglik(
     return float(ll[warmup:].sum())
 
 
-def _link_pdf(spec: ObservationDrivenBinarySpec, mu: np.ndarray) -> np.ndarray:
-    if spec.link.kind == "logistic":
-        f = spec.link.cdf(mu)
-        return f * (1.0 - f)
-    if spec.link.kind == "probit":
-        return norm.pdf(mu)
-    raise NotImplementedError("analytic score needs a logistic or probit link")
-
-
 def loglik_gradient(
     spec: ObservationDrivenBinarySpec,
     data: Dataset,
@@ -184,8 +174,10 @@ def loglik_gradient(
     warmup = _default_warmup(spec) if warmup is None else warmup
     yf = data.y.astype(float)
     mu = _mu_path(spec.alpha, spec.beta, spec.gamma, yf, data.x)
+    if spec.link.pdf is None:
+        raise NotImplementedError("analytic score needs a link with a known density")
     f = np.clip(spec.link.cdf(mu), 1e-12, 1.0 - 1e-12)
-    w = (yf - f) * _link_pdf(spec, mu) / (f * (1.0 - f))
+    w = (yf - f) * spec.link.pdf(mu) / (f * (1.0 - f))
     den = np.concatenate([[1.0], -spec.beta]) if spec.beta.size else np.array([1.0])
     cols = []
     for k in range(1, spec.alpha.size + 1):

@@ -83,7 +83,6 @@ class KernelHandle:
     b: DecaySeq
     e: DecaySeq
     b0_certificate: float
-    b0_profile: tuple | None = None
     label: str = ""
     extra: dict = field(default_factory=dict)
 
@@ -299,8 +298,11 @@ def _b0_discrete_choice(
     return best + lipschitz * n_components * step
 
 
+_B0_SUP = {"binary": _b0_binary, "multinomial": _b0_multinomial, "discrete_choice": _b0_discrete_choice}
+
+
 def certify_b0(
-    kernel_or_profile,
+    profile: tuple,
     bound_on_category_part: float,
     grid: GridSpec | None = None,
     tolerance: float = 1e-9,
@@ -312,8 +314,7 @@ def certify_b0(
     up to ``bound_on_category_part``, then adds the grid-resolution
     continuity correction so the returned value upper-bounds the true sup.
     Raises :class:`CertificationError` when the result does not stay below
-    one.  Accepts a :class:`KernelHandle` carrying a ``b0_profile``, or the
-    profile tuple directly:
+    one.  ``profile`` names the family and its parameters:
 
     - ``("binary", cdf, lipschitz)``
     - ``("multinomial", n_categories)``
@@ -323,24 +324,12 @@ def certify_b0(
     c = float(bound_on_category_part)
     if c < 0:
         raise ValueError("bound_on_category_part must be >= 0")
-    profile = (
-        kernel_or_profile.b0_profile
-        if isinstance(kernel_or_profile, KernelHandle)
-        else kernel_or_profile
-    )
-    if profile is None:
-        raise UnsupportedKernelError("kernel declares no b0 certification profile")
     if c == 0.0:
         return 0.0
-    kind = profile[0]
-    if kind == "binary":
-        sup = _b0_binary(profile[1], profile[2], c, grid)
-    elif kind == "multinomial":
-        sup = _b0_multinomial(profile[1], c, grid)
-    elif kind == "discrete_choice":
-        sup = _b0_discrete_choice(profile[1], profile[2], profile[3], c, grid)
-    else:
-        raise UnsupportedKernelError(f"unknown certification profile {kind!r}")
+    sup_fn = _B0_SUP.get(profile[0])
+    if sup_fn is None:
+        raise UnsupportedKernelError(f"unknown certification profile {profile[0]!r}")
+    sup = sup_fn(*profile[1:], c, grid)
     if sup >= 1.0 - tolerance:
         raise CertificationError(f"one-step sensitivity sup {sup} is not below 1")
     return min(sup, 1.0 - tolerance)

@@ -14,9 +14,10 @@ CDF link, a softmax, or orthant probabilities:
 
 Each family is one class; shared code never asks which family it holds.
 ``model_to_kernel`` needs every spec to define ``n_categories``,
-``covariate_dim``, ``b0_profile`` (see :func:`~catchain.kernels.certify_b0`),
-``stationarity()`` and ``kernel_parts(...)`` (the other kernel fields).  The
-latent families derive from ``_LatentRecursion``, the linear recursion
+``covariate_dim``, ``stationarity()`` and ``kernel_parts(...)`` (the other
+kernel fields, with b0 certified from the spec's ``b0_profile``; see
+:func:`~catchain.kernels.certify_b0`).  The latent families derive from
+``_LatentRecursion``, the linear recursion
 ``lam_t = sum_k A_k v(y_{t-k}) + Gamma x_t + sum_j B_j lam_{t-j}``.  A new
 linear family defines ``A``, ``B``, ``Gamma``, ``block_dim``,
 ``category_vector(c)`` (the ``v``), ``response(lam)`` (the category law given
@@ -40,6 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import expit, ndtr
+from scipy.stats import norm
 
 from .bounds import DecaySeq, GeometricTail, PolynomialTail
 from .kernels import (
@@ -87,22 +89,29 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinkFunction:
-    """CDF link mapping the latent index to a success probability."""
+    """CDF link mapping the latent index to a success probability; ``pdf``,
+    its density, is ``None`` for a custom link."""
 
     kind: str
     cdf: Callable[[np.ndarray], np.ndarray]
     lipschitz_const: float
+    pdf: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, z):
         return self.cdf(z)
 
 
+def _logistic_pdf(z):
+    f = expit(z)
+    return f * (1.0 - f)
+
+
 def logistic_link() -> LinkFunction:
-    return LinkFunction("logistic", expit, 0.25)
+    return LinkFunction("logistic", expit, 0.25, _logistic_pdf)
 
 
 def probit_link() -> LinkFunction:
-    return LinkFunction("probit", ndtr, 1.0 / math.sqrt(2.0 * math.pi))
+    return LinkFunction("probit", ndtr, 1.0 / math.sqrt(2.0 * math.pi), norm.pdf)
 
 
 def custom_link(cdf: Callable, lipschitz_const: float) -> LinkFunction:
@@ -791,6 +800,5 @@ def model_to_kernel(
     return KernelHandle(
         n_categories=spec.n_categories,
         covariate_dim=spec.covariate_dim,
-        b0_profile=spec.b0_profile,
         **spec.kernel_parts(max_lag_y, max_lag_x, env_horizon, b0_grid),
     )

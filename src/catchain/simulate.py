@@ -7,6 +7,11 @@ couplings.  Only two adjacent rungs are materialized at a time.  The outer
 pair consists of the first rung and the ladder diagonal, whose per-time
 mismatch probability obeys the relaxation/perturbation bound assembled from
 ``b*`` and the per-time kernel distances.
+
+Each covariate family is one class; a new family defines its coupling
+coefficients (the per-lag discrepancy of its canonical coupling) in its own
+``coupling_coeffs(horizon, metric)``, which :func:`covariate_coupling_coeffs`
+calls.
 """
 
 from __future__ import annotations
@@ -99,6 +104,14 @@ class IIDCovariates:
             return _gaussian_norm_p(self.mean, self.sd, p) * self.dim
         raise UnsupportedCovariateError("unbounded covariates have no sup norm")
 
+    def coupling_coeffs(self, horizon: int, metric: str) -> DecaySeq:
+        """The coupling shares all innovations from time 1 on, so only the
+        time-0 draws differ."""
+        vals = np.zeros(horizon + 1)
+        if self.kind == "normal" and self.sd > 0:
+            vals[0] = 1.0 if metric == "discrete" else self.dim * 2.0 * self.sd / math.sqrt(math.pi)
+        return DecaySeq(vals)
+
 
 @dataclass(frozen=True)
 class AR1Covariates:
@@ -132,6 +145,16 @@ class AR1Covariates:
         if math.isinf(p):
             raise UnsupportedCovariateError("AR(1) covariates are unbounded")
         return self.dim * _gaussian_norm_p(0.0, self.stationary_sd, p)
+
+    def coupling_coeffs(self, horizon: int, metric: str) -> DecaySeq:
+        """The pre-time-0 innovations are swapped for an independent copy,
+        leaving a geometrically damped gap with an exact closed form."""
+        if metric == "discrete":
+            raise UnsupportedCovariateError("continuous AR(1) paths never meet under the discrete metric")
+        first = self.dim * 2.0 * self.stationary_sd / math.sqrt(math.pi)
+        vals = first * np.abs(self.rho) ** np.arange(horizon + 1)
+        tail = GeometricTail(abs(self.rho)) if self.rho != 0 else None
+        return DecaySeq(vals, tail=tail)
 
 
 @dataclass(frozen=True)
@@ -192,6 +215,40 @@ class FiniteStateMarkovCovariates:
         if math.isinf(p):
             return float(g_norms.max())
         return float((self.invariant() @ g_norms**p) ** (1.0 / p))
+
+    def coupling_coeffs(self, horizon: int, metric: str) -> DecaySeq:
+        """The two copies run independently until they meet; the discrepancy
+        law is iterated exactly on the product chain, and the mass past the
+        horizon is bounded by the slowest meeting rate."""
+        P, g, pi = self._P(), self._g(), self.invariant()
+        S = P.shape[0]
+        dist = np.outer(pi, pi)
+        cost = np.abs(g[:, None, :] - g[None, :, :]).sum(axis=2)
+        if metric == "discrete":
+            cost = (cost > 1e-12).astype(float)
+        vals = np.empty(horizon + 1)
+        vals[0] = float((dist * cost).sum())
+        meet_next = np.min([(P[i] * P[j]).sum() for i in range(S) for j in range(S) if i != j] or [1.0])
+        for t in range(1, horizon + 1):
+            new = np.zeros_like(dist)
+            # off-diagonal mass moves independently; met pairs move together
+            for i in range(S):
+                for j in range(S):
+                    m = dist[i, j]
+                    if m == 0.0:
+                        continue
+                    if i == j:
+                        new[np.arange(S), np.arange(S)] += m * P[i]
+                    else:
+                        new += m * np.outer(P[i], P[j])
+            dist = new
+            vals[t] = float((dist * cost).sum())
+        p_neq = float(dist.sum() - np.trace(dist))
+        rate = 1.0 - meet_next
+        tail_bound = 0.0
+        if rate < 1.0 and p_neq > 0:
+            tail_bound = float(cost.max()) * p_neq * rate / (1.0 - rate)
+        return DecaySeq(vals, tail_sum_bound=tail_bound)
 
 
 def sample_covariates(model, length: int, rng) -> np.ndarray:
@@ -495,70 +552,12 @@ def exact_marginal_law(kernel: KernelHandle, x: np.ndarray, init, t: int) -> np.
 # ---------------------------------------------------------------------------
 
 
-def covariate_coupling_coeffs(
-    model,
-    horizon: int,
-    metric: str = "l1",
-) -> DecaySeq:
-    """Per-lag expected discrepancy of the canonical covariate coupling.
-
-    For independent draws the coupling shares all innovations from time 1 on,
-    so the coefficient vanishes for ``t >= 1``.  For AR(1) the pre-time-0
-    innovations are swapped for an independent copy, leaving a geometrically
-    damped gap with an exact closed form.  For finite-state chains the two
-    copies run independently until they meet, and the discrepancy law is
-    iterated exactly on the product chain.
-    """
+def covariate_coupling_coeffs(model, horizon: int, metric: str = "l1") -> DecaySeq:
+    """Per-lag expected discrepancy of the canonical covariate coupling,
+    as defined by the covariate class's ``coupling_coeffs``."""
     if metric not in ("l1", "discrete"):
         raise ValueError("metric must be 'l1' or 'discrete'")
-    if isinstance(model, IIDCovariates):
-        vals = np.zeros(horizon + 1)
-        if model.kind == "normal" and model.sd > 0:
-            vals[0] = 1.0 if metric == "discrete" else model.dim * 2.0 * model.sd / math.sqrt(math.pi)
-        return DecaySeq(vals)
-    if isinstance(model, AR1Covariates):
-        if metric == "discrete":
-            raise UnsupportedCovariateError(
-                "continuous AR(1) paths never meet under the discrete metric"
-            )
-        first = model.dim * 2.0 * model.stationary_sd / math.sqrt(math.pi)
-        vals = first * np.abs(model.rho) ** np.arange(horizon + 1)
-        tail = GeometricTail(abs(model.rho)) if model.rho != 0 else None
-        return DecaySeq(vals, tail=tail)
-    if isinstance(model, FiniteStateMarkovCovariates):
-        P = model._P()
-        g = model._g()
-        S = model.n_states
-        pi = model.invariant()
-        dist = np.outer(pi, pi)
-        if metric == "discrete":
-            cost = (np.abs(g[:, None, :] - g[None, :, :]).sum(axis=2) > 1e-12).astype(float)
-        else:
-            cost = np.abs(g[:, None, :] - g[None, :, :]).sum(axis=2)
-        vals = np.empty(horizon + 1)
-        vals[0] = float((dist * cost).sum())
-        meet_next = np.min([(P[i] * P[j]).sum() for i in range(S) for j in range(S) if i != j] or [1.0])
-        for t in range(1, horizon + 1):
-            new = np.zeros_like(dist)
-            # off-diagonal mass moves independently; met pairs move together
-            for i in range(S):
-                for j in range(S):
-                    m = dist[i, j]
-                    if m == 0.0:
-                        continue
-                    if i == j:
-                        new[np.arange(S), np.arange(S)] += m * P[i]
-                    else:
-                        new += m * np.outer(P[i], P[j])
-            dist = new
-            vals[t] = float((dist * cost).sum())
-        p_neq = float(dist.sum() - np.trace(dist))
-        rate = 1.0 - meet_next
-        tail_bound = 0.0
-        if rate < 1.0 and p_neq > 0:
-            tail_bound = float(cost.max()) * p_neq * rate / (1.0 - rate)
-        return DecaySeq(vals, tail_sum_bound=tail_bound)
-    raise UnsupportedCovariateError(f"unsupported covariate model {type(model).__name__}")
+    return model.coupling_coeffs(horizon, metric)
 
 
 # ---------------------------------------------------------------------------

@@ -277,11 +277,19 @@ def test_malformed_block_is_config_error(tmp_path, block, patch):
         ("bounds", "bounds", "metric", "sup"),
         ("bounds", "bounds", "p_moment", "x"),
         ("bounds", "bounds", "n_max", 49),
+        ("verify", "verify", "length", 1),
+        ("verify", "verify", "replicas", 0),
+        ("verify", "verify", "pairs", 0),
+        ("verify", "verify", "sequences", "x"),
+        ("fit", "fit", "n", "x"),
+        ("fit", "fit", "n", 0),
+        ("fit", "fit", "warmup", "x"),
+        ("fit", "fit", "warmup", -1),
     ],
 )
 def test_malformed_numeric_field_is_config_error(tmp_path, capsys, command, block, key, value):
     cfg = base_config()
-    cfg[block][key] = value
+    cfg.setdefault(block, {})[key] = value
     if key == "p_moment":
         cfg["bounds"]["metric"] = "discrete"
     cfg_path = write_config(tmp_path, cfg)
@@ -289,3 +297,24 @@ def test_malformed_numeric_field_is_config_error(tmp_path, capsys, command, bloc
     assert main([command, "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_CONFIG
     assert f"{block}.{key}" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "block,value",
+    [
+        ("simulate", 5),
+        ("model", [1, 2]),
+        ("covariates", "iid_normal"),
+        ("bounds", None),
+        ("fit", 3.5),
+        ("verify", []),
+    ],
+)
+def test_non_object_block_is_config_error(tmp_path, capsys, block, value):
+    cfg = base_config()
+    cfg[block] = value
+    cfg_path = write_config(tmp_path, cfg)
+    for command in ("simulate", "bounds", "verify", "fit"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert f"{block} block" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from catchain.dependence import (
     heredity_bound,
 )
 from catchain.kernels import table_kernel
-from catchain.models import BinaryInfiniteOrderSpec, model_to_kernel
+from catchain.models import BinaryInfiniteOrderSpec, ObservationDrivenBinarySpec, model_to_kernel
 from catchain.simulate import (
     AR1Covariates,
     FiniteStateMarkovCovariates,
@@ -154,3 +154,21 @@ def test_certificate_csv_and_summary(tmp_path):
     text = cert.to_csv(tmp_path / "cert.csv", empirical=np.zeros(6))
     assert text.splitlines()[0] == "n,bound,empirical_lowerbound"
     assert "decay classification" in cert.summary()
+
+
+@pytest.mark.parametrize("p_stay, q_stay", [(0.8, 0.7), (0.97, 0.97)])
+def test_beta_certificate_does_not_grow_with_horizon(p_stay, q_stay):
+    # past the working horizon b* and the finite-Markov covariate cost are
+    # known only through their tail-sum bounds; both must enter the tail
+    # estimate, so a longer horizon can only tighten the certificate
+    spec = ObservationDrivenBinarySpec(alpha=[0.4], beta=[0.5], gamma=[0.3])
+    kernel = model_to_kernel(spec)
+    cov = two_state_cov(p_stay, q_stay)
+    bounds = [
+        certificate_for_model(
+            spec, cov, metric="discrete", n_max=20, horizon=h, kernel=kernel
+        ).curve.bound[20]
+        for h in (40, 80, 160, 320)
+    ]
+    for shorter, longer in zip(bounds, bounds[1:]):
+        assert longer <= shorter * (1.0 + 1e-12)

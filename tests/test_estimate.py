@@ -14,7 +14,7 @@ from catchain.estimate import (
     semiparametric_fit,
 )
 from catchain.estimate import _link_regression, _mu_path
-from catchain.models import ObservationDrivenBinarySpec, model_to_kernel
+from catchain.models import ObservationDrivenBinarySpec, custom_link, model_to_kernel, probit_link
 from catchain.prob import SeededRng
 from catchain.simulate import IIDCovariates, sample_covariates, sample_forward
 
@@ -208,3 +208,21 @@ def test_semiparametric_fit_runs_and_tabulates():
     assert np.isfinite(result.objective)
     preds = result.predicted(np.array([result.grid[3], result.grid[-3]]))
     assert np.all((preds >= 0) & (preds <= 1))
+
+
+def test_link_density_drives_the_score():
+    # the probit score uses the link's own density; a custom link has none
+    data = simulate_dataset(1000, seed=6)
+
+    def probit(theta):
+        return ObservationDrivenBinarySpec(alpha=[theta[0]], beta=[theta[1]], gamma=[theta[2]], link=probit_link())
+
+    theta = np.array([0.4, 0.5, 0.3])
+    grad = loglik_gradient(probit(theta), data)
+    for i in range(3):
+        step = 1e-5 * np.eye(3)[i]
+        num = (conditional_loglik(probit(theta + step), data) - conditional_loglik(probit(theta - step), data)) / 2e-5
+        assert abs(grad[i] - num) / max(abs(num), 1e-8) < 1e-4
+    custom = ObservationDrivenBinarySpec(alpha=[0.4], beta=[0.5], gamma=[0.3], link=custom_link(expit, 0.25))
+    with pytest.raises(NotImplementedError):
+        loglik_gradient(custom, data)

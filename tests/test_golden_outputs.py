@@ -84,8 +84,8 @@ GOLDEN = {
     "multinomial": {
         "bounds/b.csv": "afa0c7e47e0d8daf73419d454530799466b8cea94f5541947af334b8fad6593b",
         "bounds/bstar.csv": "9b8956aa07650bd1fe6db60b1a87e6f0630052458665161514e7348ffc2bdc1e",
-        "bounds/certificate.txt": "d9593849f5586164f3aa2db9d02b4f32fcd7c4da32bba05c3cff126fad2b28c0",
-        "bounds/dependence_bound.csv": "d82b0609923c5e0f2d2c944fa3b42336db911e4ba56697233a9cb666e98c8d03",
+        "bounds/certificate.txt": "be2221a2a2976b9154bd1fd74b0f4feb22c0aa9a4a216f5f6fc0bf1c8d1f2ff8",
+        "bounds/dependence_bound.csv": "9f0ae5ad7b0ac85327c7d6a453ca5161e5f0f166a67f867fc041b7118d8d97d8",
         "simulate/certificate.json": "88b7d28629aac803c98805d0c30a0f06701ef61e7385c691c2235ffe2b1238af",
         "simulate/path.csv": "d343098e881359fab153a544ff996ad4addd8fbdce310f622ffd150fb9e3a92f",
     },

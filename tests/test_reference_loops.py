@@ -2,8 +2,12 @@
 
 ``bstar_from_b`` stops once every later ``b*`` is exactly 0.0, and the
 per-step sampler reads only the kernel's truncated memory.  Both must give
-the same bytes as the straightforward loops kept here as references.
+the same bytes as the straightforward loops kept here as references.  The
+decay-sequence tails, defined by their tail classes, must give the same
+floats as the per-type formulas kept here.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -203,3 +207,116 @@ def test_glued_coupling_matches_full_history_reference(kernels):
     np.testing.assert_array_equal(pair.y1, y1)
     np.testing.assert_array_equal(pair.y2, y2)
     assert pair.mismatch.any()
+
+
+# -- decay-sequence tails ------------------------------------------------------------
+
+
+def _reference_value(seq, m):
+    """Pointwise value with the tail formulas written out per tail type."""
+    n = seq.values.size
+    if m < n:
+        return float(seq.values[m])
+    if seq.tail is None:
+        return 0.0
+    if isinstance(seq.tail, GeometricTail):
+        return float(seq.values[-1] * seq.tail.rate ** (m - n + 1))
+    return float(seq.tail.coeff * float(m) ** (-seq.tail.power))
+
+
+def _reference_is_summable(seq):
+    if seq.tail_sum_bound is not None:
+        return math.isfinite(seq.tail_sum_bound)
+    if seq.tail is None or isinstance(seq.tail, GeometricTail):
+        return True
+    return seq.tail.power > 1.0
+
+
+def _reference_tail_sum(seq):
+    """Upper bound on the sum of all values beyond the stored ones."""
+    if seq.tail_sum_bound is not None:
+        return seq.tail_sum_bound
+    if seq.tail is None:
+        return 0.0
+    n = seq.values.size
+    if isinstance(seq.tail, GeometricTail):
+        r = seq.tail.rate
+        return float(seq.values[-1] * r / (1.0 - r))
+    if seq.tail.power <= 1.0:
+        raise DivergenceError("not summable")
+    c, k = seq.tail.coeff, seq.tail.power
+    return float(c * (float(n) ** (-k) + float(n) ** (1.0 - k) / (k - 1.0)))
+
+
+def _reference_sum_from(seq, m):
+    """The per-type formulas, with one deliberate difference from the code
+    they were lifted from: past storage, a set ``tail_sum_bound`` is checked
+    before ``tail is None`` (it used to be after, which returned 0.0 and
+    dropped the certified tail mass), as ``_reference_tail_sum`` does."""
+    if not _reference_is_summable(seq):
+        raise DivergenceError("not summable")
+    n = seq.values.size
+    if m >= n:
+        if seq.tail_sum_bound is not None:
+            return seq.tail_sum_bound
+        if seq.tail is None:
+            return 0.0
+        if isinstance(seq.tail, GeometricTail):
+            r = seq.tail.rate
+            return float(_reference_value(seq, m) / (1.0 - r))
+        c, k = seq.tail.coeff, seq.tail.power
+        return float(c * (float(m) ** (-k) + float(m) ** (1.0 - k) / (k - 1.0)))
+    return float(seq.values[m:].sum()) + _reference_tail_sum(seq)
+
+
+def _reference_moment_tail(seq, h):
+    """``sum_{s>h} (s-h) value(s)`` as the beta tail estimate computed it."""
+    if seq.tail is None:
+        if len(seq) <= h + 1:
+            return 0.0
+        s_idx = np.arange(h + 1, len(seq))
+        return float(((s_idx - h) * seq.values[h + 1 :]).sum())
+    if isinstance(seq.tail, GeometricTail):
+        return _reference_value(seq, h + 1) / (1.0 - seq.tail.rate) ** 2
+    if seq.tail.power <= 2.0:
+        raise DivergenceError("moment tail")
+    c, k = seq.tail.coeff, seq.tail.power
+    return c * float(h) ** (2.0 - k) / ((k - 1.0) * (k - 2.0))
+
+
+@st.composite
+def _decay_seqs(draw):
+    vals = draw(_heads)
+    kind = draw(st.sampled_from(["none", "geometric", "polynomial", "tail_sum_bound"]))
+    if kind == "geometric":
+        return DecaySeq(vals, tail=GeometricTail(draw(st.floats(0.05, 0.95))))
+    if kind == "polynomial":
+        # powers at or below 1 and 2 reach the divergent branches
+        power = draw(st.floats(0.5, 4.0))
+        coeff = float(vals[-1]) * float(vals.size) ** power
+        return DecaySeq(vals, tail=PolynomialTail(coeff, power))
+    if kind == "tail_sum_bound":
+        return DecaySeq(vals, tail_sum_bound=draw(st.floats(0.0, 2.0)))
+    return DecaySeq(vals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=_decay_seqs(), m=st.integers(0, 40))
+def test_decay_tail_matches_reference(seq, m):
+    # m runs both inside and past the stored values (at most 6)
+    assert seq.value(m) == _reference_value(seq, m)
+    assert seq.is_summable == _reference_is_summable(seq)
+    assert _outcome(DecaySeq.sum_from, seq, m) == _outcome(_reference_sum_from, seq, m)
+    h = m + 1  # a working horizon is >= 1
+    assert _outcome(DecaySeq.moment_tail, seq, h) == _outcome(_reference_moment_tail, seq, h)
+    ref_head = np.array([_reference_value(seq, i) for i in range(m + 1)])
+    assert seq.head(m + 1).tobytes() == ref_head.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=_decay_seqs())
+def test_sum_from_does_not_increase(seq):
+    if not seq.is_summable:
+        return
+    sums = [seq.sum_from(m) for m in range(40)]
+    assert all(later <= earlier for earlier, later in zip(sums, sums[1:]))
