@@ -73,6 +73,7 @@ from .simulate import (
     SamplePath,
     covariate_coupling_coeffs,
     exact_marginal_law,
+    exact_marginal_laws,
     glued_coupling,
     sample_covariates,
     sample_forward,

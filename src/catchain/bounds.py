@@ -467,11 +467,6 @@ class DependenceBoundCurve:
     tail_estimate: float
     inputs: dict = field(default_factory=dict)
 
-    def bound_at(self, n: int) -> float:
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"n must lie in 1..{self.n_max}")
-        return float(self.bound[n])
-
     def to_csv(self, path=None) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")

@@ -46,7 +46,7 @@ from .simulate import (
     IIDCovariates,
     UnsupportedCovariateError,
     coupled_ladder_mc,
-    exact_marginal_law,
+    exact_marginal_laws,
     path_to_csv,
     sample_covariates,
     sample_forward,
@@ -113,6 +113,8 @@ def load_config(path: str) -> dict:
     _check_keys(cfg, _TOP_KEYS, "config root")
     if "seed" in cfg and not isinstance(cfg["seed"], int):
         raise ConfigError("seed must be an integer")
+    if "out" in cfg and not isinstance(cfg["out"], str):
+        raise ConfigError(f"out must be a string path, got {cfg['out']!r}")
     for key in ("model", "covariates", "simulate", "bounds", "fit", "verify"):
         if key in cfg and not isinstance(cfg[key], dict):
             raise ConfigError(f"{key} block must be an object, got {cfg[key]!r}")
@@ -374,7 +376,6 @@ def _ladder_chunked(table_a, table_b, init_a, init_b, length, replicas, seed, st
 def _verify_checks(cfg: dict, seed: int):
     """Yield (name, passed, detail) for the execution-time verification suite."""
     from .kernels import memory_state
-    from .prob import tv_distance
 
     vblk = cfg.get("verify", {})
     replicas = _int_field(vblk, "replicas", 20000, 1, "verify")
@@ -410,16 +411,14 @@ def _verify_checks(cfg: dict, seed: int):
         kern = table_kernel(table)
         bstar = bstar_from_b(kern.b, 12).values
         x = np.zeros((12, 1))
-        for c1 in range(4):
-            for c2 in range(4):
-                for t in range(1, 13):
-                    tv = tv_distance(
-                        exact_marginal_law(kern, x, list(memory_state(c1, 2, 2)), t),
-                        exact_marginal_law(kern, x, list(memory_state(c2, 2, 2)), t),
-                    )
-                    if tv > bstar[t - 1] + 1e-12:
-                        ok = False
-                        detail = f"pair {i} t={t} tv {tv:.4f} > {bstar[t-1]:.4f}"
+        laws = np.stack([exact_marginal_laws(kern, x, memory_state(c, 2, 2), 12) for c in range(4)])
+        # tv[c1, c2, t - 1] between the time-t laws from initial states c1, c2
+        tv = 0.5 * np.abs(laws[:, None] - laws[None, :]).sum(axis=-1)
+        over = np.argwhere(tv > bstar[:12] + 1e-12)
+        if over.size:
+            ok = False
+            c1, c2, s = over[-1]
+            detail = f"pair {i} t={s + 1} tv {tv[c1, c2, s]:.4f} > {bstar[s]:.4f}"
     yield "relaxation_bound_exact", ok, detail or "all initialization pairs bounded"
 
     # glued ladder Monte Carlo vs mismatch bound and marginal laws
@@ -450,11 +449,11 @@ def _verify_checks(cfg: dict, seed: int):
         if np.any(mism > bound + 4 * se):
             ok = False
             detail = f"pair {i}: mismatch exceeded the coupling bound"
-        ka, kb = table_kernel(table_a), table_kernel(table_b)
         x = np.zeros((length, 1))
+        laws_a = exact_marginal_laws(table_kernel(table_a), x, memory_state(0, 2, 2), length)
+        laws_b = exact_marginal_laws(table_kernel(table_b), x, memory_state(3, 2, 2), length)
         for t in (1, length // 2, length):
-            for marg, kern, init in ((marg1, ka, 0), (marg2, kb, 3)):
-                law = exact_marginal_law(kern, x, list(memory_state(init, 2, 2)), t)
+            for marg, law in ((marg1, laws_a[t - 1]), (marg2, laws_b[t - 1])):
                 emp = marg[t - 1] / replicas
                 z = np.abs(emp[1] - law[1]) / max(np.sqrt(law[1] * (1 - law[1]) / replicas), 1e-9)
                 if z > 4.0:
@@ -471,13 +470,7 @@ def _verify_checks(cfg: dict, seed: int):
         qbar = np.clip(q + gen.uniform(-0.05, 0.05, size=q.shape), 0.02, None)
         qbar = qbar / qbar.sum(axis=1, keepdims=True)
         sup = float(0.5 * np.abs(q - qbar).sum(axis=1).max())
-        b0 = float(
-            max(
-                0.5 * np.abs(q[i1] - q[i2]).sum()
-                for i1 in range(3)
-                for i2 in range(3)
-            )
-        )
+        b0 = b_exact_from_table(q, 3, 1).values[0]
         pb = perturbation_bound(DecaySeq(np.array([b0, 0.0])), None, sup, horizon=256)
         pi_q = np.linalg.matrix_power(q, 4096)[0]
         pi_qbar = np.linalg.matrix_power(qbar, 4096)[0]

@@ -25,7 +25,7 @@ from .bounds import (
     heredity_exponent,
     tau_bound,
 )
-from .kernels import KernelHandle, successor_code, transition_table
+from .kernels import KernelHandle, memory_state, memory_step, transition_table
 from .models import model_to_kernel
 from .simulate import (
     FiniteStateMarkovCovariates,
@@ -189,13 +189,11 @@ def certificate_for_model(
 class _JointChain:
     """Finite joint (memory-state, covariate-state) chain with exact stepping.
 
-    Flat state index is ``code * S + s``; the joint one-step matrix is held
-    sparse since only ``N * S`` successors leave each state.
+    Flat state index is ``code * S + s``.  A step first moves the covariate
+    state, then the memory state under the table of the new covariate state.
     """
 
     def __init__(self, kernel: KernelHandle, cov: FiniteStateMarkovCovariates):
-        from scipy.sparse import coo_matrix
-
         if kernel.truncation.max_lag_x != 1:
             raise UnsupportedCovariateError(
                 "exact joint chain needs a kernel reading only the current covariate"
@@ -205,7 +203,7 @@ class _JointChain:
             raise UnsupportedCovariateError("emission map must be injective")
         self.kernel = kernel
         self.cov = cov
-        P = cov._P()
+        self.P = cov._P()
         self.S = cov.n_states
         self.N = kernel.n_categories
         self.M = kernel.truncation.max_lag_y
@@ -213,32 +211,23 @@ class _JointChain:
         self.n_states = self.C * self.S
         if self.n_states > 2**16:
             raise UnsupportedCovariateError("joint state space exceeds the exact limit")
-        tables = [transition_table(kernel, g[s].reshape(1, -1)) for s in range(self.S)]
-        codes = np.arange(self.C)
-        rows, cols, data = [], [], []
-        for s in range(self.S):
-            for s_new in range(self.S):
-                if P[s, s_new] == 0.0:
-                    continue
-                for y in range(self.N):
-                    succ = successor_code(codes, y, self.N, self.M)
-                    rows.append(codes * self.S + s)
-                    cols.append(succ * self.S + s_new)
-                    data.append(np.full(self.C, P[s, s_new]) * tables[s_new][:, y])
-        self.T = coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_states, self.n_states),
-        ).tocsr()
-        lead = codes // self.N ** (self.M - 1)
+        self.tables = [transition_table(kernel, g[s].reshape(1, -1)) for s in range(self.S)]
+        lead = memory_state(np.arange(self.C), self.N, self.M)[0]
         self.obs = (lead[:, None] * self.S + np.arange(self.S)[None, :]).ravel()
         self.n_obs = self.N * self.S
+
+    def step(self, dist: np.ndarray) -> np.ndarray:
+        """One joint step of a law, or of a stack of laws along leading axes."""
+        mixed = dist.reshape(dist.shape[:-1] + (self.C, self.S)) @ self.P
+        new = np.stack([memory_step(mixed[..., s], self.tables[s]) for s in range(self.S)], axis=-1)
+        return new.reshape(dist.shape)
 
     def stationary(self, tol: float = 1e-14, max_iter: int = 200000) -> np.ndarray:
         dist = np.full(self.n_states, 1.0 / self.n_states)
         for _ in range(max_iter):
-            new = dist @ self.T
+            new = self.step(dist)
             if np.abs(new - dist).sum() < tol:
-                return np.asarray(new).ravel()
+                return new
             dist = new
         raise RuntimeError("joint chain did not reach stationarity numerically")
 
@@ -246,18 +235,14 @@ class _JointChain:
         """Exact law of the observable trajectory at times ``n..n+window-1``."""
         dist = start
         for _ in range(n):
-            dist = dist @ self.T
-        cur = np.zeros((self.n_obs, self.n_states))
-        for o in range(self.n_obs):
-            mask = self.obs == o
-            cur[o, mask] = dist[mask]
-        for _ in range(window - 1):
-            stepped = cur @ self.T
-            new = np.zeros((cur.shape[0] * self.n_obs, self.n_states))
-            for o in range(self.n_obs):
-                mask = self.obs == o
-                new[o :: self.n_obs][:, mask] = stepped[:, mask]
-            cur = new
+            dist = self.step(dist)
+        # row k * n_obs + o keeps the mass of row k's law on states observed as o
+        cols = np.arange(self.n_states)
+        cur = dist[None, :]
+        for w in range(window):
+            split = np.zeros((cur.shape[0], self.n_obs, self.n_states))
+            split[:, self.obs, cols] = self.step(cur) if w else cur
+            cur = split.reshape(-1, self.n_states)
         return cur.sum(axis=1)
 
 

@@ -68,17 +68,20 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path_or_text) -> "Dataset":
+        """Read ``t,y,x_1..x_d[,lambda_1..k]`` CSV (``simulate``'s
+        ``path.csv`` included); only ``y`` and the ``x_*`` columns are kept."""
         if hasattr(path_or_text, "read"):
             rows = list(csv.reader(path_or_text))
         else:
             with open(path_or_text, newline="") as fh:
                 rows = list(csv.reader(fh))
         header = [c.strip() for c in rows[0]]
-        if header[:2] != ["t", "y"] or not all(h.startswith("x_") for h in header[2:]):
-            raise ValueError("expected CSV header t,y,x_1..x_d")
+        d = next((i for i, h in enumerate(header[2:]) if not h.startswith("x_")), len(header) - 2)
+        if header[:2] != ["t", "y"] or not all(h.startswith("lambda_") for h in header[2 + d :]):
+            raise ValueError("expected CSV header t,y,x_1..x_d[,lambda_1..k]")
         body = [r for r in rows[1:] if r]
         y = np.array([int(r[1]) for r in body])
-        x = np.array([[float(v) for v in r[2:]] for r in body])
+        x = np.array([[float(v) for v in r[2 : 2 + d]] for r in body])
         return cls(y=y, x=x)
 
     def to_csv(self, dest=None) -> str:

@@ -37,7 +37,9 @@ __all__ = [
     "transition_table",
     "n_memory_states",
     "memory_state",
+    "state_code",
     "successor_code",
+    "memory_step",
     "covariate_sensitivity_check",
 ]
 
@@ -62,14 +64,13 @@ class TruncationPolicy:
     """How infinite histories are cut down to what the evaluator consumes.
 
     Categories beyond ``max_lag_y`` and covariates beyond ``max_lag_x`` are
-    dropped; shorter histories are padded with ``pad_category`` and a zero
+    dropped; shorter histories are padded with category 0 and a zero
     covariate.  The induced evaluation error is bounded by the tail of the
     kernel's ``b`` and ``e`` sequences beyond the respective lags.
     """
 
     max_lag_y: int
     max_lag_x: int
-    pad_category: int = 0
 
 
 @dataclass
@@ -100,8 +101,7 @@ class KernelHandle:
         if y.size and (y.min() < 0 or y.max() >= self.n_categories):
             raise KernelInputError("category index outside alphabet")
         if y.size < pol.max_lag_y:
-            pad = np.full(pol.max_lag_y - y.size, pol.pad_category, dtype=np.int64)
-            y = np.concatenate([y, pad])
+            y = np.concatenate([y, np.zeros(pol.max_lag_y - y.size, dtype=np.int64)])
         else:
             y = y[: pol.max_lag_y]
         x = np.asarray(past_x, dtype=float)
@@ -160,8 +160,9 @@ def n_memory_states(n_categories: int, memory: int) -> int:
     return n_categories**memory
 
 
-def memory_state(code: int, n_categories: int, memory: int) -> tuple[int, ...]:
-    """Decode a state code into categories ordered most recent first."""
+def memory_state(code, n_categories: int, memory: int) -> tuple:
+    """Decode a state code (or an array of codes) into categories ordered
+    most recent first."""
     out = []
     for _ in range(memory):
         code, rem = divmod(code, n_categories)
@@ -169,9 +170,29 @@ def memory_state(code: int, n_categories: int, memory: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def state_code(past, n_categories: int, memory: int) -> int:
+    """Inverse of :func:`memory_state`: the code of the past ``past`` (most
+    recent first), cut to ``memory`` categories and padded with category 0
+    as :class:`KernelHandle` pads a short history."""
+    code = 0
+    for i in range(memory):
+        code = code * n_categories + (int(past[i]) if i < len(past) else 0)
+    return code
+
+
 def successor_code(code, y_new, n_categories: int, memory: int):
     """State code after observing ``y_new`` (vectorized over arrays)."""
     return y_new * n_categories ** (memory - 1) + code // n_categories
+
+
+def memory_step(dist: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Law of the next memory state (or a stack of laws along leading axes)
+    under the ``(N^M, N)`` transition ``table``.  ``successor_code`` drops the
+    lowest digit and puts ``y`` on top, so the step sums out the lowest digit
+    and moves the ``y`` axis to the front."""
+    n_codes, n = table.shape
+    a = (dist[..., :, None] * table).reshape(dist.shape[:-1] + (n_codes // n, n, n)).sum(axis=-2)
+    return np.swapaxes(a, -1, -2).reshape(dist.shape)
 
 
 def transition_table(kernel: KernelHandle, past_x) -> np.ndarray:
@@ -340,7 +361,7 @@ def certify_b0(
 # ---------------------------------------------------------------------------
 
 
-def b_exact_from_table(table: np.ndarray, n_categories: int, memory: int, chunk: int = 512) -> DecaySeq:
+def b_exact_from_table(table: np.ndarray, n_categories: int, memory: int) -> DecaySeq:
     """Exact memory sensitivity of a tabulated kernel.
 
     For each ``m``, the largest TV distance between rows whose state codes
@@ -354,17 +375,8 @@ def b_exact_from_table(table: np.ndarray, n_categories: int, memory: int, chunk:
         )
     out = np.zeros(mem + 1)
     for m in range(mem + 1):
-        groups = table.reshape(n**m, n ** (mem - m), n)
-        worst = 0.0
-        for g in groups:
-            k = g.shape[0]
-            if k == 1:
-                continue
-            for lo in range(0, k, chunk):
-                blk = g[lo : lo + chunk]
-                tv = 0.5 * np.abs(blk[:, None, :] - g[None, :, :]).sum(axis=2)
-                worst = max(worst, float(tv.max()))
-        out[m] = worst
+        g = table.reshape(n**m, n ** (mem - m), n)
+        out[m] = (0.5 * np.abs(g[:, :, None, :] - g[:, None, :, :]).sum(axis=-1)).max()
     return DecaySeq(out)
 
 
@@ -409,11 +421,8 @@ def table_kernel(table: np.ndarray, n_categories: int | None = None, covariate_d
     if b_exact.values[0] >= 1.0:
         raise CertificationError("table kernel has one-step sensitivity 1")
 
-    def probs_fn(y, x, _t=table, _n=n, _mem=mem):
-        code = 0
-        for i in range(_mem):
-            code = code * _n + int(y[i])
-        return _t[code]
+    def probs_fn(y, x):
+        return table[state_code(y, n, mem)]
 
     return KernelHandle(
         n_categories=n,
@@ -424,7 +433,6 @@ def table_kernel(table: np.ndarray, n_categories: int | None = None, covariate_d
         e=DecaySeq.zeros(),
         b0_certificate=float(b_exact.values[0]),
         label="table-kernel",
-        extra={"table": table},
     )
 
 

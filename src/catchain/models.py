@@ -76,6 +76,7 @@ __all__ = [
 
 STATIONARITY_MARGIN = 1e-8
 _POWER_SUM_TOL = 1e-16
+ENV_HORIZON = 160  # decay envelopes are stored up to this lag, then continue as their tail
 
 
 class ConstructionError(RuntimeError):
@@ -96,9 +97,6 @@ class LinkFunction:
     cdf: Callable[[np.ndarray], np.ndarray]
     lipschitz_const: float
     pdf: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __call__(self, z):
-        return self.cdf(z)
 
 
 def _logistic_pdf(z):
@@ -365,14 +363,14 @@ class _LatentRecursion:
 
         return step, state
 
-    def kernel_parts(self, max_lag_y, max_lag_x, env_horizon: int, b0_grid) -> dict:
+    def kernel_parts(self, max_lag_y, max_lag_x) -> dict:
         """Kernel fields from the contraction of the latent recursion."""
         cc = self.contraction()
         s_a, prefac, rate = self.envelope(cc)
         p, q = self.lag_counts
         tv_lip = self.tv_lipschitz
         d_max = self.category_forcing_bound() * s_a
-        b0 = certify_b0(self.b0_profile, d_max, grid=b0_grid)
+        b0 = certify_b0(self.b0_profile, d_max)
         e_scale = tv_lip * float(np.abs(self.Gamma).max(initial=0.0)) * prefac
         cap = min(b0, tv_lip * d_max)
         gap_scale = 0.0
@@ -385,11 +383,11 @@ class _LatentRecursion:
         else:
             # histories agreeing on m lags share the last m - p + 1 forcing terms
             gap_scale = tv_lip * d_max * prefac * rate ** (1 - p)
-            b_env = _geometric_envelope(gap_scale, rate, env_horizon, cap=cap)
+            b_env = _geometric_envelope(gap_scale, rate, ENV_HORIZON, cap=cap)
             vals = b_env.values.copy()
             vals[0] = max(vals[0], b0)
             b_env = DecaySeq(vals, tail=b_env.tail)
-            e_env = _geometric_envelope(e_scale, rate, env_horizon)
+            e_env = _geometric_envelope(e_scale, rate, ENV_HORIZON)
 
         if max_lag_x is None:
             if gap_scale > 0.0:
@@ -414,12 +412,7 @@ class _LatentRecursion:
             "e": e_env,
             "b0_certificate": b0,
             "label": type(self).__name__,
-            "extra": {
-                "spec": self,
-                "contraction": cc,
-                "latent_gap_bound": d_max,
-                "latent_sampler": lambda x, u: _latent_scan(self, x, u=u)[:2],
-            },
+            "extra": {"latent_sampler": lambda x, u: _latent_scan(self, x, u=u)[:2]},
         }
 
 
@@ -454,12 +447,12 @@ class BinaryInfiniteOrderSpec(_BinaryLink):
             note="lag coefficients" + ("" if summable else " not summable"),
         )
 
-    def kernel_parts(self, max_lag_y, max_lag_x, env_horizon: int, b0_grid) -> dict:
+    def kernel_parts(self, max_lag_y, max_lag_x) -> dict:
         """Kernel fields from the tail sums of the lag coefficients."""
         abs_a = self.abs_coeff_seq()
-        b0 = certify_b0(self.b0_profile, abs_a.total(), grid=b0_grid)
+        b0 = certify_b0(self.b0_profile, abs_a.total())
         L_F = self.tv_lipschitz
-        horizon = max(env_horizon, abs_a.values.size + 1)
+        horizon = max(ENV_HORIZON, abs_a.values.size + 1)
         # |a_j| sits at index j-1, so the mass beyond lag m starts at index m
         env_vals = np.array([min(b0, L_F * abs_a.sum_from(m)) for m in range(horizon + 1)])
         b_env = DecaySeq(np.minimum.accumulate(env_vals), tail=self.a_tail)
@@ -484,7 +477,6 @@ class BinaryInfiniteOrderSpec(_BinaryLink):
             "e": DecaySeq(np.array([e0, 0.0])),
             "b0_certificate": b0,
             "label": "binary-infinite-order",
-            "extra": {"spec": self},
         }
 
 
@@ -780,8 +772,6 @@ def model_to_kernel(
     spec,
     max_lag_y: int | None = None,
     max_lag_x: int | None = None,
-    env_horizon: int = 160,
-    b0_grid=None,
 ) -> KernelHandle:
     """Certify a model spec and wrap it as an evaluatable kernel.
 
@@ -800,5 +790,5 @@ def model_to_kernel(
     return KernelHandle(
         n_categories=spec.n_categories,
         covariate_dim=spec.covariate_dim,
-        **spec.kernel_parts(max_lag_y, max_lag_x, env_horizon, b0_grid),
+        **spec.kernel_parts(max_lag_y, max_lag_x),
     )

@@ -19,13 +19,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma, hyp1f1
 
-from .bounds import DecaySeq, GeometricTail, bstar_from_b
-from .kernels import KernelHandle, successor_code, transition_table
+from .bounds import DecaySeq, DivergenceError, GeometricTail, bstar_from_b
+from .kernels import KernelHandle, memory_step, state_code, successor_code, transition_table
 from .prob import as_generator
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "coupled_ladder_mc",
     "kernel_distance_profile",
     "exact_marginal_law",
+    "exact_marginal_laws",
     "covariate_coupling_coeffs",
     "path_to_csv",
 ]
@@ -75,6 +77,18 @@ def _gaussian_norm_p(mean: float, sd: float, p: float) -> float:
     return float(moment ** (1.0 / p))
 
 
+def _check_gaussian_fields(dim, sd, mean=0.0) -> None:
+    """Reject fields a Gaussian covariate class cannot certify: a mean or
+    sd that is not a finite real (bools included), a negative sd, and a
+    dimension that is not an integer >= 1."""
+    for name, value, low in (("mean", mean, -math.inf), ("sd", sd, 0.0)):
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and math.isfinite(value) and value >= low):
+            raise ValueError(f"{name} must be a finite number{'' if low < 0 else ' >= 0'}, got {value!r}")
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+
+
 @dataclass(frozen=True)
 class IIDCovariates:
     """Independent draws; ``kind`` is ``"normal"`` or ``"const"``."""
@@ -83,6 +97,9 @@ class IIDCovariates:
     mean: float = 0.0
     sd: float = 1.0
     dim: int = 1
+
+    def __post_init__(self):
+        _check_gaussian_fields(self.dim, self.sd, self.mean)
 
     def sample(self, length: int, rng) -> np.ndarray:
         gen = as_generator(rng)
@@ -124,6 +141,7 @@ class AR1Covariates:
     def __post_init__(self):
         if not abs(self.rho) < 1.0:
             raise UnsupportedCovariateError("|rho| must be < 1 for stationarity")
+        _check_gaussian_fields(self.dim, self.sd)
 
     @property
     def stationary_sd(self) -> float:
@@ -168,6 +186,8 @@ class FiniteStateMarkovCovariates:
         P = self._P()
         if np.any(P < 0) or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-10:
             raise UnsupportedCovariateError("transition rows must be probabilities")
+        if np.sum(np.abs(np.linalg.eigvals(P) - 1.0) < 1e-9) > 1:
+            raise UnsupportedCovariateError("transition has more than one invariant law")
 
     def _P(self) -> np.ndarray:
         return np.atleast_2d(np.asarray(self.transition, dtype=float))
@@ -246,7 +266,9 @@ class FiniteStateMarkovCovariates:
         p_neq = float(dist.sum() - np.trace(dist))
         rate = 1.0 - meet_next
         tail_bound = 0.0
-        if rate < 1.0 and p_neq > 0:
+        if p_neq > 0:
+            if rate >= 1.0:
+                raise DivergenceError("a pair of unmet covariate copies cannot meet in one step")
             tail_bound = float(cost.max()) * p_neq * rate / (1.0 - rate)
         return DecaySeq(vals, tail_sum_bound=tail_bound)
 
@@ -515,36 +537,32 @@ def coupled_ladder_mc(
 # ---------------------------------------------------------------------------
 
 
-def exact_marginal_law(kernel: KernelHandle, x: np.ndarray, init, t: int) -> np.ndarray:
-    """Exact law of the category at time ``t`` by transfer-matrix iteration.
+def exact_marginal_laws(kernel: KernelHandle, x: np.ndarray, init, t: int) -> np.ndarray:
+    """Exact laws of the category at times ``1..t``, shape ``(t, N)``, from
+    one transfer-matrix pass.
 
-    ``init`` is the pre-time-0 past (most recent first, at least the memory
-    depth); ``x[i]`` is the covariate at time ``i+1``.  Only feasible for
-    truncated kernels with a small memory-state space.
+    ``init`` is the pre-time-0 past (most recent first; a short one is
+    padded with category 0); ``x[i]`` is the covariate at time ``i+1``.
+    Only feasible for truncated kernels with a small memory-state space.
     """
     n, mem = kernel.n_categories, kernel.truncation.max_lag_y
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if t < 1 or t > x.shape[0]:
         raise ValueError("t must lie within the covariate path")
-    init = np.asarray(init, dtype=np.int64)
-    if init.size < mem:
-        init = np.concatenate([init, np.zeros(mem - init.size, dtype=np.int64)])
-    code = 0
-    for i in range(mem):
-        code = code * n + int(init[i])
     dist = np.zeros(n**mem)
-    dist[code] = 1.0
-    law = None
+    dist[state_code(init, n, mem)] = 1.0
+    laws = np.empty((t, n))
     for s in range(1, t + 1):
         table = transition_table(kernel, x[s - 1 :: -1][: kernel.truncation.max_lag_x])
-        law = dist @ table
-        new = np.zeros_like(dist)
-        codes = np.arange(dist.size)
-        for y_new in range(n):
-            succ = successor_code(codes, y_new, n, mem)
-            np.add.at(new, succ, dist * table[:, y_new])
-        dist = new
-    return law
+        laws[s - 1] = dist @ table
+        dist = memory_step(dist, table)
+    return laws
+
+
+def exact_marginal_law(kernel: KernelHandle, x: np.ndarray, init, t: int) -> np.ndarray:
+    """Exact law of the category at time ``t``: the last row of
+    :func:`exact_marginal_laws`."""
+    return exact_marginal_laws(kernel, x, init, t)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -253,8 +253,22 @@ def test_uncertifiable_sensitivity_fails_with_status_one(tmp_path, command):
         ("model", {"class": "multinomial", "A": [], "B": [], "n_categories": 3}),
         ("model", {"class": "multinomial", "A": [[[0.3]]], "B": [], "Gamma": [[0.2], [0.1]], "n_categories": 3}),
         ("covariates", {"kind": "ar1", "rho": 1.5}),
+        ("covariates", {"kind": "iid_normal", "sd": -1}),
+        ("covariates", {"kind": "iid_normal", "sd": "x"}),
+        ("covariates", {"kind": "iid_normal", "dim": 0}),
+        ("covariates", {"kind": "ar1", "rho": 0.5, "sd": -1}),
+        ("covariates", {"kind": "finite_markov", "transition": [[1, 0], [0, 1]], "emission": [[0], [1]]}),
     ],
-    ids=["missing-Gamma", "wrong-shape-A", "explosive-ar1"],
+    ids=[
+        "missing-Gamma",
+        "wrong-shape-A",
+        "explosive-ar1",
+        "negative-sd",
+        "string-sd",
+        "zero-dim",
+        "negative-ar1-sd",
+        "identity-markov",
+    ],
 )
 def test_malformed_block_is_config_error(tmp_path, block, patch):
     cfg = base_config()
@@ -318,3 +332,33 @@ def test_non_object_block_is_config_error(tmp_path, capsys, block, value):
         out = tmp_path / command
         assert main([command, "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_CONFIG
         assert f"{block} block" in capsys.readouterr().err
+
+
+def test_non_string_out_is_config_error(tmp_path, capsys):
+    cfg = base_config()
+    cfg["out"] = 5
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", cfg_path, "--quiet"]) == EXIT_CONFIG
+    assert "out must be a string" in capsys.readouterr().err
+
+
+def test_periodic_covariate_chain_fails_bounds_with_status_one(tmp_path, capsys):
+    # the two copies of the chain swap states forever and never meet
+    cfg = base_config()
+    cfg["covariates"] = {"kind": "finite_markov", "transition": [[0, 1], [1, 0]], "emission": [[0], [1]]}
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["bounds", "--config", cfg_path, "--out", str(tmp_path / "p"), "--quiet"]) == EXIT_FAILURE
+    assert "cannot meet" in capsys.readouterr().err
+
+
+def test_simulate_path_csv_feeds_fit(tmp_path):
+    cfg = base_config()
+    cfg["simulate"] = {"window": 1500, "eps": 0.001}
+    cfg_path = write_config(tmp_path, cfg)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg_path, "--out", str(sim), "--quiet"]) == EXIT_OK
+    assert (sim / "path.csv").read_text().startswith("t,y,x_1,lambda_1\n")
+    out = tmp_path / "fit"
+    code = main(["fit", "--config", cfg_path, "--out", str(out), "--data", str(sim / "path.csv"), "--quiet"])
+    assert code == EXIT_OK
+    assert "n: 1500" in (out / "fit_summary.txt").read_text()

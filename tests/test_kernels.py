@@ -18,6 +18,7 @@ from catchain.kernels import (
     table_kernel,
     transition_table,
 )
+from catchain.kernels import memory_step, state_code
 from catchain.models import (
     BinaryInfiniteOrderSpec,
     ObservationDrivenBinarySpec,
@@ -183,3 +184,32 @@ def test_enumeration_guard_on_large_instances():
     k = model_to_kernel(spec, max_lag_x=40)
     with pytest.raises(UnsupportedKernelError):
         enumerate_b_exact(k)
+
+
+def test_state_code_inverts_memory_state_and_pads_short_pasts():
+    for n, mem in ((2, 1), (3, 2), (2, 3)):
+        codes = np.arange(n**mem)
+        for code in codes:
+            assert state_code(memory_state(int(code), n, mem), n, mem) == code
+        # the array form decodes every code at once, digit by digit
+        digits = memory_state(codes, n, mem)
+        for i, code in enumerate(codes):
+            assert tuple(int(d[i]) for d in digits) == memory_state(int(code), n, mem)
+    assert state_code([1], 3, 2) == state_code([1, 0], 3, 2) == 3
+    assert state_code([2, 1, 1, 1], 3, 2) == 7
+
+
+def test_memory_step_moves_mass_to_successor_codes():
+    n, mem = 3, 2
+    table = np.random.default_rng(4).dirichlet(np.ones(n), size=n**mem)
+    for code in range(n**mem):
+        dist = np.zeros(n**mem)
+        dist[code] = 1.0
+        want = np.zeros(n**mem)
+        for y in range(n):
+            want[successor_code(code, y, n, mem)] += table[code, y]
+        np.testing.assert_array_equal(memory_step(dist, table), want)
+    stack = np.random.default_rng(5).dirichlet(np.ones(n**mem), size=(2, 3))
+    stepped = memory_step(stack, table)
+    assert stepped.shape == stack.shape
+    np.testing.assert_array_equal(stepped[1, 2], memory_step(stack[1, 2], table))

@@ -4,7 +4,11 @@
 per-step sampler reads only the kernel's truncated memory.  Both must give
 the same bytes as the straightforward loops kept here as references.  The
 decay-sequence tails, defined by their tail classes, must give the same
-floats as the per-type formulas kept here.
+floats as the per-type formulas kept here, and the exact memory
+sensitivity the same floats as its group-by-group loop.  The memory-state
+law step (``kernels.memory_step``) must give the same bytes as the
+``np.add.at`` scatter of the exact marginal laws, and the joint-chain step
+the same law as the sparse one-step matrix, both kept here.
 """
 
 import math
@@ -22,10 +26,18 @@ from catchain.bounds import (
     bstar_from_b,
     bstar_sum_bracket,
 )
-from catchain.kernels import table_kernel
+from catchain.dependence import _JointChain
+from catchain.kernels import b_exact_from_table, successor_code, table_kernel, transition_table
 from catchain.models import BinaryInfiniteOrderSpec, ObservationDrivenBinarySpec, model_to_kernel
 from catchain.prob import SeededRng, as_generator
-from catchain.simulate import _coupled_step, _required_burnin, glued_coupling, sample_forward
+from catchain.simulate import (
+    FiniteStateMarkovCovariates,
+    _coupled_step,
+    _required_burnin,
+    exact_marginal_laws,
+    glued_coupling,
+    sample_forward,
+)
 
 # -- b* recursion ------------------------------------------------------------------
 
@@ -320,3 +332,141 @@ def test_sum_from_does_not_increase(seq):
         return
     sums = [seq.sum_from(m) for m in range(40)]
     assert all(later <= earlier for earlier, later in zip(sums, sums[1:]))
+
+
+# -- memory-state law step -----------------------------------------------------------
+
+
+def _reference_marginal_law(kernel, x, init, t):
+    """Transfer-matrix iteration with an ``np.add.at`` scatter per step."""
+    n, mem = kernel.n_categories, kernel.truncation.max_lag_y
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    init = np.asarray(init, dtype=np.int64)
+    if init.size < mem:
+        init = np.concatenate([init, np.zeros(mem - init.size, dtype=np.int64)])
+    code = 0
+    for i in range(mem):
+        code = code * n + int(init[i])
+    dist = np.zeros(n**mem)
+    dist[code] = 1.0
+    law = None
+    for s in range(1, t + 1):
+        table = transition_table(kernel, x[s - 1 :: -1][: kernel.truncation.max_lag_x])
+        law = dist @ table
+        new = np.zeros_like(dist)
+        codes = np.arange(dist.size)
+        for y_new in range(n):
+            succ = successor_code(codes, y_new, n, mem)
+            np.add.at(new, succ, dist * table[:, y_new])
+        dist = new
+    return law
+
+
+def _reference_joint_matrix(chain):
+    """The joint one-step matrix, built entry by entry as a sparse matrix."""
+    from scipy.sparse import coo_matrix
+
+    P, g = chain.cov._P(), chain.cov._g()
+    tables = [transition_table(chain.kernel, g[s].reshape(1, -1)) for s in range(chain.S)]
+    codes = np.arange(chain.C)
+    rows, cols, data = [], [], []
+    for s in range(chain.S):
+        for s_new in range(chain.S):
+            if P[s, s_new] == 0.0:
+                continue
+            for y in range(chain.N):
+                succ = successor_code(codes, y, chain.N, chain.M)
+                rows.append(codes * chain.S + s)
+                cols.append(succ * chain.S + s_new)
+                data.append(np.full(chain.C, P[s, s_new]) * tables[s_new][:, y])
+    return coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(chain.n_states, chain.n_states),
+    ).tocsr()
+
+
+def _assert_laws_match_reference(kernel, x, init, t):
+    laws = exact_marginal_laws(kernel, x, init, t)
+    assert laws.shape == (t, kernel.n_categories)
+    for s in range(1, t + 1):
+        np.testing.assert_array_equal(laws[s - 1], _reference_marginal_law(kernel, x, init, s))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    mem=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(1, 12),
+    data=st.data(),
+)
+def test_exact_marginal_laws_match_add_at_reference(n, mem, seed, t, data):
+    gen = np.random.default_rng(seed)
+    kernel = table_kernel(0.5 * gen.dirichlet(np.ones(n), size=n**mem) + 0.5 / n)
+    # pasts shorter than the memory are padded with category 0
+    init = data.draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=mem))
+    _assert_laws_match_reference(kernel, np.zeros((t, 1)), init, t)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 12), data=st.data())
+def test_exact_marginal_laws_match_reference_on_time_varying_covariates(seed, t, data):
+    gen = np.random.default_rng(seed)
+    spec = BinaryInfiniteOrderSpec(a=gen.uniform(-0.6, 0.6, size=3), gamma=gen.uniform(-1.0, 1.0, size=1))
+    kernel = model_to_kernel(spec, max_lag_x=2)
+    init = data.draw(st.lists(st.integers(0, 1), min_size=3, max_size=3))
+    _assert_laws_match_reference(kernel, gen.normal(size=(t, 1)), init, t)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mem=st.integers(1, 3),
+    n_cov=st.integers(1, 4),
+)
+def test_joint_chain_step_matches_sparse_reference(seed, mem, n_cov):
+    gen = np.random.default_rng(seed)
+    spec = BinaryInfiniteOrderSpec(a=gen.uniform(-0.6, 0.6, size=mem), gamma=gen.uniform(-1.0, 1.0, size=1))
+    kernel = model_to_kernel(spec, max_lag_y=mem, max_lag_x=1)
+    # some zero transitions, which the sparse build skips; the diagonal and
+    # the cycle s -> s + 1 stay positive, so the invariant law is unique
+    keep = gen.random((n_cov, n_cov)) < 0.7
+    keep[np.arange(n_cov), np.arange(n_cov)] = True
+    keep[np.arange(n_cov), (np.arange(n_cov) + 1) % n_cov] = True
+    P = gen.dirichlet(np.ones(n_cov), size=n_cov) * keep + 0.1 * keep
+    P = P / P.sum(axis=1, keepdims=True)
+    cov = FiniteStateMarkovCovariates(
+        transition=tuple(map(tuple, P)), emission=tuple((float(v),) for v in range(n_cov))
+    )
+    chain = _JointChain(kernel, cov)
+    T = _reference_joint_matrix(chain)
+    dist = gen.dirichlet(np.ones(chain.n_states), size=(3, 4))
+    got = chain.step(dist)
+    assert got.shape == dist.shape
+    want = np.asarray(dist.reshape(-1, chain.n_states) @ T).reshape(dist.shape)
+    assert np.abs(got - want).max() <= 1e-15
+    np.testing.assert_allclose(chain.step(dist[0, 0]), want[0, 0], rtol=0, atol=1e-15)
+
+
+# -- exact memory sensitivity --------------------------------------------------------
+
+
+def _reference_b_exact(table, n, mem):
+    """Largest TV between rows sharing the ``m`` high digits, one group at a time."""
+    out = np.zeros(mem + 1)
+    for m in range(mem + 1):
+        worst = 0.0
+        for g in table.reshape(n**m, n ** (mem - m), n):
+            if g.shape[0] > 1:
+                tv = 0.5 * np.abs(g[:, None, :] - g[None, :, :]).sum(axis=2)
+                worst = max(worst, float(tv.max()))
+        out[m] = worst
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 4), mem=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_b_exact_from_table_matches_group_loop(n, mem, seed):
+    table = np.random.default_rng(seed).dirichlet(np.ones(n), size=n**mem)
+    got = b_exact_from_table(table, n, mem).values
+    assert got.tobytes() == _reference_b_exact(table, n, mem).tobytes()

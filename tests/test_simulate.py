@@ -11,6 +11,7 @@ from catchain.models import (
     model_to_kernel,
 )
 from catchain.prob import SeededRng, tv_distance
+from catchain.bounds import DivergenceError
 from catchain.simulate import (
     AR1Covariates,
     FiniteStateMarkovCovariates,
@@ -276,3 +277,48 @@ def test_gaussian_norm_p_is_the_absolute_moment(p):
     assert iid.norm_p(p) == pytest.approx(2 * abs_moment(0.7, 1.3), rel=1e-9)
     ar1 = AR1Covariates(rho=0.5, sd=1.0)
     assert ar1.norm_p(p) == pytest.approx(abs_moment(0.0, ar1.stationary_sd), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: IIDCovariates(sd=-1.0),
+        lambda: IIDCovariates(sd=math.inf),
+        lambda: IIDCovariates(mean=math.nan),
+        lambda: IIDCovariates(mean=-math.inf),
+        lambda: IIDCovariates(mean=True),
+        lambda: IIDCovariates(sd="x"),
+        lambda: IIDCovariates(dim=0),
+        lambda: IIDCovariates(dim=1.5),
+        lambda: IIDCovariates(kind="const", mean=0.5, dim=True),
+        lambda: AR1Covariates(rho=0.5, sd=-1.0),
+        lambda: AR1Covariates(rho=0.5, sd=None),
+        lambda: AR1Covariates(rho=0.5, dim=0),
+    ],
+)
+def test_gaussian_covariates_reject_fields_they_cannot_certify(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_gaussian_covariates_accept_zero_sd():
+    assert IIDCovariates(sd=0.0).exp_abs() == 0.0
+    assert AR1Covariates(rho=0.5, sd=0, dim=np.int64(2)).dim == 2
+
+
+@pytest.mark.parametrize("metric", ["l1", "discrete"])
+def test_periodic_covariate_chain_has_no_certified_tail(metric):
+    # the copies start apart with probability 1/2 and swap states forever
+    model = FiniteStateMarkovCovariates(transition=((0.0, 1.0), (1.0, 0.0)), emission=((0.0,), (1.0,)))
+    with pytest.raises(DivergenceError):
+        covariate_coupling_coeffs(model, 64, metric=metric)
+
+
+def test_covariate_chain_without_unique_invariant_law_is_rejected():
+    with pytest.raises(UnsupportedCovariateError):
+        FiniteStateMarkovCovariates(transition=((1.0, 0.0), (0.0, 1.0)), emission=((0.0,), (1.0,)))
+    with pytest.raises(UnsupportedCovariateError):
+        FiniteStateMarkovCovariates(
+            transition=((0.5, 0.5, 0.0), (0.5, 0.5, 0.0), (0.0, 0.0, 1.0)),
+            emission=((0.0,), (1.0,), (2.0,)),
+        )
