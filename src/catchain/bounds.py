@@ -213,12 +213,27 @@ class DecaySeq:
     def head(self, n: int) -> np.ndarray:
         """Values at indices ``0..n-1`` with the tail model applied, one
         scalar tail value at a time (a vectorized power differs in the last
-        bit from Python's ``**``)."""
+        bit from Python's ``**``).
+
+        The tail values stop at the first one that is exactly 0.0 and the
+        rest repeat that zero.  This is exact: a tail value is its last
+        stored value, or its coefficient, times a power that does not grow
+        with ``m``, so once the product is a zero of some sign, every later
+        product is the same zero.  A geometric tail underflows after about
+        ``745 / ln(1 / rate)`` indices (about 1100 at rate 0.5), so past that
+        a longer head costs no more tail evaluations."""
         if n <= len(self):
             return self.values[:n].copy()
-        if self.tail is None:
-            return np.concatenate([self.values, np.zeros(n - len(self))])
-        return np.concatenate([self.values, [self.tail.value(self, m) for m in range(len(self), n)]])
+        out = np.zeros(n)
+        out[: len(self)] = self.values
+        if self.tail is not None:
+            for m in range(len(self), n):
+                v = self.tail.value(self, m)
+                out[m] = v
+                if v == 0.0:
+                    out[m:] = v
+                    break
+        return out
 
     # -- structure checks --------------------------------------------------
 
@@ -354,14 +369,21 @@ def bstar_sum_bracket(b: DecaySeq, horizon: int = 512) -> tuple[float, float]:
     The visit probabilities sum to ``F/(1-F)`` where ``F = sum_k f_k`` is the
     total first-return mass.  ``F`` is bracketed by a finite partial sum plus
     the crude remainder bound ``sum_{k>K} f_k <= sum_{m>=K} b_m``.
+
+    The partial sum stops one past the last nonzero ``b_k`` below the
+    horizon, with the same value as the full loop: each later term adds
+    ``0.0 * prod`` to a nonnegative sum and multiplies ``prod`` by
+    ``1.0 - 0.0``, neither of which changes a bit.
     """
     _check_b(b)
     if not b.is_summable:
         raise DivergenceError("b is not summable; the visit series has no finite total")
     bh = b.head(horizon + 1)
+    nonzero = np.flatnonzero(bh[:horizon])
+    support = int(nonzero[-1]) + 1 if nonzero.size else 0
     prod = 1.0
     f_partial = 0.0
-    for k in range(1, horizon + 1):
+    for k in range(1, support + 1):
         f_partial += bh[k - 1] * prod
         prod *= 1.0 - bh[k - 1]
     rem = b.sum_from(horizon)
@@ -371,7 +393,7 @@ def bstar_sum_bracket(b: DecaySeq, horizon: int = 512) -> tuple[float, float]:
         # remainder too coarse at this horizon; F < 1 is guaranteed by
         # summability, so retry deeper before giving up
         if horizon < 65536:
-            return bstar_sum_bracket(b, horizon * 2)
+            return bstar_sum_bracket(b, max(2 * horizon, 1))
         raise DivergenceError("could not certify total first-return mass < 1")
     return f_low / (1.0 - f_low), f_high / (1.0 - f_high)
 

@@ -16,6 +16,7 @@ import sys
 import tempfile
 
 import numpy as np
+from scipy.special import ndtri
 
 from .bounds import DecaySeq, DivergenceError, bstar_from_b, bstar_renewal_oracle, perturbation_bound
 from .dependence import certificate_for_model, empirical_beta_small
@@ -332,6 +333,18 @@ def cmd_bounds(cfg: dict, out_dir: str, seed: int, quiet: bool) -> int:
     return EXIT_OK
 
 
+GLUED_MC_FALSE_ALARM = 1e-4  # family-wise false-alarm rate of verify's glued_coupling_mc row
+
+
+def sidak_z(family_rate: float, n_tests: int, sides: int) -> float:
+    """Per-test z threshold that holds ``n_tests`` independent z-tests with
+    ``sides`` tails to a family-wise false-alarm rate of ``family_rate``:
+    each test runs at level ``1 - (1 - family_rate)**(1/n_tests)`` (Sidak
+    1967, JASA 62)."""
+    per_test = -math.expm1(math.log1p(-family_rate) / n_tests)
+    return float(-ndtri(per_test / sides))
+
+
 def _ladder_chunked(table_a, table_b, init_a, init_b, length, replicas, seed, stream_base):
     """Ladder Monte Carlo in fixed chunks, optionally thread-parallel.
 
@@ -421,10 +434,16 @@ def _verify_checks(cfg: dict, seed: int):
             detail = f"pair {i} t={s + 1} tv {tv[c1, c2, s]:.4f} > {bstar[s]:.4f}"
     yield "relaxation_bound_exact", ok, detail or "all initialization pairs bounded"
 
-    # glued ladder Monte Carlo vs mismatch bound and marginal laws
+    # glued ladder Monte Carlo vs mismatch bound and marginal laws: per pair,
+    # one one-sided z-test per time of the mismatch rate against its bound
+    # and six two-sided z-tests of the marginals, all held together to the
+    # family-wise false-alarm rate GLUED_MC_FALSE_ALARM
+    n_tests = pairs * (length + 6)
+    z_one = sidak_z(GLUED_MC_FALSE_ALARM, n_tests, 1)
+    z_two = sidak_z(GLUED_MC_FALSE_ALARM, n_tests, 2)
     gen = SeededRng(seed, 12).generator()
-    ok = True
-    detail = ""
+    worst_mis = worst_marg = -math.inf
+    failures = []
     for i in range(pairs):
         raw = gen.dirichlet(np.ones(2), size=4)
         table_a = 0.7 * raw + 0.3 / 2
@@ -446,9 +465,10 @@ def _verify_checks(cfg: dict, seed: int):
                 for t in range(1, length + 1)
             ]
         )
-        if np.any(mism > bound + 4 * se):
-            ok = False
-            detail = f"pair {i}: mismatch exceeded the coupling bound"
+        z_mis = (mism - bound) / se
+        worst_mis = max(worst_mis, float(z_mis.max()))
+        if np.any(z_mis > z_one):
+            failures.append(f"pair {i}: mismatch exceeded the coupling bound by {z_mis.max():.2f} sigma")
         x = np.zeros((length, 1))
         laws_a = exact_marginal_laws(table_kernel(table_a), x, memory_state(0, 2, 2), length)
         laws_b = exact_marginal_laws(table_kernel(table_b), x, memory_state(3, 2, 2), length)
@@ -456,10 +476,17 @@ def _verify_checks(cfg: dict, seed: int):
             for marg, law in ((marg1, laws_a[t - 1]), (marg2, laws_b[t - 1])):
                 emp = marg[t - 1] / replicas
                 z = np.abs(emp[1] - law[1]) / max(np.sqrt(law[1] * (1 - law[1]) / replicas), 1e-9)
-                if z > 4.0:
-                    ok = False
-                    detail = f"pair {i}: marginal law off by {z:.1f} sigma at t={t}"
-    yield "glued_coupling_mc", ok, detail or f"{pairs} pairs within 4 sigma"
+                worst_marg = max(worst_marg, float(z))
+                if z > z_two:
+                    failures.append(f"pair {i}: marginal law off by {z:.2f} sigma at t={t}")
+    yield "glued_coupling_mc", not failures, "; ".join(
+        failures[-1:]
+        + [
+            f"worst mismatch z {worst_mis:.3g} vs one-sided {z_one:.2f}",
+            f"worst marginal |z| {worst_marg:.2f} vs two-sided {z_two:.2f}",
+            f"{n_tests} tests at family-wise false-alarm rate {GLUED_MC_FALSE_ALARM:g}",
+        ]
+    )
 
     # perturbation bound vs exact invariant laws of memoryless kernels
     gen = SeededRng(seed, 13).generator()

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from .models import (
     ObservationDrivenBinarySpec,
@@ -112,6 +110,10 @@ def _shifted(series: np.ndarray, lag: int) -> np.ndarray:
 
 def _mu_path(alpha, beta, gamma, y, x) -> np.ndarray:
     """Latent index path with zero initialization via linear filtering."""
+    # scipy.signal and scipy.optimize are imported where they are used: they
+    # are slow to import and only fitting needs them
+    from scipy.signal import lfilter
+
     forcing = x @ gamma
     for k, ak in enumerate(alpha, start=1):
         forcing = forcing + ak * _shifted(y, k)
@@ -174,6 +176,8 @@ def loglik_gradient(
     itself, driven by the lagged responses, the lagged index and the
     covariates respectively.
     """
+    from scipy.signal import lfilter
+
     warmup = _default_warmup(spec) if warmup is None else warmup
     yf = data.y.astype(float)
     mu = _mu_path(spec.alpha, spec.beta, spec.gamma, yf, data.x)
@@ -245,6 +249,8 @@ def fit_mle(
     the analytic score; they are omitted when the information matrix is not
     invertible.
     """
+    from scipy.optimize import minimize
+
     cfg = config or FitConfig()
     n_par = template.alpha.size + template.beta.size + template.gamma.size
     if data.n < cfg.min_obs_per_param * n_par:
@@ -388,6 +394,8 @@ def semiparametric_fit(
     ``std(mu) * n**(-1/5)`` recomputed per candidate; the returned link
     estimate is tabulated on the final grid.
     """
+    from scipy.optimize import minimize
+
     cfg = config or FitConfig()
     p, q, d = template.alpha.size, template.beta.size, template.gamma.size
     if d < 1:

@@ -24,7 +24,11 @@ linear family defines ``A``, ``B``, ``Gamma``, ``block_dim``,
 the leading latent block) and its TV Lipschitz constant ``tv_lipschitz``, and
 inherits the rest.  The nonlinear family replaces the step and the
 contraction certificate.  ``_latent_scan`` is the one engine behind kernel
-evaluation (``latent_recursion``), ``latent_path`` and forward sampling.
+evaluation (``latent_recursion``), ``latent_path`` and forward sampling.  A
+block of dimension 1 (the binary families, and a two-category multinomial or
+one-component choice spec) steps on Python floats through
+``scalar_stepper``, ``covariate_forcing`` and ``draw``; a larger block steps
+on arrays through ``stepper``.
 
 ``model_to_kernel`` turns a spec into a :class:`~catchain.kernels.KernelHandle`
 whose decay metadata is derived from the contraction structure of the latent
@@ -41,7 +45,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import expit, ndtr
-from scipy.stats import norm
 
 from .bounds import DecaySeq, GeometricTail, PolynomialTail
 from .kernels import (
@@ -108,8 +111,15 @@ def logistic_link() -> LinkFunction:
     return LinkFunction("logistic", expit, 0.25, _logistic_pdf)
 
 
+def _probit_pdf(z):
+    # imported on first use: scipy.stats is slow to import and only this density needs it
+    from scipy.stats import norm
+
+    return norm.pdf(z)
+
+
 def probit_link() -> LinkFunction:
-    return LinkFunction("probit", ndtr, 1.0 / math.sqrt(2.0 * math.pi), norm.pdf)
+    return LinkFunction("probit", ndtr, 1.0 / math.sqrt(2.0 * math.pi), _probit_pdf)
 
 
 def custom_link(cdf: Callable, lipschitz_const: float) -> LinkFunction:
@@ -232,9 +242,20 @@ class _BinaryLink:
     def category_vector(self, category: int) -> np.ndarray:
         return np.array([float(category)])
 
+    # the one entry of ``category_vector``, for the scalar step
+    category_value = staticmethod(float)
+
     def response(self, lam: np.ndarray) -> np.ndarray:
         pr = float(self.link.cdf(lam[0]))
         return np.array([1.0 - pr, pr])
+
+    def draw(self, lam: float, u: float) -> int:
+        """Category drawn by inverting ``u`` through ``response([lam])``.
+
+        The count of cumulative sums ``(1 - pr, (1 - pr) + pr)`` below ``u``,
+        clamped to 1, is ``1 - pr < u``: the second sum is below ``u`` only
+        when the first is."""
+        return int(1.0 - float(self.link.cdf(lam)) < u)
 
 
 class _LatentRecursion:
@@ -345,9 +366,9 @@ class _LatentRecursion:
         return s_a, c_r / cc.kappa, cc.kappa ** (1.0 / cc.r)
 
     def stepper(self):
-        """``(step, state)``: ``step(y_lags, x_t)`` advances the stacked
-        latent ``state`` (zero at the start) by one time step and returns its
-        leading block."""
+        """``(step, state)`` for blocks of dimension > 1: ``step(y_lags,
+        x_t)`` advances the stacked latent ``state`` (zero at the start) by
+        one time step and returns its leading block."""
         forcing, B = self.forcing, self.B
         _, q = self.lag_counts
         state = np.zeros((max(q, 1), self.block_dim))
@@ -362,6 +383,54 @@ class _LatentRecursion:
             return first
 
         return step, state
+
+    def category_value(self, category: int) -> float:
+        """The one entry of ``category_vector`` (blocks of dimension 1)."""
+        return float(self.category_vector(category)[0])
+
+    def scalar_stepper(self):
+        """``(step, state)`` for a block of dimension 1, on Python floats.
+
+        ``step(y_lags, gx)`` takes the category lags (most recent first) and
+        ``gx = Gamma x_t``, returns ``((0.0 + sum_k a_k v(y_{t-k})) + gx) +
+        sum_j b_j lam_{t-j}`` summed left to right, which is the order of the
+        array step, and shifts it into ``state``, the latent lags (most
+        recent first).
+        """
+        a = [float(m[0, 0]) for m in self.A]
+        b = [float(m[0, 0]) for m in self.B]
+        value = self.category_value
+        state = [0.0] * max(len(b), 1)
+
+        def step(y_lags, gx):
+            lam = 0.0
+            for a_k, c in zip(a, y_lags):
+                lam += a_k * value(c)
+            lam += gx
+            for b_j, lam_j in zip(b, state):
+                lam += b_j * lam_j
+            state.insert(0, lam)
+            state.pop()
+            return lam
+
+        return step, state
+
+    def covariate_forcing(self, x: np.ndarray) -> list:
+        """``Gamma x_t`` for every row of ``x``, for a block of dimension 1.
+
+        One covariate takes one array product; adding 0.0 turns a -0.0
+        product into +0.0, as the one-term ``Gamma[0] @ x_t`` does.  More
+        covariates keep the per-row ``Gamma[0] @ x_t``, whose summation
+        order an array product could change."""
+        g = self.Gamma[0]
+        if g.size == 1 == x.shape[1]:
+            return (x[:, 0] * g[0] + 0.0).tolist()
+        return [float(g @ x_t) for x_t in x]
+
+    def draw(self, lam: float, u: float) -> int:
+        """Category drawn by inverting ``u`` through ``response([lam])``, as
+        in the array scan."""
+        return min(int((self.response(np.array([lam])).cumsum() < u).sum()), self.n_categories - 1)
 
     def kernel_parts(self, max_lag_y, max_lag_x) -> dict:
         """Kernel fields from the contraction of the latent recursion."""
@@ -499,15 +568,12 @@ class ObservationDrivenBinarySpec(_BinaryLink, _LatentRecursion):
         return self.alpha.size, self.beta.size
 
     @property
+    def A(self) -> list[np.ndarray]:
+        return [np.array([[a]]) for a in self.alpha]
+
+    @property
     def B(self) -> list[np.ndarray]:
         return [np.array([[bj]]) for bj in self.beta]
-
-    def forcing(self, y_lags, x_t) -> np.ndarray:
-        out = np.zeros(1)
-        for a, c in zip(self.alpha, y_lags):
-            out[0] += a * c
-        out[0] += float(self.gamma @ x_t)
-        return out
 
     def category_forcing_bound(self) -> float:
         return float(np.abs(self.alpha).sum())
@@ -563,12 +629,13 @@ class NonlinearBinarySpec(_BinaryLink, _LatentRecursion):
         # scalar latent: the gap contracts by exactly kappa per step
         return 1.0 / (1.0 - cc.kappa), 1.0, cc.kappa
 
-    def stepper(self):
-        g, alpha, gamma = self.g, self.alpha, self.gamma
-        state = np.zeros((1, 1))
+    def scalar_stepper(self):
+        """``step(y_lags, gx)`` returns ``(g(lam) + alpha * y_{t-1}) + gx``."""
+        g, alpha = self.g, self.alpha
+        state = [0.0]
 
-        def step(y_lags, x_t):
-            state[0, 0] = g(state[0, 0]) + alpha * y_lags[0] + float(gamma @ x_t)
+        def step(y_lags, gx):
+            state[0] = g(state[0]) + alpha * y_lags[0] + gx
             return state[0]
 
         return step, state
@@ -701,13 +768,23 @@ def contraction_constants(spec, r_cap: int = 512) -> ContractionConstants:
 # ---------------------------------------------------------------------------
 
 
+SCAN_BLOCK = 4096  # steps per block of the scalar scan, which bounds its Python lists
+
+
 def _latent_scan(spec, x: np.ndarray, y=None, pre=(), u=None):
     """Run the latent recursion from a zero state over covariates ``x[0..T-1]``.
 
     Categories before time 0 are ``pre`` (most recent first), then zero.
     Those from time 0 on are ``y`` or, without ``y``, drawn from the response
-    law by inverting ``u[t]``.  Returns ``(categories, lam, state)``: the
-    categories, the leading latent block at every time, the final state.
+    law by inverting ``u[t]``: the count of cumulative response
+    probabilities below ``u[t]``, clamped to the last category (a rounded
+    last sum can fall below a ``u`` just under 1).  Returns ``(categories,
+    lam, state)``: the categories, the leading latent block at every time,
+    the final stacked state.
+
+    A block of dimension 1 runs on Python floats (:func:`_scalar_scan`),
+    larger blocks on arrays (:func:`_array_scan`).  Both add the terms in
+    the same order, so the scalar scan gives the array step's bytes.
     """
     p, _ = spec.lag_counts
     T = x.shape[0]
@@ -717,17 +794,53 @@ def _latent_scan(spec, x: np.ndarray, y=None, pre=(), u=None):
     if y is not None:
         y = np.asarray(y)[:T]
         hist[p : p + y.size] = y
-    step, state = spec.stepper()
-    response = spec.response
     lam = np.empty((T, spec.block_dim))
-    for t in range(T):
-        first = step(hist[t : t + p][::-1], x[t])
-        lam[t] = first
-        if u is not None:
-            hist[p + t] = int((response(first).cumsum() < u[t]).sum())
+    scan = _scalar_scan if spec.block_dim == 1 else _array_scan
+    state = scan(spec, x, hist, p, u, lam)
     if not np.isfinite(lam).all():
         raise OverflowError("latent recursion diverged; contraction unverified")
     return hist[p:], lam, state
+
+
+def _given(lam, category):
+    return category
+
+
+def _scalar_scan(spec, x, hist, p, u, lam) -> np.ndarray:
+    """Scan a block of dimension 1 in blocks of ``SCAN_BLOCK`` steps.
+
+    Per block, the covariate forcing and ``u`` (or the given categories)
+    become Python lists, the steps run on Python floats and ints, and
+    ``lam`` and the categories in ``hist`` are written back.  The category
+    lags carry over from block to block, so the blocks change no value."""
+    step, state = spec.scalar_stepper()
+    pick, source = (_given, hist[p:]) if u is None else (spec.draw, u)
+    y_lags = hist[:p][::-1].tolist()
+    for lo in range(0, x.shape[0], SCAN_BLOCK):
+        hi = lo + SCAN_BLOCK
+        lam_block, y_block = [], []
+        for gx, s in zip(spec.covariate_forcing(x[lo:hi]), source[lo:hi].tolist(), strict=True):
+            first = step(y_lags, gx)
+            c = pick(first, s)
+            y_lags.insert(0, c)
+            y_lags.pop()
+            lam_block.append(first)
+            y_block.append(c)
+        lam[lo:hi, 0] = lam_block
+        hist[p + lo : p + hi] = y_block
+    return np.array(state, dtype=float).reshape(-1, 1)
+
+
+def _array_scan(spec, x, hist, p, u, lam) -> np.ndarray:
+    """Scan a block of dimension > 1 one array step at a time."""
+    step, state = spec.stepper()
+    response, last = spec.response, spec.n_categories - 1
+    for t in range(x.shape[0]):
+        first = step(hist[t : t + p][::-1], x[t])
+        lam[t] = first
+        if u is not None:
+            hist[p + t] = min(int((response(first).cumsum() < u[t]).sum()), last)
+    return state
 
 
 def latent_recursion(spec, past_y, past_x, n: int) -> np.ndarray:

@@ -16,8 +16,6 @@ calls.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import numbers
 from dataclasses import dataclass
@@ -495,7 +493,8 @@ def coupled_ladder_mc(
         for t in range(1, length + 1):
             rows = table[codes]
             u = gen.random(R)
-            ys[t] = (rows.cumsum(axis=1) < u[:, None]).sum(axis=1)
+            # a rounded last cumulative sum can fall below u; the draw stays in the alphabet
+            ys[t] = np.minimum((rows.cumsum(axis=1) < u[:, None]).sum(axis=1), n - 1)
             codes = successor_code(codes, ys[t], n, mem)
             cds[t] = codes
         return ys, cds
@@ -583,23 +582,34 @@ def covariate_coupling_coeffs(model, horizon: int, metric: str = "l1") -> DecayS
 # ---------------------------------------------------------------------------
 
 
+CSV_BLOCK = 4096  # rows formatted per block, which bounds the per-row strings alive at once
+
+
 def path_to_csv(path: SamplePath, dest=None) -> str:
-    """Serialize a path as ``t,y,x_1..x_d[,lambda_1..k]`` CSV."""
+    """Serialize a path as ``t,y,x_1..x_d[,lambda_1..k]`` CSV.
+
+    Fields are what ``csv.writer`` writes for them: ``str`` of the integers
+    and ``repr`` of the floats, none of which holds a delimiter, quote or
+    line break, so none is quoted.  Columns are formatted in blocks of
+    ``CSV_BLOCK`` rows with ``tolist`` and joins; each block becomes one
+    string, so the per-row strings of only one block are alive at once.
+    """
+    T = path.y.size
     d = path.x.shape[1]
     header = ["t", "y"] + [f"x_{i+1}" for i in range(d)]
-    lam = path.lam
-    if lam is not None:
-        lam = np.atleast_2d(lam) if lam.ndim == 1 else lam
+    floats = [np.asarray(path.x, dtype=float)]
+    if path.lam is not None:
+        lam = np.atleast_2d(path.lam) if path.lam.ndim == 1 else path.lam
         header += [f"lambda_{i+1}" for i in range(lam.shape[1])]
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for t in range(path.y.size):
-        row = [t + 1, int(path.y[t])] + [repr(float(v)) for v in path.x[t]]
-        if lam is not None:
-            row += [repr(float(v)) for v in lam[t]]
-        w.writerow(row)
-    text = buf.getvalue()
+        floats.append(np.asarray(lam, dtype=float))
+    blocks = [",".join(header) + "\n"]
+    for lo in range(0, T, CSV_BLOCK):
+        hi = min(lo + CSV_BLOCK, T)
+        cols = [map(str, range(lo + 1, hi + 1)), map(str, path.y[lo:hi].astype(np.int64).tolist())]
+        for arr in floats:
+            cols += [map(repr, col) for col in arr[lo:hi].T.tolist()]
+        blocks.append("".join([",".join(row) + "\n" for row in zip(*cols, strict=True)]))
+    text = "".join(blocks)
     if dest is not None:
         with open(dest, "w", newline="") as fh:
             fh.write(text)

@@ -1,18 +1,24 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import catchain
 from catchain.bounds import bstar_from_b, DecaySeq
 from catchain.cli import (
     EXIT_CONFIG,
     EXIT_FAILURE,
     EXIT_OK,
+    GLUED_MC_FALSE_ALARM,
     ConfigError,
     emit_config,
     load_config,
     main,
+    sidak_z,
 )
 
 
@@ -152,6 +158,39 @@ def test_verify_across_seeds_is_stable(tmp_path):
         ):
             passes += 1
     assert passes >= 5
+
+
+def test_sidak_thresholds():
+    assert sidak_z(0.05, 1, 2) == pytest.approx(1.959963984540054, rel=1e-12)
+    assert sidak_z(0.05, 1, 1) == pytest.approx(1.6448536269514722, rel=1e-12)
+    # 42 tests (3 pairs at length 8) held to a family-wise rate of 1e-4
+    assert sidak_z(1e-4, 42, 1) == pytest.approx(4.575, abs=1e-3)
+    assert sidak_z(1e-4, 42, 2) == pytest.approx(4.718, abs=1e-3)
+
+
+def test_verify_glued_row_reports_worst_z_and_thresholds(tmp_path):
+    cfg_path = write_config(tmp_path, base_config())
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_OK
+    rows = (out / "verify_report.csv").read_text().splitlines()
+    detail = next(r for r in rows if r.startswith("glued_coupling_mc,")).split(",", 2)[2]
+    # base_config: 2 pairs at length 6
+    n_tests = 2 * (6 + 6)
+    assert f"vs one-sided {sidak_z(GLUED_MC_FALSE_ALARM, n_tests, 1):.2f}" in detail
+    assert f"vs two-sided {sidak_z(GLUED_MC_FALSE_ALARM, n_tests, 2):.2f}" in detail
+    assert f"{n_tests} tests at family-wise false-alarm rate" in detail
+
+
+def test_cli_import_leaves_fit_only_scipy_modules_unloaded():
+    src = os.path.dirname(os.path.dirname(catchain.__file__))
+    code = (
+        "import sys, catchain.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.signal', 'scipy.optimize') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_fit_selftest_recovers_parameters(tmp_path):

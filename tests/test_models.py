@@ -10,6 +10,7 @@ from catchain.models import (
     MultinomialSpec,
     NonlinearBinarySpec,
     ObservationDrivenBinarySpec,
+    _latent_scan,
     companion_matrix,
     contraction_constants,
     discrete_choice_cellprob,
@@ -101,6 +102,17 @@ def test_latent_recursion_depth_guard():
     spec = spec_od()
     with pytest.raises(ValueError):
         latent_recursion(spec, [0, 1], np.zeros((2, 1)), 5)
+
+
+def test_draw_at_top_of_unit_interval_stays_in_alphabet():
+    # the softmax cumulative sum can end at 0.9999999999999998, below a
+    # uniform draw of nextafter(1, 0), which then counted past the last category
+    spec = MultinomialSpec(
+        A=[[[0.3, 0.1], [0.1, 0.3]]], B=[[[0.3, 0.0], [0.0, 0.3]]], Gamma=[[0.2], [0.1]], n_categories=3
+    )
+    x = SeededRng(3).generator().normal(size=(200, 1))
+    y, _, _ = _latent_scan(spec, x, u=np.full(200, np.nextafter(1.0, 0.0)))
+    assert y.max() == spec.n_categories - 1
 
 
 # -- contraction constants ---------------------------------------------------------

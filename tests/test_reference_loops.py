@@ -8,9 +8,15 @@ floats as the per-type formulas kept here, and the exact memory
 sensitivity the same floats as its group-by-group loop.  The memory-state
 law step (``kernels.memory_step``) must give the same bytes as the
 ``np.add.at`` scatter of the exact marginal laws, and the joint-chain step
-the same law as the sparse one-step matrix, both kept here.
+the same law as the sparse one-step matrix, both kept here.  The scalar
+latent scan must give the bytes of the array-step engine, the blocked CSV
+writer those of the row-by-row ``csv.writer``, ``DecaySeq.head`` those of
+the per-element tail loop and ``bstar_sum_bracket`` those of the
+full-length first-return loop, all kept here.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -28,14 +34,29 @@ from catchain.bounds import (
 )
 from catchain.dependence import _JointChain
 from catchain.kernels import b_exact_from_table, successor_code, table_kernel, transition_table
-from catchain.models import BinaryInfiniteOrderSpec, ObservationDrivenBinarySpec, model_to_kernel
+from catchain.models import (
+    SCAN_BLOCK,
+    BinaryInfiniteOrderSpec,
+    DiscreteChoiceSpec,
+    MultinomialSpec,
+    NonlinearBinarySpec,
+    ObservationDrivenBinarySpec,
+    _latent_scan,
+    logistic_link,
+    model_to_kernel,
+    probit_link,
+    russell_damping,
+)
 from catchain.prob import SeededRng, as_generator
 from catchain.simulate import (
+    CSV_BLOCK,
     FiniteStateMarkovCovariates,
+    SamplePath,
     _coupled_step,
     _required_burnin,
     exact_marginal_laws,
     glued_coupling,
+    path_to_csv,
     sample_forward,
 )
 
@@ -470,3 +491,329 @@ def test_b_exact_from_table_matches_group_loop(n, mem, seed):
     table = np.random.default_rng(seed).dirichlet(np.ones(n), size=n**mem)
     got = b_exact_from_table(table, n, mem).values
     assert got.tobytes() == _reference_b_exact(table, n, mem).tobytes()
+
+
+# -- latent scan ---------------------------------------------------------------------
+
+
+def _reference_stepper(spec):
+    """The array step the engine ran for every family: the observation-driven
+    forcing, the nonlinear map, or the linear forcing of the matrix families."""
+    if isinstance(spec, NonlinearBinarySpec):
+        state = np.zeros((1, 1))
+
+        def step(y_lags, x_t):
+            state[0, 0] = spec.g(state[0, 0]) + spec.alpha * y_lags[0] + float(spec.gamma @ x_t)
+            return state[0]
+
+        return step, state
+    if isinstance(spec, ObservationDrivenBinarySpec):
+
+        def forcing(y_lags, x_t):
+            out = np.zeros(1)
+            for a, c in zip(spec.alpha, y_lags):
+                out[0] += a * c
+            out[0] += float(spec.gamma @ x_t)
+            return out
+
+    else:
+
+        def forcing(y_lags, x_t):
+            out = np.zeros(spec.block_dim)
+            for Am, c in zip(spec.A, y_lags):
+                out += Am @ spec.category_vector(int(c))
+            out += spec.Gamma @ x_t
+            return out
+
+    _, q = spec.lag_counts
+    state = np.zeros((max(q, 1), spec.block_dim))
+
+    def step(y_lags, x_t):
+        first = forcing(y_lags, x_t)
+        for i, Bj in enumerate(spec.B):
+            first = first + Bj @ state[i]
+        if q > 1:
+            state[1:] = state[:-1]
+        state[0] = first
+        return first
+
+    return step, state
+
+
+def _reference_scan(spec, x, y=None, pre=(), u=None):
+    """One array step per time; a category is the count of cumulative
+    response probabilities below ``u[t]``."""
+    p, _ = spec.lag_counts
+    T = x.shape[0]
+    hist = np.zeros(p + T, dtype=np.int64)
+    pre = np.asarray(pre, dtype=np.int64)[:p]
+    hist[p - pre.size : p] = pre[::-1]
+    if y is not None:
+        y = np.asarray(y)[:T]
+        hist[p : p + y.size] = y
+    step, state = _reference_stepper(spec)
+    lam = np.empty((T, spec.block_dim))
+    for t in range(T):
+        first = step(hist[t : t + p][::-1], x[t])
+        lam[t] = first
+        if u is not None:
+            hist[p + t] = int((spec.response(first).cumsum() < u[t]).sum())
+    return hist[p:], lam, state
+
+
+def _assert_scan_matches_reference(spec, x, **kw):
+    got, want = _latent_scan(spec, x, **kw), _reference_scan(spec, x, **kw)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+def _boundary_draws(spec, x, gen):
+    """Uniforms with some entries at 0.0, at ``nextafter(1, 0)`` and exactly
+    at the first cumulative response probability (``1 - pr`` for a binary
+    link) of the step they invert."""
+    T = x.shape[0]
+    u = gen.random(T)
+    kind = gen.integers(0, 4, size=T)
+    u[kind == 1] = 0.0
+    u[kind == 2] = np.nextafter(1.0, 0.0)
+    at_first = kind == 3
+    # the step at t sees only draws before t, so T + 1 passes fix every entry
+    for _ in range(T + 1):
+        lam = _reference_scan(spec, x, u=u)[1]
+        first = np.array([spec.response(row)[0] for row in lam]) if T else np.zeros(0)
+        new = np.where(at_first, first, u)
+        if new.tobytes() == u.tobytes():
+            break
+        u = new
+    return u
+
+
+def _covariates(gen, T, d):
+    """Normal covariates with some exact zeros of both signs, so a product
+    with a negative loading can be -0.0."""
+    x = gen.normal(size=(T, d))
+    x[gen.random((T, d)) < 0.1] = 0.0
+    x[gen.random((T, d)) < 0.1] = -0.0
+    return x
+
+
+@st.composite
+def _scalar_block_specs(draw):
+    """Specs whose latent block has dimension 1."""
+    d = draw(st.integers(1, 3))
+    gamma = draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d))
+    p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    alpha = draw(st.lists(st.floats(-1.5, 1.5), min_size=p, max_size=p))
+    beta = draw(st.lists(st.floats(-0.3, 0.3), min_size=q, max_size=q))
+    link = draw(st.sampled_from([logistic_link(), probit_link()]))
+    family = draw(st.sampled_from(["observation", "nonlinear", "multinomial", "choice"]))
+    if family == "observation":
+        return ObservationDrivenBinarySpec(alpha=alpha, beta=beta, gamma=gamma, link=link)
+    if family == "nonlinear":
+        g, _ = russell_damping(draw(st.floats(-0.6, 0.6)), draw(st.floats(-1.0, 1.0)), link)
+        return NonlinearBinarySpec(g=g, kappa=0.9, alpha=draw(st.floats(-1.5, 1.5)), gamma=gamma, link=link)
+    A, B, Gamma = [[[a]] for a in alpha], [[[b]] for b in beta], [gamma]
+    if family == "multinomial":
+        return MultinomialSpec(A=A, B=B, Gamma=Gamma, n_categories=2)
+    return DiscreteChoiceSpec(A=A, B=B, Gamma=Gamma, n_components=1, noise=draw(st.sampled_from(["logistic", "gaussian"])))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=_scalar_block_specs(), T=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_scalar_scan_matches_array_reference(spec, T, seed):
+    gen = np.random.default_rng(seed)
+    x = _covariates(gen, T, spec.covariate_dim)
+    p, _ = spec.lag_counts
+    # forward sampling, then the modes of latent_path and latent_recursion
+    _assert_scan_matches_reference(spec, x, u=_boundary_draws(spec, x, gen))
+    y = gen.integers(0, 2, size=T)
+    _assert_scan_matches_reference(spec, x, y=y)
+    pre = gen.integers(0, 2, size=gen.integers(0, p + 2))
+    _assert_scan_matches_reference(spec, x, y=y[: max(T - 1, 0)], pre=pre)
+
+
+@pytest.mark.parametrize("T", [0, 1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 10_000])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ObservationDrivenBinarySpec(alpha=[0.4, -0.3], beta=[0.5, 0.2], gamma=[0.3]),
+        NonlinearBinarySpec(*russell_damping(0.6, 0.3, logistic_link()), alpha=0.7, gamma=[-0.5, 0.2]),
+    ],
+    ids=lambda s: type(s).__name__,
+)
+def test_scalar_scan_matches_array_reference_across_blocks(spec, T):
+    gen = np.random.default_rng(T)
+    x = _covariates(gen, T, spec.covariate_dim)
+    _assert_scan_matches_reference(spec, x, u=gen.random(T))
+    _assert_scan_matches_reference(spec, x, y=gen.integers(0, 2, size=T), pre=[1, 1])
+
+
+def test_scalar_scan_keeps_the_sign_of_zero():
+    # zero covariates, no feedback and negative coefficients: every term of
+    # the first step is -0.0, so lam[0] is +0.0 only if Gamma x_t reads +0.0
+    g, _ = russell_damping(-0.5, 0.0, logistic_link())
+    spec = NonlinearBinarySpec(g=g, kappa=0.5, alpha=-0.7, gamma=[-0.3])
+    x = np.zeros((6, 1))
+    _assert_scan_matches_reference(spec, x, y=np.zeros(6, dtype=np.int64))
+    _assert_scan_matches_reference(spec, x, u=np.full(6, 0.25))
+
+
+# -- CSV export ----------------------------------------------------------------------
+
+
+def _reference_csv(path):
+    """One ``csv.writer`` row per time."""
+    d = path.x.shape[1]
+    header = ["t", "y"] + [f"x_{i+1}" for i in range(d)]
+    lam = path.lam
+    if lam is not None:
+        lam = np.atleast_2d(lam) if lam.ndim == 1 else lam
+        header += [f"lambda_{i+1}" for i in range(lam.shape[1])]
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for t in range(path.y.size):
+        row = [t + 1, int(path.y[t])] + [repr(float(v)) for v in path.x[t]]
+        if lam is not None:
+            row += [repr(float(v)) for v in lam[t]]
+        w.writerow(row)
+    return buf.getvalue()
+
+
+_SPECIAL_FLOATS = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, np.inf, np.nan, 0.1, 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    T=st.one_of(st.integers(0, 30), st.sampled_from([CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])),
+    d=st.integers(1, 3),
+    k=st.sampled_from([None, 1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_csv_matches_row_writer(T, d, k, seed):
+    gen = np.random.default_rng(seed)
+
+    def floats(shape):
+        vals = gen.normal(size=shape) * 10.0 ** gen.integers(-5, 6, size=shape)
+        special = gen.random(shape) < 0.2
+        vals[special] = gen.choice(_SPECIAL_FLOATS, size=int(special.sum()))
+        return vals
+
+    path = SamplePath(
+        y=gen.integers(0, 4, size=T),
+        x=floats((T, d)),
+        lam=None if k is None else floats((T, k)),
+        burnin_used=0,
+        stationarity_gap_bound=0.0,
+    )
+    # lists of lines: a failing comparison then names the first differing row
+    # instead of diffing two long strings
+    assert path_to_csv(path).split("\n") == _reference_csv(path).split("\n")
+
+
+def test_blocked_csv_matches_row_writer_on_integer_and_1d_inputs():
+    # integer covariates print as floats, boolean categories as integers,
+    # and a 1-d lam of one row is that row's latent block
+    path = SamplePath(np.array([True]), np.array([[3, -1]]), np.array([0.5, -0.0]), 0, 0.0)
+    assert path_to_csv(path).split("\n") == _reference_csv(path).split("\n")
+    path = SamplePath(np.array([0, 2]), np.array([[1], [2]], dtype=np.int32), np.float32([[0.1], [2.0]]), 0, 0.0)
+    assert path_to_csv(path).split("\n") == _reference_csv(path).split("\n")
+
+
+# -- tail heads and the first-return bracket -------------------------------------------
+
+
+def _reference_head(seq, n):
+    """Every tail value past storage, one scalar at a time."""
+    if n <= len(seq):
+        return seq.values[:n].copy()
+    if seq.tail is None:
+        return np.concatenate([seq.values, np.zeros(n - len(seq))])
+    return np.concatenate([seq.values, [seq.tail.value(seq, m) for m in range(len(seq), n)]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    vals=_heads,
+    rate=st.floats(1e-6, 0.99, exclude_max=True),
+    extra=st.integers(0, 300),
+)
+def test_geometric_head_matches_reference_past_underflow(vals, rate, extra):
+    seq = DecaySeq(vals, tail=GeometricTail(rate))
+    # the tail reaches 0.0 once last * rate**k drops below 2**-1075
+    last = max(float(vals[-1]), 5e-324)
+    n = len(seq) + int((math.log(last) + 1075 * math.log(2)) / -math.log(rate)) + 2 + extra
+    got = seq.head(n)
+    assert got.tobytes() == _reference_head(seq, n).tobytes()
+    assert got[-1] == 0.0
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        DecaySeq(np.array([0.3, -0.0]), tail=GeometricTail(0.5)),
+        DecaySeq(np.array([0.3, 0.0]), tail=GeometricTail(0.5)),
+        DecaySeq(np.array([0.3, 1e-300]), tail=GeometricTail(1e-5)),
+        DecaySeq(np.array([0.3]), tail=PolynomialTail(0.0, 2.0)),
+        DecaySeq(np.array([0.3]), tail=PolynomialTail(-0.0, 2.0)),
+        DecaySeq(np.array([0.3]), tail=PolynomialTail(0.3, 2.0)),
+        DecaySeq(np.array([0.3, 0.1])),
+    ],
+)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 3000])
+def test_head_edge_cases_match_reference(seq, n):
+    assert seq.head(n).tobytes() == _reference_head(seq, n).tobytes()
+
+
+def _reference_bracket(b, horizon):
+    """The first-return partial sum over every index below the horizon."""
+    bh = b.head(horizon + 1)
+    prod = 1.0
+    f_partial = 0.0
+    for k in range(1, horizon + 1):
+        f_partial += bh[k - 1] * prod
+        prod *= 1.0 - bh[k - 1]
+    rem = b.sum_from(horizon)
+    f_low = min(f_partial, 1.0)
+    f_high = f_partial + rem
+    if f_high >= 1.0 - 1e-12:
+        if horizon < 65536:
+            return _reference_bracket(b, max(2 * horizon, 1))
+        raise DivergenceError("could not certify total first-return mass < 1")
+    return f_low / (1.0 - f_low), f_high / (1.0 - f_high)
+
+
+def _bracket_bytes(fn, b, horizon):
+    try:
+        return np.array(fn(b, horizon)).tobytes()
+    except DivergenceError:
+        return "DivergenceError"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    vals=_heads,
+    tail=st.sampled_from(["none", "geometric", "polynomial"]),
+    rate=st.floats(0.05, 0.95),
+    horizon=st.integers(0, 1500),
+)
+def test_bstar_sum_bracket_matches_full_loop(vals, tail, rate, horizon):
+    if tail == "geometric":
+        b = DecaySeq(vals, tail=GeometricTail(rate))
+    elif tail == "polynomial":
+        b = DecaySeq(vals, tail=PolynomialTail(float(vals[-1]) * float(vals.size) ** 2.5, 2.5))
+    else:
+        b = DecaySeq(vals)
+    assert _bracket_bytes(bstar_sum_bracket, b, horizon) == _bracket_bytes(_reference_bracket, b, horizon)
+
+
+@pytest.mark.parametrize(
+    "values",
+    # [0.5, 0.5] at horizon 0 needs the retry at a deeper horizon
+    [[0.0], [0.3, 0.0], [0.3, 0.0, 1e-15], [0.0, 0.0, 1e-15], [0.5, 0.25, 0.0, 0.0], [0.5, 0.5]],
+)
+@pytest.mark.parametrize("horizon", [0, 1, 2, 3, 256])
+def test_bstar_sum_bracket_edge_cases_match_full_loop(values, horizon):
+    b = DecaySeq(np.array(values))
+    assert _bracket_bytes(bstar_sum_bracket, b, horizon) == _bracket_bytes(_reference_bracket, b, horizon)

@@ -143,6 +143,22 @@ def test_glued_coupling_mismatch_rate_within_bound():
         assert mism[t - 1] <= bs[t - 1] + 4 * se
 
 
+class _TopDraws(np.random.Generator):
+    """Every uniform is nextafter(1, 0), the largest value ``random`` returns."""
+
+    def random(self, size=None):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_ladder_draw_at_top_of_unit_interval_stays_in_alphabet():
+    # this row's cumulative sum ends at 0.9999999999999998, below the draw
+    row = [0.3448318529124632, 0.28698205780409697, 0.3681860892834397]
+    assert np.cumsum(row)[-1] < np.nextafter(1.0, 0.0)
+    table = np.array([row] * 3)
+    y1, y2 = coupled_ladder_mc(table, table, 0, 0, 3, 1, 4, 5, _TopDraws(np.random.PCG64(0)))
+    assert y1.max() == 2 and y2.max() == 2
+
+
 def test_single_draw_glued_coupling_matches_ladder_statistics():
     table = np.array([[0.75, 0.25], [0.3, 0.7], [0.6, 0.4], [0.45, 0.55]])
     kern = table_kernel(table)
