@@ -187,8 +187,21 @@ def _config_errors(build):
     return wrapped
 
 
+_COEFFICIENT_KEYS = ("alpha", "beta", "gamma", "a", "A", "B", "Gamma", "persistence", "feedback")
+
+
+def _non_finite(value) -> bool:
+    """Whether a JSON number, or any number in nested lists, is NaN or infinite."""
+    if isinstance(value, list):
+        return any(_non_finite(v) for v in value)
+    return isinstance(value, float) and not math.isfinite(value)
+
+
 @_config_errors
 def build_model(block: dict):
+    for key in _COEFFICIENT_KEYS:
+        if _non_finite(block.get(key)):
+            raise ConfigError(f"model.{key} must hold finite numbers, got {block[key]!r}")
     cls = block["class"]
     if cls == "observation_driven_binary":
         return ObservationDrivenBinarySpec(

@@ -221,13 +221,18 @@ def transition_table(kernel: KernelHandle, past_x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+B0_BLOCK_POINTS = 1 << 14  # mesh points per block of the multinomial and choice sweep
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Search grid for the one-step sensitivity sup.
 
     ``lo``/``hi``/``step`` define the compact sweep per latent dimension;
     ``boundary`` adds two far-out points per dimension where CDF links have
-    flattened, standing in for the limits at infinity.
+    flattened, standing in for the limits at infinity.  The fields must be
+    finite with ``step > 0``, ``lo < hi`` and ``boundary >= max(|lo|,
+    |hi|)``; anything else raises ``ValueError``.
     """
 
     lo: float = -20.0
@@ -235,8 +240,21 @@ class GridSpec:
     step: float = 1e-3
     boundary: float = 40.0
 
-    def axis(self) -> np.ndarray:
-        pts = np.arange(self.lo, self.hi + self.step / 2, self.step)
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.lo, self.hi, self.step, self.boundary)):
+            raise ValueError(f"grid fields must be finite numbers, got {self}")
+        if self.step <= 0.0:
+            raise ValueError(f"grid step must be > 0, got {self.step}")
+        if self.lo >= self.hi:
+            raise ValueError(f"grid lo must be below hi, got lo={self.lo}, hi={self.hi}")
+        if self.boundary < max(abs(self.lo), abs(self.hi)):
+            raise ValueError(f"grid boundary {self.boundary} lies inside [lo, hi]")
+
+    def axis(self, step: float | None = None) -> np.ndarray:
+        """Sweep points at ``step`` (the grid's own by default), with the two
+        boundary points at the ends."""
+        step = self.step if step is None else step
+        pts = np.arange(self.lo, self.hi + step / 2, step)
         return np.concatenate([[-self.boundary], pts, [self.boundary]])
 
 
@@ -248,12 +266,85 @@ def _b0_binary(cdf: Callable, lipschitz: float, c: float, grid: GridSpec) -> flo
     return sup + lipschitz * grid.step
 
 
-def _softmax_probs(z: np.ndarray) -> np.ndarray:
-    """Category probabilities with a zero reference logit, rows = points."""
-    full = np.concatenate([np.zeros((z.shape[0], 1)), z], axis=1)
-    full = full - full.max(axis=1, keepdims=True)
-    ez = np.exp(full)
-    return ez / ez.sum(axis=1, keepdims=True)
+def _row_sum(cols: list) -> np.ndarray:
+    """Sum of per-category columns in the order ``np.sum(axis=1)`` adds a
+    row of that many entries: left to right below eight, and numpy's
+    pairwise tree at eight.  The columns are left as they are."""
+    c = cols
+    if len(c) == 8:
+        return ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
+    total = c[0] + c[1]
+    for col in c[2:]:
+        total += col
+    return total
+
+
+def _softmax_columns(logits: list) -> list:
+    """Category probabilities with a zero reference logit, one array per
+    category; ``logits`` are the other categories' logits, broadcast
+    against each other."""
+    top = np.maximum(logits[0], 0.0)
+    for z in logits[1:]:
+        top = np.maximum(top, z)
+    ez = [np.exp(-top)] + [np.exp(z - top) for z in logits]
+    total = _row_sum(ez)
+    return [e / total for e in ez]
+
+
+def _cell_columns(success: list) -> list:
+    """Probabilities of all 0/1 sign patterns for independent components.
+
+    ``success[i]`` is the probability that component ``i`` fires; entry
+    ``k`` of the result is the pattern whose bit ``i`` (LSB = component 0)
+    is set when component ``i`` fires.
+    """
+    cells = [1.0 - success[0], success[0]]
+    for p in success[1:]:
+        # doubling with component i as the new high bit makes bit i of the
+        # pattern index mark whether component i fired
+        q = 1.0 - p
+        cells = [cell * q for cell in cells] + [cell * p for cell in cells]
+    return cells
+
+
+def _mesh_block(per_axis: list, block: slice) -> list:
+    """One input per dimension, shaped to broadcast over the mesh rows whose
+    first coordinate lies in ``block``: array axis ``i`` runs along mesh
+    dimension ``i``."""
+    dims = len(per_axis)
+    return [
+        (v[block] if i == 0 else v).reshape((-1,) + (1,) * (dims - 1 - i)) for i, v in enumerate(per_axis)
+    ]
+
+
+def _sweep_sup(law: Callable, base: np.ndarray, shifted: list, dims: int) -> float:
+    """Largest TV distance between ``law`` at a mesh point and at the point
+    shifted by a nonzero vertex of the shift cube.
+
+    The mesh is the 1-D axis in every one of ``dims`` dimensions.  ``base``
+    holds the law's per-axis input on the axis and ``shifted[s]`` on the
+    axis moved by ``c * (s - 1)``; ``law`` maps one broadcastable input per
+    dimension to one array per category.  Blocks of rows of the first axis,
+    about ``B0_BLOCK_POINTS`` mesh points each, bound the memory.
+    """
+    n = base.size
+    rows = max(1, B0_BLOCK_POINTS // n ** (dims - 1))
+    centre = (1,) * dims
+    best = 0.0
+    for lo in range(0, n, rows):
+        block = slice(lo, lo + rows)
+        ref = law(_mesh_block([base] * dims, block))
+        for signs in np.ndindex(*([3] * dims)):
+            if signs == centre:
+                continue
+            cols = law(_mesh_block([shifted[s] for s in signs], block))
+            diffs = [a - b for a, b in zip(cols, ref)]
+            for d in diffs:
+                np.abs(d, out=d)
+            # halving rounds monotonically: the largest halved sum is the
+            # halved largest sum
+            best = max(best, 0.5 * float(_row_sum(diffs).max()))
+    return best
 
 
 def _b0_multinomial(n_categories: int, c: float, grid: GridSpec) -> float:
@@ -261,39 +352,10 @@ def _b0_multinomial(n_categories: int, c: float, grid: GridSpec) -> float:
     if dims > 3:
         raise UnsupportedKernelError("grid certification supported up to 4 categories")
     step = max(grid.step, 0.05 if dims == 2 else (0.25 if dims == 3 else grid.step))
-    axis = np.concatenate(
-        [[-grid.boundary], np.arange(grid.lo, grid.hi + step / 2, step), [grid.boundary]]
-    )
-    mesh = np.meshgrid(*([axis] * dims), indexing="ij")
-    z = np.stack([m.ravel() for m in mesh], axis=1)
-    base = _softmax_probs(z)
-    best = 0.0
-    for signs in np.ndindex(*([3] * dims)):
-        y = c * (np.array(signs) - 1.0)
-        if not np.any(y):
-            continue
-        shifted = _softmax_probs(z + y)
-        tv = 0.5 * np.abs(shifted - base).sum(axis=1)
-        best = max(best, float(tv.max()))
+    axis = grid.axis(step)
+    best = _sweep_sup(_softmax_columns, axis, [axis + c * (s - 1.0) for s in range(3)], dims)
     # the swept TV is (dims/2)-Lipschitz in z under the sup norm
     return best + 0.25 * dims * step
-
-
-def _cell_probs(success: np.ndarray) -> np.ndarray:
-    """Probabilities of all 0/1 sign patterns for independent components.
-
-    ``success[:, i]`` is the probability that component ``i`` fires; output
-    column ``k`` is the pattern whose bit ``i`` (LSB = component 0) is set
-    when component ``i`` fires.
-    """
-    pts, n = success.shape
-    cells = np.ones((pts, 1))
-    for i in range(n):
-        p = success[:, i : i + 1]
-        # doubling with component i as the new high bit makes bit i of the
-        # column index mark whether component i fired
-        cells = np.concatenate([cells * (1.0 - p), cells * p], axis=1)
-    return cells
 
 
 def _b0_discrete_choice(
@@ -302,20 +364,9 @@ def _b0_discrete_choice(
     if n_components > 3:
         raise UnsupportedKernelError("grid certification supported up to 3 components")
     step = max(grid.step, 0.05 if n_components == 2 else 0.25)
-    axis = np.concatenate(
-        [[-grid.boundary], np.arange(grid.lo, grid.hi + step / 2, step), [grid.boundary]]
-    )
-    mesh = np.meshgrid(*([axis] * n_components), indexing="ij")
-    lam = np.stack([m.ravel() for m in mesh], axis=1)
-    base = _cell_probs(1.0 - cdf(-lam))
-    best = 0.0
-    for signs in np.ndindex(*([3] * n_components)):
-        y = c * (np.array(signs) - 1.0)
-        if not np.any(y):
-            continue
-        shifted = _cell_probs(1.0 - cdf(-(lam + y)))
-        tv = 0.5 * np.abs(shifted - base).sum(axis=1)
-        best = max(best, float(tv.max()))
+    axis = grid.axis(step)
+    shifted = [1.0 - cdf(-(axis + c * (s - 1.0))) for s in range(3)]
+    best = _sweep_sup(_cell_columns, 1.0 - cdf(-axis), shifted, n_components)
     return best + lipschitz * n_components * step
 
 
@@ -335,16 +386,27 @@ def certify_b0(
     up to ``bound_on_category_part``, then adds the grid-resolution
     continuity correction so the returned value upper-bounds the true sup.
     Raises :class:`CertificationError` when the result does not stay below
-    one.  ``profile`` names the family and its parameters:
+    one, and ``ValueError`` when ``bound_on_category_part`` is not a finite
+    number >= 0.  ``profile`` names the family and its parameters:
 
     - ``("binary", cdf, lipschitz)``
     - ``("multinomial", n_categories)``
     - ``("discrete_choice", cdf, n_components, lipschitz)``
+
+    The binary sweep is one pass over the grid's axis.  The multinomial and
+    discrete-choice sweeps raise the step to at least 0.05 in two
+    dimensions and 0.25 in three (and for a single choice component), and
+    visit every point of the mesh of that axis and every vertex of the
+    shift cube.  They hold each law as one array per category, evaluate
+    the links once per axis and shift, and run in blocks of about
+    ``B0_BLOCK_POINTS`` mesh points.  They give the same floats as stacking
+    the whole mesh, in about 0.1 s for 3 categories or 2 components on the
+    default grid and 3 to 5 s for 4 categories or 3 components.
     """
     grid = grid or GridSpec()
     c = float(bound_on_category_part)
-    if c < 0:
-        raise ValueError("bound_on_category_part must be >= 0")
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValueError(f"bound_on_category_part must be a finite number >= 0, got {c}")
     if c == 0.0:
         return 0.0
     sup_fn = _B0_SUP.get(profile[0])

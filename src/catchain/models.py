@@ -49,6 +49,7 @@ from scipy.special import expit, ndtr
 from .bounds import DecaySeq, GeometricTail, PolynomialTail
 from .kernels import (
     KernelHandle,
+    KernelInputError,
     TruncationPolicy,
     UnsupportedKernelError,
     certify_b0,
@@ -471,7 +472,7 @@ class _LatentRecursion:
 
         def probs_fn(y, x):
             n_steps = min(max_lag_x, y.size - p + 1 if p >= 1 else max_lag_x, x.shape[0])
-            lam = latent_recursion(self, y, x, max(n_steps, 0))
+            lam = _recursion_state(self, y, x, max(n_steps, 0))
             return self.response(lam[: self.block_dim])
 
         return {
@@ -843,15 +844,30 @@ def _array_scan(spec, x, hist, p, u, lam) -> np.ndarray:
     return state
 
 
+def _in_alphabet(spec, y) -> np.ndarray:
+    """``y`` as an array, once every category in it lies in ``[0, N)``."""
+    y = np.asarray(y)
+    if y.size and (y.min() < 0 or y.max() >= spec.n_categories):
+        raise KernelInputError(f"category index outside alphabet [0, {spec.n_categories})")
+    return y
+
+
 def latent_recursion(spec, past_y, past_x, n: int) -> np.ndarray:
     """Latent state obtained by iterating the update map ``n`` times from 0.
 
     ``past_y`` and ``past_x`` are most recent first and must reach back far
     enough (``n + p - 1`` categories, ``n`` covariates).  Returns the stacked
     state; its leading block is the index driving the current response.
+    Raises :class:`~catchain.kernels.KernelInputError` for a category
+    outside the alphabet.
     """
+    return _recursion_state(spec, _in_alphabet(spec, past_y), past_x, n)
+
+
+def _recursion_state(spec, past_y, past_x, n: int) -> np.ndarray:
+    """:func:`latent_recursion` on categories already checked, as the
+    kernel's history is."""
     p, _ = spec.lag_counts
-    past_y = np.asarray(past_y)
     past_x = np.atleast_2d(np.asarray(past_x, dtype=float))
     if past_x.shape[0] < n or past_y.size < n + p - 1:
         raise ValueError("history too short for the requested recursion depth")
@@ -867,9 +883,11 @@ def latent_path(spec, y, x) -> np.ndarray:
 
     ``y[t]`` and ``x[t]`` are time ordered; row ``t`` of the result is the
     index that generated ``y[t]`` (so it uses categories strictly before
-    ``t`` and the covariate at ``t``).
+    ``t`` and the covariate at ``t``).  Raises
+    :class:`~catchain.kernels.KernelInputError` for a category outside the
+    alphabet.
     """
-    y = np.asarray(y)
+    y = _in_alphabet(spec, y)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] != y.shape[0]:
         raise ValueError("y and x must have equal length")

@@ -588,6 +588,9 @@ CSV_BLOCK = 4096  # rows formatted per block, which bounds the per-row strings a
 def path_to_csv(path: SamplePath, dest=None) -> str:
     """Serialize a path as ``t,y,x_1..x_d[,lambda_1..k]`` CSV.
 
+    ``lam`` has one row per time; a 1-d ``lam`` is one ``lambda_1`` column,
+    or, on a path of one time, that time's latent block.
+
     Fields are what ``csv.writer`` writes for them: ``str`` of the integers
     and ``repr`` of the floats, none of which holds a delimiter, quote or
     line break, so none is quoted.  Columns are formatted in blocks of
@@ -599,9 +602,13 @@ def path_to_csv(path: SamplePath, dest=None) -> str:
     header = ["t", "y"] + [f"x_{i+1}" for i in range(d)]
     floats = [np.asarray(path.x, dtype=float)]
     if path.lam is not None:
-        lam = np.atleast_2d(path.lam) if path.lam.ndim == 1 else path.lam
+        lam = np.asarray(path.lam, dtype=float)
+        if lam.ndim == 1:
+            lam = lam.reshape(-1, 1) if lam.size == T != 1 else lam.reshape(1, -1)
+        if lam.shape[0] != T:
+            raise ValueError(f"lam has {lam.shape[0]} rows for a path of {T} times")
         header += [f"lambda_{i+1}" for i in range(lam.shape[1])]
-        floats.append(np.asarray(lam, dtype=float))
+        floats.append(lam)
     blocks = [",".join(header) + "\n"]
     for lo in range(0, T, CSV_BLOCK):
         hi = min(lo + CSV_BLOCK, T)

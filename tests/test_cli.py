@@ -297,6 +297,22 @@ def test_uncertifiable_sensitivity_fails_with_status_one(tmp_path, command):
         ("covariates", {"kind": "iid_normal", "dim": 0}),
         ("covariates", {"kind": "ar1", "rho": 0.5, "sd": -1}),
         ("covariates", {"kind": "finite_markov", "transition": [[1, 0], [0, 1]], "emission": [[0], [1]]}),
+        ("model", {"class": "observation_driven_binary", "alpha": [math.nan], "beta": [0.5], "gamma": [0.3]}),
+        ("model", {"class": "observation_driven_binary", "alpha": [0.4], "beta": [math.inf], "gamma": [0.3]}),
+        ("model", {"class": "observation_driven_binary", "alpha": [0.4], "beta": [0.5], "gamma": [-math.inf]}),
+        ("model", {"class": "binary_infinite_order", "a": [0.5, math.nan], "gamma": [0.3]}),
+        ("model", {"class": "nonlinear_binary", "persistence": math.nan, "feedback": 0.1, "gamma": [0.3]}),
+        ("model", {"class": "nonlinear_binary", "persistence": 0.5, "feedback": math.inf, "gamma": [0.3]}),
+        ("model", {"class": "nonlinear_binary", "alpha": math.nan, "gamma": [0.3]}),
+        (
+            "model",
+            {"class": "multinomial", "A": [[[0.3, math.nan], [0.1, 0.3]]], "B": [], "Gamma": [[0.2], [0.1]], "n_categories": 3},
+        ),
+        (
+            "model",
+            {"class": "multinomial", "A": [], "B": [[[math.inf, 0.0], [0.0, 0.3]]], "Gamma": [[0.2], [0.1]], "n_categories": 3},
+        ),
+        ("model", {"class": "discrete_choice", "A": [], "B": [], "Gamma": [[math.nan], [0.1]], "n_components": 2}),
     ],
     ids=[
         "missing-Gamma",
@@ -307,6 +323,16 @@ def test_uncertifiable_sensitivity_fails_with_status_one(tmp_path, command):
         "zero-dim",
         "negative-ar1-sd",
         "identity-markov",
+        "nan-alpha",
+        "inf-beta",
+        "minus-inf-gamma",
+        "nan-a",
+        "nan-persistence",
+        "inf-feedback",
+        "nan-nonlinear-alpha",
+        "nan-A",
+        "inf-B",
+        "nan-Gamma",
     ],
 )
 def test_malformed_block_is_config_error(tmp_path, block, patch):
@@ -315,6 +341,36 @@ def test_malformed_block_is_config_error(tmp_path, block, patch):
     cfg_path = write_config(tmp_path, cfg)
     for command in ("simulate", "bounds"):
         assert main([command, "--config", cfg_path, "--out", str(tmp_path / "m"), "--quiet"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "model,key",
+    [
+        ({"class": "observation_driven_binary", "alpha": [0.4], "beta": [0.5], "gamma": [0.3]}, "alpha"),
+        ({"class": "observation_driven_binary", "alpha": [0.4], "beta": [0.5], "gamma": [0.3]}, "beta"),
+        ({"class": "observation_driven_binary", "alpha": [0.4], "beta": [0.5], "gamma": [0.3]}, "gamma"),
+        ({"class": "binary_infinite_order", "a": [0.5, 0.2], "gamma": [0.3]}, "a"),
+        ({"class": "nonlinear_binary", "persistence": 0.5, "feedback": 0.1, "gamma": [0.3]}, "persistence"),
+        ({"class": "nonlinear_binary", "persistence": 0.5, "feedback": 0.1, "gamma": [0.3]}, "feedback"),
+        ({"class": "multinomial", "A": [[[0.3, 0.1], [0.1, 0.3]]], "Gamma": [[0.2], [0.1]], "n_categories": 3}, "A"),
+        ({"class": "discrete_choice", "B": [[[0.3, 0.0], [0.0, 0.3]]], "Gamma": [[0.2], [0.1]], "n_components": 2}, "B"),
+        ({"class": "discrete_choice", "Gamma": [[0.2], [0.1]], "n_components": 2}, "Gamma"),
+    ],
+)
+def test_non_finite_coefficient_is_config_error_naming_the_field(tmp_path, capsys, model, key, value):
+    # the first number of the field turns non-finite, however deeply nested
+    cfg = base_config()
+    cfg["model"] = json.loads(json.dumps(model))
+    holder, index = cfg["model"], key
+    while isinstance(holder[index], list):
+        holder, index = holder[index], 0
+    holder[index] = value
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "nf"
+    assert main(["bounds", "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert f"model.{key}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize(

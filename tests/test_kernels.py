@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit, ndtr
@@ -213,3 +216,71 @@ def test_memory_step_moves_mass_to_successor_codes():
     stepped = memory_step(stack, table)
     assert stepped.shape == stack.shape
     np.testing.assert_array_equal(stepped[1, 2], memory_step(stack[1, 2], table))
+
+
+@pytest.mark.parametrize(
+    "n_categories,grid",
+    [(2, GridSpec()), (3, GridSpec()), (4, GridSpec(lo=-6.0, hi=6.0))],
+    ids=["N2", "N3", "N4-coarse"],
+)
+@pytest.mark.parametrize("c", [0.1, 0.42857142857142866, 1.0, 2.0])
+def test_certify_b0_multinomial_brackets_hilbert_closed_form(n_categories, grid, c):
+    # Over the shift cube the log-ratio spread is c for N = 2 and 2c for
+    # N >= 3, and the sup of the TV sensitivity is the Hilbert-metric bound
+    # tanh(spread / 4).  The certificate covers it; the grid sup (the
+    # certificate less its continuity correction) stays below it.
+    dims = n_categories - 1
+    exact = math.tanh(c / 4.0) if n_categories == 2 else math.tanh(c / 2.0)
+    step = max(grid.step, {1: grid.step, 2: 0.05, 3: 0.25}[dims])
+    got = certify_b0(("multinomial", n_categories), c, grid)
+    assert got >= exact
+    assert got - 0.25 * dims * step <= exact + 1e-12
+
+
+def test_certify_b0_multinomial_sweep_memory_stays_bounded():
+    # the blocked sweep holds a few blocks of the 803 x 803 mesh at a time,
+    # not the whole mesh per law
+    tracemalloc.start()
+    try:
+        certify_b0(("multinomial", 3), 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+@pytest.mark.parametrize(
+    "profile",
+    [("binary", expit, 0.25), ("multinomial", 3), ("discrete_choice", expit, 2, 0.25)],
+    ids=["binary", "multinomial", "choice"],
+)
+def test_certify_b0_rejects_non_finite_or_negative_shift_by_name(profile, bad):
+    with pytest.raises(ValueError, match="bound_on_category_part"):
+        certify_b0(profile, bad)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"step": -1e-3},
+        {"step": 0.0},
+        {"step": math.nan},
+        {"step": math.inf},
+        {"lo": 1.0, "hi": 1.0},
+        {"lo": 2.0, "hi": -2.0},
+        {"lo": math.nan},
+        {"hi": math.inf},
+        {"boundary": 10.0},
+        {"lo": -50.0},
+        {"boundary": math.inf},
+    ],
+)
+def test_grid_spec_rejects_invalid_fields(fields):
+    with pytest.raises(ValueError, match="grid"):
+        GridSpec(**fields)
+
+
+def test_grid_spec_accepts_boundary_on_the_sweep_edge():
+    axis = GridSpec(lo=-6.0, hi=6.0, step=0.5, boundary=6.0).axis()
+    assert axis[0] == -6.0 and axis[-1] == 6.0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from catchain.estimate import _mu_path
+from catchain.kernels import KernelInputError
 from catchain.models import (
     DiscreteChoiceSpec,
     MultinomialSpec,
@@ -73,3 +74,21 @@ def test_divergent_recursion_raises_overflow_on_every_entry_point():
             latent_path(spec, y, x)
         with pytest.raises(OverflowError):
             latent_recursion(spec, y, x, 400)
+
+
+@pytest.mark.parametrize("spec", _latent_specs(), ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("bad", ["above", "negative"])
+def test_category_outside_alphabet_is_rejected_on_every_entry_point(spec, bad):
+    # as KernelHandle.probs rejects it, instead of reading the category as a number
+    y, x = _path(31, spec.n_categories)
+    y[5] = spec.n_categories if bad == "above" else -1
+    with pytest.raises(KernelInputError, match="outside alphabet"):
+        latent_path(spec, y, x)
+    with pytest.raises(KernelInputError, match="outside alphabet"):
+        latent_recursion(spec, np.concatenate([y[::-1], [0, 0]]), x[::-1], T)
+
+
+def test_readme_spec_latent_path_rejects_out_of_alphabet_categories():
+    spec = ObservationDrivenBinarySpec(alpha=[0.4], beta=[0.5], gamma=[0.3])
+    with pytest.raises(KernelInputError):
+        latent_path(spec, [5, -3, 1], np.zeros((3, 1)))

@@ -12,18 +12,23 @@ the same law as the sparse one-step matrix, both kept here.  The scalar
 latent scan must give the bytes of the array-step engine, the blocked CSV
 writer those of the row-by-row ``csv.writer``, ``DecaySeq.head`` those of
 the per-element tail loop and ``bstar_sum_bracket`` those of the
-full-length first-return loop, all kept here.
+full-length first-return loop, and the blocked per-axis b0 sweeps of the
+multinomial and discrete-choice profiles the floats of the whole stacked
+mesh, all kept here.
 """
 
 import csv
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit, ndtr
 
+from catchain import kernels
 from catchain.bounds import (
     DecaySeq,
     DivergenceError,
@@ -33,7 +38,16 @@ from catchain.bounds import (
     bstar_sum_bracket,
 )
 from catchain.dependence import _JointChain
-from catchain.kernels import b_exact_from_table, successor_code, table_kernel, transition_table
+from catchain.kernels import (
+    B0_BLOCK_POINTS,
+    GridSpec,
+    _b0_discrete_choice,
+    _b0_multinomial,
+    b_exact_from_table,
+    successor_code,
+    table_kernel,
+    transition_table,
+)
 from catchain.models import (
     SCAN_BLOCK,
     BinaryInfiniteOrderSpec,
@@ -817,3 +831,111 @@ def test_bstar_sum_bracket_matches_full_loop(vals, tail, rate, horizon):
 def test_bstar_sum_bracket_edge_cases_match_full_loop(values, horizon):
     b = DecaySeq(np.array(values))
     assert _bracket_bytes(bstar_sum_bracket, b, horizon) == _bracket_bytes(_reference_bracket, b, horizon)
+
+
+# -- b0 grid sweeps --------------------------------------------------------------------
+
+
+def _reference_softmax_probs(z):
+    """Category probabilities with a zero reference logit, rows = points."""
+    full = np.concatenate([np.zeros((z.shape[0], 1)), z], axis=1)
+    full = full - full.max(axis=1, keepdims=True)
+    ez = np.exp(full)
+    return ez / ez.sum(axis=1, keepdims=True)
+
+
+def _reference_b0_multinomial(n_categories, c, grid):
+    """The whole mesh stacked as a (points, dims) array."""
+    dims = n_categories - 1
+    step = max(grid.step, 0.05 if dims == 2 else (0.25 if dims == 3 else grid.step))
+    axis = np.concatenate(
+        [[-grid.boundary], np.arange(grid.lo, grid.hi + step / 2, step), [grid.boundary]]
+    )
+    mesh = np.meshgrid(*([axis] * dims), indexing="ij")
+    z = np.stack([m.ravel() for m in mesh], axis=1)
+    base = _reference_softmax_probs(z)
+    best = 0.0
+    for signs in np.ndindex(*([3] * dims)):
+        y = c * (np.array(signs) - 1.0)
+        if not np.any(y):
+            continue
+        shifted = _reference_softmax_probs(z + y)
+        tv = 0.5 * np.abs(shifted - base).sum(axis=1)
+        best = max(best, float(tv.max()))
+    return best + 0.25 * dims * step
+
+
+def _reference_cell_probs(success):
+    """Probabilities of all 0/1 sign patterns, one row per point."""
+    pts, n = success.shape
+    cells = np.ones((pts, 1))
+    for i in range(n):
+        p = success[:, i : i + 1]
+        cells = np.concatenate([cells * (1.0 - p), cells * p], axis=1)
+    return cells
+
+
+def _reference_b0_discrete_choice(cdf, n_components, lipschitz, c, grid):
+    """The whole mesh stacked as a (points, components) array."""
+    step = max(grid.step, 0.05 if n_components == 2 else 0.25)
+    axis = np.concatenate(
+        [[-grid.boundary], np.arange(grid.lo, grid.hi + step / 2, step), [grid.boundary]]
+    )
+    mesh = np.meshgrid(*([axis] * n_components), indexing="ij")
+    lam = np.stack([m.ravel() for m in mesh], axis=1)
+    base = _reference_cell_probs(1.0 - cdf(-lam))
+    best = 0.0
+    for signs in np.ndindex(*([3] * n_components)):
+        y = c * (np.array(signs) - 1.0)
+        if not np.any(y):
+            continue
+        shifted = _reference_cell_probs(1.0 - cdf(-(lam + y)))
+        tv = 0.5 * np.abs(shifted - base).sum(axis=1)
+        best = max(best, float(tv.max()))
+    return best + lipschitz * n_components * step
+
+
+_LINKS = {"logistic": (expit, 0.25), "probit": (ndtr, 1.0 / math.sqrt(2.0 * math.pi))}
+
+
+def _assert_sweep_matches_reference(family, dims, c, grid, link="logistic"):
+    if family == "multinomial":
+        got = _b0_multinomial(dims + 1, c, grid)
+        want = _reference_b0_multinomial(dims + 1, c, grid)
+    else:
+        cdf, lip = _LINKS[link]
+        got = _b0_discrete_choice(cdf, dims, lip, c, grid)
+        want = _reference_b0_discrete_choice(cdf, dims, lip, c, grid)
+    assert got == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["multinomial", "choice"]),
+    dims=st.integers(1, 3),
+    c=st.floats(0.0, 4.0, exclude_min=True),
+    link=st.sampled_from(sorted(_LINKS)),
+    step=st.sampled_from([1e-3, 0.02, 0.3]),
+    boundary=st.sampled_from([6.0, 9.5, 40.0]),
+    block_points=st.sampled_from([1, 7, 300, B0_BLOCK_POINTS]),
+)
+def test_blocked_b0_sweep_matches_full_mesh(family, dims, c, link, step, boundary, block_points):
+    # the block size changes no float, down to one row of the first axis
+    grid = GridSpec(lo=-6.0, hi=6.0, step=step, boundary=boundary)
+    with mock.patch.object(kernels, "B0_BLOCK_POINTS", block_points):
+        _assert_sweep_matches_reference(family, dims, c, grid, link)
+
+
+@pytest.mark.parametrize(
+    "family,dims,c",
+    [
+        ("multinomial", 2, 0.42857142857142866),
+        ("choice", 2, 0.5714285714285715),
+        ("multinomial", 2, 1.0),
+        ("choice", 2, 1.0),
+    ],
+    ids=["zoo-multinomial", "zoo-choice", "verify-multinomial", "verify-choice"],
+)
+def test_blocked_b0_sweep_matches_full_mesh_on_default_grid(family, dims, c):
+    # the c values model-zoo's two kernels and verify's b0 row certify
+    _assert_sweep_matches_reference(family, dims, c, GridSpec())

@@ -17,6 +17,7 @@ from catchain.simulate import (
     FiniteStateMarkovCovariates,
     HorizonError,
     IIDCovariates,
+    SamplePath,
     UnsupportedCovariateError,
     coupled_ladder_mc,
     covariate_coupling_coeffs,
@@ -278,6 +279,25 @@ def test_path_csv_header_and_length():
     lines = text.splitlines()
     assert lines[0] == "t,y,x_1,lambda_1"
     assert len(lines) == 31
+
+
+def test_path_csv_writes_a_1d_lam_of_one_value_per_time_as_one_column():
+    path = SamplePath(np.array([0, 1, 1]), np.zeros((3, 1)), np.array([0.1, 0.2, 0.3]), 0, 0.0)
+    assert path_to_csv(path).splitlines() == [
+        "t,y,x_1,lambda_1",
+        "1,0,0.0,0.1",
+        "2,1,0.0,0.2",
+        "3,1,0.0,0.3",
+    ]
+    # a one-row path keeps reading a 1-d lam as that row's latent block
+    one = SamplePath(np.array([1]), np.zeros((1, 1)), np.array([0.5, -0.25]), 0, 0.0)
+    assert path_to_csv(one).splitlines() == ["t,y,x_1,lambda_1,lambda_2", "1,1,0.0,0.5,-0.25"]
+
+
+def test_path_csv_rejects_lam_rows_that_do_not_match_the_path():
+    path = SamplePath(np.array([0, 1, 1]), np.zeros((3, 1)), np.array([0.1, 0.2]), 0, 0.0)
+    with pytest.raises(ValueError, match="lam"):
+        path_to_csv(path)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
