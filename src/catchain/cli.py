@@ -40,6 +40,7 @@ from .models import (
     russell_damping,
 )
 from .prob import SeededRng
+from .schema import BOOLEAN, PATH, ConfigError, Field, array, integer, one_of, read_fields, real
 from .simulate import (
     AR1Covariates,
     FiniteStateMarkovCovariates,
@@ -58,10 +59,6 @@ EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def thread_cap() -> int:
     """Parallelism ceiling from CATCHAIN_THREADS (computation is replica
     chunked; 1 disables any worker pools)."""
@@ -72,196 +69,182 @@ def thread_cap() -> int:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema
 # ---------------------------------------------------------------------------
+# One table per top-level block, per model class and per covariate kind maps
+# each field to its typed check and default (``catchain.schema``).  The
+# allowed keys, the ``<block>.<key>`` messages, the defaults, the command
+# choices and the command dispatch all come from these tables.
 
-_TOP_KEYS = {"seed", "out", "model", "covariates", "simulate", "bounds", "fit", "verify"}
-_MODEL_KEYS = {
-    "observation_driven_binary": {"class", "alpha", "beta", "gamma", "link"},
-    "binary_infinite_order": {"class", "a", "gamma", "link"},
-    "nonlinear_binary": {"class", "persistence", "feedback", "alpha", "gamma", "link"},
-    "multinomial": {"class", "A", "B", "Gamma", "n_categories"},
-    "discrete_choice": {"class", "A", "B", "Gamma", "n_components", "noise"},
+
+def _build(key: str, table: dict, block, where: str):
+    """Build the entry of ``table`` that ``block[key]`` names from the block's other fields."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} block must be an object, got {block!r}")
+    build, fields = one_of(table)(block.get(key), f"{where}.{key}")
+    values = read_fields(fields, {k: v for k, v in block.items() if k != key}, where)
+    try:
+        return build(**values)
+    except (ValueError, ConstructionError, UnsupportedCovariateError) as exc:
+        raise ConfigError(f"{where} ({block[key]}): {exc}") from exc
+
+
+def _nonlinear_binary(persistence, feedback, alpha, gamma, link):
+    g, kappa = russell_damping(persistence, feedback, link)
+    if kappa >= 1.0:
+        raise ConfigError(f"nonlinear map is not contractive (factor {kappa})")
+    return NonlinearBinarySpec(g=g, kappa=kappa, alpha=alpha, gamma=gamma, link=link)
+
+
+def _finite_markov(transition, emission):
+    def tuples(value):
+        return tuple(map(tuples, value)) if isinstance(value, list) else value
+
+    return FiniteStateMarkovCovariates(transition=tuples(transition), emission=tuples(emission))
+
+
+_LINK = Field(one_of({"logistic": logistic_link(), "probit": probit_link()}), "logistic")
+_COEFFICIENTS = Field(array(1), [0.0])
+_LAG_MATRICES = Field(array(3), [])
+_MEAN = Field(real(), 0.0)
+_SD = Field(real(0.0, closed=True), 1.0)
+_DIM = Field(integer(1), 1)
+
+# model class -> (constructor, fields)
+MODELS = {
+    "observation_driven_binary": (
+        ObservationDrivenBinarySpec,
+        {"alpha": _COEFFICIENTS, "beta": _COEFFICIENTS, "gamma": _COEFFICIENTS, "link": _LINK},
+    ),
+    "binary_infinite_order": (
+        BinaryInfiniteOrderSpec,
+        {"a": _COEFFICIENTS, "gamma": _COEFFICIENTS, "link": _LINK},
+    ),
+    "nonlinear_binary": (
+        _nonlinear_binary,
+        {
+            "persistence": Field(real(), 0.5),
+            "feedback": Field(real(), 0.1),
+            "alpha": Field(real(), 0.0),
+            "gamma": _COEFFICIENTS,
+            "link": _LINK,
+        },
+    ),
+    "multinomial": (
+        MultinomialSpec,
+        {"A": _LAG_MATRICES, "B": _LAG_MATRICES, "Gamma": Field(array(2)), "n_categories": Field(integer(2))},
+    ),
+    "discrete_choice": (
+        DiscreteChoiceSpec,
+        {
+            "A": _LAG_MATRICES,
+            "B": _LAG_MATRICES,
+            "Gamma": Field(array(2)),
+            "n_components": Field(integer(1)),
+            "noise": Field(one_of(("logistic", "gaussian")), "logistic"),
+        },
+    ),
 }
-_COV_KEYS = {
-    "iid_normal": {"kind", "mean", "sd", "dim"},
-    "iid_const": {"kind", "mean", "dim"},
-    "ar1": {"kind", "rho", "sd", "dim"},
-    "finite_markov": {"kind", "transition", "emission"},
+
+# covariate kind -> (constructor, fields)
+COVARIATES = {
+    "iid_normal": (functools.partial(IIDCovariates, kind="normal"), {"mean": _MEAN, "sd": _SD, "dim": _DIM}),
+    "iid_const": (functools.partial(IIDCovariates, kind="const"), {"mean": _MEAN, "dim": _DIM}),
+    "ar1": (AR1Covariates, {"rho": Field(real()), "sd": _SD, "dim": _DIM}),
+    "finite_markov": (_finite_markov, {"transition": Field(array(2)), "emission": Field(array(2))}),
 }
-_SIM_KEYS = {"window", "eps", "max_burnin"}
-_BOUNDS_KEYS = {"horizon", "n_max", "metric", "p_moment"}
-_FIT_KEYS = {"warmup", "semiparametric", "selftest", "n", "data"}
-_VERIFY_KEYS = {"replicas", "length", "pairs", "sequences"}
+
+# command -> the fields of the config block of the same name
+COMMANDS = {
+    "simulate": {
+        "window": Field(integer(1), 100),
+        "eps": Field(real(0.0), 1e-3),
+        "max_burnin": Field(integer(0), 4096),
+    },
+    "bounds": {
+        "horizon": Field(integer(0), 64),  # 0 leaves the working horizon to the certificate
+        "n_max": Field(integer(1), 20),
+        "metric": Field(one_of(("l1", "discrete")), "l1"),
+        "p_moment": Field(real(1.0, also=("inf",)), "inf", nullable=True),
+    },
+    "verify": {
+        "replicas": Field(integer(1), 20000),
+        "length": Field(integer(2), 8),
+        "pairs": Field(integer(1), 3),
+        "sequences": Field(integer(1), 20),
+    },
+    "fit": {
+        "n": Field(integer(1), 5000),
+        "warmup": Field(integer(0), None, nullable=True),
+        "selftest": Field(BOOLEAN, False),
+        "semiparametric": Field(BOOLEAN, False),
+        "data": Field(PATH, None, nullable=True),
+    },
+}
+
+ROOT = {
+    "seed": Field(integer(0), 0),
+    "out": Field(PATH, "catchain-out"),
+    "model": Field(functools.partial(_build, "class", MODELS), None),
+    "covariates": Field(functools.partial(_build, "kind", COVARIATES), None),
+    **{command: Field(functools.partial(read_fields, fields), {}) for command, fields in COMMANDS.items()},
+}
+
+# command-line flags that override one config field each
+FLAG_FIELDS = {"seed": "seed", "out": "out", "replicas": "verify.replicas", "data": "fit.data"}
 
 
-def _check_keys(block: dict, allowed: set, where: str) -> None:
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+def check_config(cfg) -> dict:
+    """Every field of ``cfg`` checked, with defaults filled in and the model
+    and covariates built; raises ConfigError naming the first bad field."""
+    conf = read_fields(ROOT, cfg, "")
+    horizon, n_max = conf["bounds"]["horizon"], conf["bounds"]["n_max"]
+    if horizon and n_max > horizon:
+        raise ConfigError(f"bounds.n_max ({n_max}) must not exceed bounds.horizon ({horizon})")
+    model, cov = conf["model"], conf["covariates"]
+    if model is not None and cov is not None and model.covariate_dim != cov.dim:
+        raise ConfigError(
+            f"covariates give x of dimension {cov.dim}, but the model loads {model.covariate_dim} covariates"
+        )
+    return conf
+
+
+def _read_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"config file not found or not readable: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8, or nesting past the parser's depth
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+
+
+def _override(cfg, field: str, value) -> None:
+    *block, key = field.split(".")
+    holder = cfg.setdefault(block[0], {}) if block else cfg
+    if isinstance(holder, dict):  # check_config reports a block that is not an object
+        holder[key] = value
+
+
+def _make_out_dir(out) -> None:
+    """Make the out directory once its field is good, whatever the other fields hold."""
+    if PATH.ok(out):
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make the out directory {out!r}: {exc}") from exc
 
 
 def load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
-    _check_keys(cfg, _TOP_KEYS, "config root")
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
-        raise ConfigError("seed must be an integer")
-    if "out" in cfg and not isinstance(cfg["out"], str):
-        raise ConfigError(f"out must be a string path, got {cfg['out']!r}")
-    for key in ("model", "covariates", "simulate", "bounds", "fit", "verify"):
-        if key in cfg and not isinstance(cfg[key], dict):
-            raise ConfigError(f"{key} block must be an object, got {cfg[key]!r}")
-    if "model" in cfg:
-        mdl = cfg["model"]
-        cls = mdl.get("class")
-        if cls not in _MODEL_KEYS:
-            raise ConfigError(f"unknown model class {cls!r}")
-        _check_keys(mdl, _MODEL_KEYS[cls], f"model block ({cls})")
-    if "covariates" in cfg:
-        cov = cfg["covariates"]
-        kind = cov.get("kind")
-        if kind not in _COV_KEYS:
-            raise ConfigError(f"unknown covariate kind {kind!r}")
-        _check_keys(cov, _COV_KEYS[kind], f"covariates block ({kind})")
-    for key, allowed in (
-        ("simulate", _SIM_KEYS),
-        ("bounds", _BOUNDS_KEYS),
-        ("fit", _FIT_KEYS),
-        ("verify", _VERIFY_KEYS),
-    ):
-        if key in cfg:
-            _check_keys(cfg[key], allowed, f"{key} block")
+    """The config at ``path`` as plain JSON, after checking every block."""
+    cfg = _read_json(path)
+    check_config(cfg)
     return cfg
-
-
-def _int_field(block: dict, key: str, default: int, minimum: int, where: str) -> int:
-    value = block.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{where}.{key} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _real_field(block: dict, key: str, default: float, where: str, above: float = 0.0) -> float:
-    value = block.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not above < value < math.inf:
-        raise ConfigError(f"{where}.{key} must be a finite number > {above:g}, got {value!r}")
-    return float(value)
 
 
 def emit_config(cfg: dict) -> str:
     """Canonical serialization; parse(emit(parse(x))) == parse(x)."""
     return json.dumps(cfg, indent=2, sort_keys=True) + "\n"
-
-
-def _build_link(name: str):
-    if name == "logistic":
-        return logistic_link()
-    if name == "probit":
-        return probit_link()
-    raise ConfigError(f"unknown link {name!r}")
-
-
-def _config_errors(build):
-    """Report a block that cannot be constructed (missing key, wrong shape,
-    invalid value) as a :class:`ConfigError`."""
-
-    @functools.wraps(build)
-    def wrapped(block: dict):
-        try:
-            return build(block)
-        except ConfigError:
-            raise
-        except KeyError as exc:
-            raise ConfigError(f"{build.__name__}: missing key {exc}") from exc
-        except (TypeError, ValueError, ConstructionError, UnsupportedCovariateError) as exc:
-            raise ConfigError(f"{build.__name__}: {exc}") from exc
-
-    return wrapped
-
-
-_COEFFICIENT_KEYS = ("alpha", "beta", "gamma", "a", "A", "B", "Gamma", "persistence", "feedback")
-
-
-def _non_finite(value) -> bool:
-    """Whether a JSON number, or any number in nested lists, is NaN or infinite."""
-    if isinstance(value, list):
-        return any(_non_finite(v) for v in value)
-    return isinstance(value, float) and not math.isfinite(value)
-
-
-@_config_errors
-def build_model(block: dict):
-    for key in _COEFFICIENT_KEYS:
-        if _non_finite(block.get(key)):
-            raise ConfigError(f"model.{key} must hold finite numbers, got {block[key]!r}")
-    cls = block["class"]
-    if cls == "observation_driven_binary":
-        return ObservationDrivenBinarySpec(
-            alpha=block.get("alpha", [0.0]),
-            beta=block.get("beta", [0.0]),
-            gamma=block.get("gamma", [0.0]),
-            link=_build_link(block.get("link", "logistic")),
-        )
-    if cls == "binary_infinite_order":
-        return BinaryInfiniteOrderSpec(
-            a=block.get("a", [0.0]),
-            gamma=block.get("gamma", [0.0]),
-            link=_build_link(block.get("link", "logistic")),
-        )
-    if cls == "nonlinear_binary":
-        link = _build_link(block.get("link", "logistic"))
-        g, kappa = russell_damping(block.get("persistence", 0.5), block.get("feedback", 0.1), link)
-        if kappa >= 1.0:
-            raise ConfigError(f"nonlinear map is not contractive (factor {kappa})")
-        return NonlinearBinarySpec(
-            g=g, kappa=kappa, alpha=block.get("alpha", 0.0), gamma=block.get("gamma", [0.0]), link=link
-        )
-    if cls == "multinomial":
-        return MultinomialSpec(
-            A=[np.asarray(m, dtype=float) for m in block.get("A", [])],
-            B=[np.asarray(m, dtype=float) for m in block.get("B", [])],
-            Gamma=np.asarray(block["Gamma"], dtype=float),
-            n_categories=int(block["n_categories"]),
-        )
-    if cls == "discrete_choice":
-        return DiscreteChoiceSpec(
-            A=[np.asarray(m, dtype=float) for m in block.get("A", [])],
-            B=[np.asarray(m, dtype=float) for m in block.get("B", [])],
-            Gamma=np.asarray(block["Gamma"], dtype=float),
-            n_components=int(block["n_components"]),
-            noise=block.get("noise", "logistic"),
-        )
-    raise ConfigError(f"unknown model class {cls!r}")
-
-
-@_config_errors
-def build_covariates(block: dict):
-    kind = block["kind"]
-    if kind == "iid_normal":
-        return IIDCovariates(
-            kind="normal",
-            mean=block.get("mean", 0.0),
-            sd=block.get("sd", 1.0),
-            dim=block.get("dim", 1),
-        )
-    if kind == "iid_const":
-        return IIDCovariates(kind="const", mean=block.get("mean", 0.0), dim=block.get("dim", 1))
-    if kind == "ar1":
-        return AR1Covariates(rho=block["rho"], sd=block.get("sd", 1.0), dim=block.get("dim", 1))
-    if kind == "finite_markov":
-        return FiniteStateMarkovCovariates(
-            transition=tuple(tuple(row) for row in block["transition"]),
-            emission=tuple(tuple(np.atleast_1d(row)) for row in block["emission"]),
-        )
-    raise ConfigError(f"unknown covariate kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +271,17 @@ def write_atomic(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(cfg: dict, out_dir: str, seed: int, quiet: bool) -> int:
-    sim = cfg.get("simulate", {})
-    window = _int_field(sim, "window", 100, 1, "simulate")
-    eps = _real_field(sim, "eps", 1e-3, "simulate")
-    max_burnin = _int_field(sim, "max_burnin", 4096, 0, "simulate")
-    spec = build_model(cfg["model"])
-    cov = build_covariates(cfg.get("covariates", {"kind": "iid_const", "mean": 0.0}))
-    kernel = model_to_kernel(spec)
+def _model(conf: dict, command: str):
+    if conf["model"] is None:
+        raise ConfigError(f"{command} needs a model block")
+    return conf["model"]
+
+
+def cmd_simulate(conf: dict, quiet: bool) -> int:
+    sim, seed, out_dir = conf["simulate"], conf["seed"], conf["out"]
+    window, eps, max_burnin = sim["window"], float(sim["eps"]), sim["max_burnin"]
+    cov = conf["covariates"] or IIDCovariates(kind="const", mean=0.0)
+    kernel = model_to_kernel(_model(conf, "simulate"))
     x = sample_covariates(cov, window + max_burnin, SeededRng(seed, 1))
     path = sample_forward(kernel, x, window, eps, SeededRng(seed, 2))
     write_atomic(os.path.join(out_dir, "path.csv"), path_to_csv(path))
@@ -315,27 +301,25 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int, quiet: bool) -> int:
     return EXIT_OK
 
 
-def cmd_bounds(cfg: dict, out_dir: str, seed: int, quiet: bool) -> int:
-    blk = cfg.get("bounds", {})
-    horizon = _int_field(blk, "horizon", 64, 0, "bounds")
-    n_max = _int_field(blk, "n_max", 20, 1, "bounds")
-    if horizon and n_max > horizon:  # horizon 0 picks a default long enough for n_max
-        raise ConfigError(f"bounds.n_max ({n_max}) must not exceed bounds.horizon ({horizon})")
-    metric = blk.get("metric", "l1")
-    if metric not in ("l1", "discrete"):
-        raise ConfigError(f"bounds.metric must be 'l1' or 'discrete', got {metric!r}")
-    p_raw = blk.get("p_moment", "inf")
-    p_moment = math.inf if p_raw in ("inf", None) else _real_field(blk, "p_moment", None, "bounds", 1.0)
-    spec = build_model(cfg["model"])
-    cov = build_covariates(cfg.get("covariates", {"kind": "iid_normal"}))
+def cmd_bounds(conf: dict, quiet: bool) -> int:
+    blk, out_dir = conf["bounds"], conf["out"]
+    spec = _model(conf, "bounds")
+    cov = conf["covariates"] or IIDCovariates()
     try:
         kernel = model_to_kernel(spec)
         cert = certificate_for_model(
-            spec, cov, metric=metric, p_moment=p_moment, n_max=n_max, horizon=horizon, kernel=kernel
+            spec,
+            cov,
+            metric=blk["metric"],
+            p_moment=float(blk["p_moment"]),
+            n_max=blk["n_max"],
+            horizon=blk["horizon"],
+            kernel=kernel,
         )
     except (UnsupportedCovariateError, DivergenceError) as exc:
         print(f"bound assembly failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    horizon = cert.curve.horizon  # the working horizon, which bounds.horizon 0 leaves to the certificate
     b_head = DecaySeq(kernel.b.head(horizon + 1))
     write_atomic(os.path.join(out_dir, "b.csv"), b_head.to_csv())
     write_atomic(os.path.join(out_dir, "bstar.csv"), bstar_from_b(kernel.b, horizon).to_csv())
@@ -399,15 +383,11 @@ def _ladder_chunked(table_a, table_b, init_a, init_b, length, replicas, seed, st
     return mism, m1, m2
 
 
-def _verify_checks(cfg: dict, seed: int):
+def _verify_checks(vblk: dict, seed: int):
     """Yield (name, passed, detail) for the execution-time verification suite."""
     from .kernels import memory_state
 
-    vblk = cfg.get("verify", {})
-    replicas = _int_field(vblk, "replicas", 20000, 1, "verify")
-    length = _int_field(vblk, "length", 8, 2, "verify")
-    pairs = _int_field(vblk, "pairs", 3, 1, "verify")
-    sequences = _int_field(vblk, "sequences", 20, 1, "verify")
+    replicas, length, pairs, sequences = (vblk[k] for k in ("replicas", "length", "pairs", "sequences"))
 
     # reset-chain visit probabilities: two independent routes must agree
     gen = SeededRng(seed, 10).generator()
@@ -547,10 +527,10 @@ def _verify_checks(cfg: dict, seed: int):
     )
 
 
-def cmd_verify(cfg: dict, out_dir: str, seed: int, quiet: bool) -> int:
+def cmd_verify(conf: dict, quiet: bool) -> int:
     rows = []
     all_ok = True
-    for name, passed, detail in _verify_checks(cfg, seed):
+    for name, passed, detail in _verify_checks(conf["verify"], conf["seed"]):
         rows.append((name, "PASS" if passed else "FAIL", detail))
         all_ok = all_ok and passed
         if not quiet:
@@ -559,29 +539,26 @@ def cmd_verify(cfg: dict, out_dir: str, seed: int, quiet: bool) -> int:
     for name, status, detail in rows:
         safe = detail.replace(",", ";")
         lines.append(f"{name},{status},{safe}")
-    write_atomic(os.path.join(out_dir, "verify_report.csv"), "\n".join(lines) + "\n")
+    write_atomic(os.path.join(conf["out"], "verify_report.csv"), "\n".join(lines) + "\n")
     return EXIT_OK if all_ok else EXIT_FAILURE
 
 
-def cmd_fit(cfg: dict, out_dir: str, seed: int, quiet: bool, data_path: str | None) -> int:
-    blk = cfg.get("fit", {})
-    model_blk = cfg.get("model")
-    if model_blk is None or model_blk.get("class") != "observation_driven_binary":
+def cmd_fit(conf: dict, quiet: bool) -> int:
+    blk, seed, out_dir = conf["fit"], conf["seed"], conf["out"]
+    template = conf["model"]
+    if not isinstance(template, ObservationDrivenBinarySpec):
         print("fit requires an observation_driven_binary model block", file=sys.stderr)
         return EXIT_CONFIG
-    n = _int_field(blk, "n", 5000, 1, "fit")
-    warmup = None if blk.get("warmup") is None else _int_field(blk, "warmup", None, 0, "fit")
-    template = build_model(model_blk)
-    selftest = bool(blk.get("selftest", False))
+    n, selftest = blk["n"], blk["selftest"]
     if selftest:
-        cov = build_covariates(cfg.get("covariates", {"kind": "iid_normal"}))
+        cov = conf["covariates"] or IIDCovariates()
         kernel = model_to_kernel(template)
         x = sample_covariates(cov, n + 500, SeededRng(seed, 21))
         path = sample_forward(kernel, x, n, 1e-6, SeededRng(seed, 22))
         data = Dataset(y=path.y, x=path.x)
     else:
-        src = data_path or blk.get("data")
-        if not src:
+        src = blk["data"]
+        if src is None:
             print("fit needs --data PATH or fit.data in the config", file=sys.stderr)
             return EXIT_CONFIG
         try:
@@ -589,7 +566,7 @@ def cmd_fit(cfg: dict, out_dir: str, seed: int, quiet: bool, data_path: str | No
         except (OSError, ValueError) as exc:
             print(f"cannot read dataset: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-    fit_cfg = FitConfig(warmup=warmup)
+    fit_cfg = FitConfig(warmup=blk["warmup"])
     try:
         result = fit_mle(template, data, fit_cfg)
     except Exception as exc:  # noqa: BLE001 - surfaced as exit status
@@ -623,7 +600,7 @@ def cmd_fit(cfg: dict, out_dir: str, seed: int, quiet: bool, data_path: str | No
         summary.append(f"selftest max abs error: {err!r}")
         summary.append(f"selftest score at truth (per obs): {float(np.abs(grad).max()) / data.n!r}")
     write_atomic(os.path.join(out_dir, "fit_summary.txt"), "\n".join(summary) + "\n")
-    if bool(blk.get("semiparametric", False)):
+    if blk["semiparametric"]:
         sem = semiparametric_fit(data, template)
         rows = ["z,fhat"]
         rows += [f"{float(z)!r},{float(f)!r}" for z, f in zip(sem.grid, sem.fhat)]
@@ -638,7 +615,7 @@ def main(argv=None) -> int:
         prog="catchain",
         description="categorical time-series simulation, coupling bounds and fitting",
     )
-    parser.add_argument("command", choices=["simulate", "bounds", "verify", "fit"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="output directory")
@@ -647,23 +624,15 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    out_dir = args.out or cfg.get("out", "catchain-out")
-    if args.replicas is not None:
-        cfg.setdefault("verify", {})["replicas"] = args.replicas
-    os.makedirs(out_dir, exist_ok=True)
-    try:
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir, seed, args.quiet)
-        if args.command == "bounds":
-            return cmd_bounds(cfg, out_dir, seed, args.quiet)
-        if args.command == "verify":
-            return cmd_verify(cfg, out_dir, seed, args.quiet)
-        return cmd_fit(cfg, out_dir, seed, args.quiet, args.data)
+        cfg = _read_json(args.config)
+        if isinstance(cfg, dict):
+            for flag, field in FLAG_FIELDS.items():
+                if getattr(args, flag) is not None:
+                    _override(cfg, field, getattr(args, flag))
+            _make_out_dir(cfg.get("out", ROOT["out"].default))
+        conf = check_config(cfg)
+        # looked up on every call, so a wrapper installed on cmd_<command> sees it
+        return globals()[f"cmd_{args.command}"](conf, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -673,7 +642,6 @@ def main(argv=None) -> int:
     except HorizonError as exc:
         print(f"burn-in horizon error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-
 
 if __name__ == "__main__":
     sys.exit(main())

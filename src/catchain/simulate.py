@@ -87,6 +87,18 @@ def _check_gaussian_fields(dim, sd, mean=0.0) -> None:
         raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
 
 
+def _finite_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array, rejected by ``name`` when it is ragged,
+    not numeric or holds a NaN or an infinity."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UnsupportedCovariateError(f"{name} must be a rectangular array of numbers: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise UnsupportedCovariateError(f"{name} must hold finite numbers, got {value!r}")
+    return arr
+
+
 @dataclass(frozen=True)
 class IIDCovariates:
     """Independent draws; ``kind`` is ``"normal"`` or ``"const"``."""
@@ -181,7 +193,14 @@ class FiniteStateMarkovCovariates:
     emission: tuple
 
     def __post_init__(self):
-        P = self._P()
+        P = _finite_array(self.transition, "transition")
+        g = _finite_array(self.emission, "emission")
+        if P.ndim != 2 or P.shape[0] != P.shape[1]:
+            raise UnsupportedCovariateError(f"transition must be a square matrix, got shape {P.shape}")
+        if g.ndim not in (1, 2) or g.shape[0] != P.shape[0]:
+            raise UnsupportedCovariateError(
+                f"emission must have one row per state ({P.shape[0]}), got shape {g.shape}"
+            )
         if np.any(P < 0) or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-10:
             raise UnsupportedCovariateError("transition rows must be probabilities")
         if np.sum(np.abs(np.linalg.eigvals(P) - 1.0) < 1e-9) > 1:

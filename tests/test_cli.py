@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import catchain
+from catchain import cli
 from catchain.bounds import bstar_from_b, DecaySeq
 from catchain.cli import (
     EXIT_CONFIG,
@@ -20,6 +21,7 @@ from catchain.cli import (
     main,
     sidak_z,
 )
+from catchain.schema import REQUIRED, Check
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -457,3 +459,191 @@ def test_simulate_path_csv_feeds_fit(tmp_path):
     code = main(["fit", "--config", cfg_path, "--out", str(out), "--data", str(sim / "path.csv"), "--quiet"])
     assert code == EXIT_OK
     assert "n: 1500" in (out / "fit_summary.txt").read_text()
+
+
+def test_bounds_horizon_zero_writes_the_certificate_working_horizon(tmp_path):
+    # horizon 0 leaves the working horizon to the certificate: max(4 * n_max, 64) = 80 at n_max 20
+    outputs = []
+    for horizon in (0, 80):
+        cfg = base_config()
+        cfg["bounds"] = {"horizon": horizon, "n_max": 20, "metric": "l1"}
+        out = tmp_path / f"h{horizon}"
+        assert main(["bounds", "--config", write_config(tmp_path, cfg), "--out", str(out), "--quiet"]) == EXIT_OK
+        outputs.append({f: (out / f).read_bytes() for f in ("b.csv", "bstar.csv", "dependence_bound.csv", "certificate.txt")})
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]["b.csv"].splitlines()) == 82  # header and m = 0..80
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+def test_command_without_model_block_is_config_error(tmp_path, capsys, command):
+    cfg = base_config()
+    del cfg["model"]
+    out = tmp_path / "nm"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert "model block" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+# -- the config schema, walked field by field --------------------------------------------
+
+# one valid block per model class and covariate kind; the malformed values go into these
+VALID_MODELS = {
+    "observation_driven_binary": {"alpha": [0.4], "beta": [0.5], "gamma": [0.3]},
+    "binary_infinite_order": {"a": [0.5, 0.2], "gamma": [0.3]},
+    "nonlinear_binary": {"persistence": 0.5, "feedback": 0.1, "alpha": 0.4, "gamma": [0.3]},
+    "multinomial": {"A": [[[0.3, 0.1], [0.1, 0.3]]], "B": [], "Gamma": [[0.2], [0.1]], "n_categories": 3},
+    "discrete_choice": {"A": [], "B": [[[0.3, 0.0], [0.0, 0.3]]], "Gamma": [[0.2], [0.1]], "n_components": 2},
+}
+VALID_COVARIATES = {
+    "iid_normal": {"mean": 0.0, "sd": 1.0},
+    "iid_const": {"mean": 0.5},
+    "ar1": {"rho": 0.5},
+    "finite_markov": {"transition": [[0.8, 0.2], [0.3, 0.7]], "emission": [[0.0], [1.0]]},
+}
+# the fields where JSON null stands for the default, as the README documents
+NULLABLE = {"bounds.p_moment", "fit.warmup", "fit.data"}
+
+
+def _nest(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# per check kind, values that check must refuse (null is added for every field that is not nullable)
+MALFORMED = {
+    "integer": lambda m: ["7", True, [[m]], m - 1, m + 0.9, float(m), math.nan],
+    "real": lambda arg: ["x", True, [[1.5]], math.nan, math.inf, -math.inf]
+    + ([] if arg[0] == -math.inf else [arg[0] - 1.0] + ([] if arg[1] else [arg[0]])),
+    "boolean": lambda _: ["false", "no", 0, 1, [[True]]],
+    "one_of": lambda choices: ["no-such-choice", choices[0].upper(), True, 1.0, [[choices[0]]]],
+    "array": lambda depth: ["x", True, _nest(0.5, depth + 1), _nest(math.nan, depth), _nest(math.inf, depth)]
+    + ([[[0.5], [0.5, 0.5]]] if depth >= 2 else [[0.5, "x"]]),
+    "path": lambda _: [5, True, "", [["p"]]],
+}
+
+
+def _schema_fields():
+    """(block, class or kind, key, field) for every leaf field of the schema."""
+    for key, field in cli.ROOT.items():
+        if isinstance(field.check, Check):
+            yield None, None, key, field
+    for block, fields in cli.COMMANDS.items():
+        for key, field in fields.items():
+            yield block, None, key, field
+    for block, table in (("model", cli.MODELS), ("covariates", cli.COVARIATES)):
+        for entry, (_, fields) in table.items():
+            for key, field in fields.items():
+                yield block, entry, key, field
+
+
+def _config_with(tmp_path, block, entry, key, value=..., drop=False):
+    cfg = base_config()
+    cfg["out"] = str(tmp_path / "out")
+    cfg["fit"] = {"selftest": True, "n": 200}
+    if block == "model":
+        cfg["model"] = {"class": entry, **VALID_MODELS[entry]}
+    elif block == "covariates":
+        cfg["covariates"] = {"kind": entry, **VALID_COVARIATES[entry]}
+    holder = cfg if block is None else cfg.setdefault(block, {})
+    if drop:
+        holder.pop(key, None)
+    else:
+        holder[key] = value
+    return cfg
+
+
+def _assert_config_error(tmp_path, capsys, cfg, name):
+    path = write_config(tmp_path, cfg)
+    for command in cli.COMMANDS:
+        code = main([command, "--config", path, "--quiet"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, (command, name, cfg)
+        assert name in err and "Traceback" not in err, (command, name, err)
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir()), (command, name)
+    assert not (tmp_path / "catchain-out").exists()
+
+
+def test_valid_examples_cover_every_model_class_and_covariate_kind(tmp_path):
+    assert set(VALID_MODELS) == set(cli.MODELS)
+    assert set(VALID_COVARIATES) == set(cli.COVARIATES)
+    for entry in cli.MODELS:
+        load_config(write_config(tmp_path, _config_with(tmp_path, "model", entry, "class", entry)))
+    for entry in cli.COVARIATES:
+        load_config(write_config(tmp_path, _config_with(tmp_path, "covariates", entry, "kind", entry)))
+
+
+def test_null_is_accepted_only_where_documented():
+    nullable = {f"{block}.{key}" for block, _, key, field in _schema_fields() if field.nullable}
+    assert nullable == NULLABLE
+
+
+@pytest.mark.parametrize(
+    "block,entry,key,field",
+    list(_schema_fields()),
+    ids=[".".join(p for p in (b, e, k) if p) for b, e, k, _ in _schema_fields()],
+)
+def test_every_malformed_field_is_config_error_naming_it(tmp_path, capsys, monkeypatch, block, entry, key, field):
+    monkeypatch.chdir(tmp_path)  # a config that wrongly passes would write catchain-out here
+    name = f"{block}.{key}" if block else key
+    values = MALFORMED[field.check.kind](field.check.arg) + ([] if field.nullable else [None])
+    for value in values:
+        _assert_config_error(tmp_path, capsys, _config_with(tmp_path, block, entry, key, value), name)
+    if field.default is REQUIRED:
+        _assert_config_error(tmp_path, capsys, _config_with(tmp_path, block, entry, key, drop=True), name)
+
+
+@pytest.mark.parametrize("block,key", [("model", "class"), ("covariates", "kind")])
+@pytest.mark.parametrize("value", [None, "no-such-entry", 3, True, ["observation_driven_binary"], ["iid_normal"]])
+def test_malformed_class_or_kind_is_config_error_naming_it(tmp_path, capsys, monkeypatch, block, key, value):
+    monkeypatch.chdir(tmp_path)
+    cfg = base_config()
+    cfg["out"] = str(tmp_path / "out")
+    cfg[block][key] = value
+    _assert_config_error(tmp_path, capsys, cfg, f"{block}.{key}")
+
+
+@pytest.mark.parametrize(
+    "model,covariates",
+    [
+        (None, {"kind": "iid_normal", "dim": 2}),
+        (None, {"kind": "ar1", "rho": 0.5, "dim": 2}),
+        (None, {"kind": "finite_markov", "transition": [[0.9, 0.1], [0.2, 0.8]], "emission": [[0, 1], [1, 0]]}),
+        ({"class": "observation_driven_binary", "alpha": [0.4], "beta": [0.5], "gamma": []}, None),
+        ({"class": "multinomial", "A": [], "B": [], "Gamma": [[0.2, 0.1], [0.1, 0.1]], "n_categories": 3}, None),
+    ],
+    ids=["iid-dim-2", "ar1-dim-2", "markov-2d-emission", "no-loading", "two-column-Gamma"],
+)
+def test_covariate_dimension_must_match_the_model_loading(tmp_path, capsys, model, covariates):
+    # simulate used to end in a matmul traceback and bounds to certify the mismatched pair
+    cfg = base_config()
+    cfg["model"] = model or cfg["model"]
+    cfg["covariates"] = covariates or cfg["covariates"]
+    for command in ("simulate", "bounds", "verify"):
+        out = tmp_path / command
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert "covariates give x of dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,name",
+    [
+        (["--seed", "-1"], "seed"),
+        (["--replicas", "0"], "verify.replicas"),
+        (["--data", ""], "fit.data"),
+        (["--out", ""], "out"),
+        (["--out", "{file}"], "out directory"),
+    ],
+)
+def test_flag_overrides_are_checked_like_the_fields_they_set(tmp_path, capsys, monkeypatch, flags, name):
+    # --seed -1 used to end every command in a SeedSequence traceback
+    monkeypatch.chdir(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = write_config(tmp_path, base_config())
+    for command in cli.COMMANDS:
+        argv = [command, "--config", path, "--quiet"] + [f.format(file=taken) for f in flags]
+        assert main(argv) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["cfg.json", "taken"]

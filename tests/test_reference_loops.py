@@ -19,12 +19,13 @@ mesh, all kept here.
 
 import csv
 import io
+import itertools
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, ndtr
 
@@ -753,11 +754,11 @@ def _reference_head(seq, n):
     rate=st.floats(1e-6, 0.99, exclude_max=True),
     extra=st.integers(0, 300),
 )
+@example(vals=np.array([0.625]), rate=0.75, extra=0)  # rounds up to 5e-324 past the closed-form step
 def test_geometric_head_matches_reference_past_underflow(vals, rate, extra):
     seq = DecaySeq(vals, tail=GeometricTail(rate))
-    # the tail reaches 0.0 once last * rate**k drops below 2**-1075
-    last = max(float(vals[-1]), 5e-324)
-    n = len(seq) + int((math.log(last) + 1075 * math.log(2)) / -math.log(rate)) + 2 + extra
+    # run past the first exact 0.0 of the tail, element by element as _reference_head computes it
+    n = next(m for m in itertools.count(len(seq)) if seq.tail.value(seq, m) == 0.0) + 1 + extra
     got = seq.head(n)
     assert got.tobytes() == _reference_head(seq, n).tobytes()
     assert got[-1] == 0.0

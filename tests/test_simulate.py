@@ -358,3 +358,28 @@ def test_covariate_chain_without_unique_invariant_law_is_rejected():
             transition=((0.5, 0.5, 0.0), (0.5, 0.5, 0.0), (0.0, 0.0, 1.0)),
             emission=((0.0,), (1.0,), (2.0,)),
         )
+
+
+@pytest.mark.parametrize(
+    "transition,emission,field",
+    [
+        (((1.0,),), ((0.0,), (1.0,)), "emission"),
+        (((0.9, 0.1), (0.2, 0.8)), ((0.0,),), "emission"),
+        (((0.9, 0.1), (0.2, 0.8)), ((0.0,), (math.nan,)), "emission"),
+        (((0.9, 0.1),), ((0.0,),), "transition"),
+        ((1.0,), ((0.0,),), "transition"),
+        (((0.9, math.inf), (0.2, 0.8)), ((0.0,), (1.0,)), "transition"),
+        (((0.9, 0.1), (0.2,)), ((0.0,), (1.0,)), "transition"),
+        (((0.9, "x"), (0.2, 0.8)), ((0.0,), (1.0,)), "transition"),
+    ],
+    ids=["one-state-two-rows", "two-states-one-row", "nan-emission", "non-square", "flat", "inf", "ragged", "text"],
+)
+def test_covariate_chain_rejects_malformed_matrices_by_name(transition, emission, field):
+    # a 1x1 transition next to two emission rows used to end `bounds` in a matmul error
+    with pytest.raises(UnsupportedCovariateError, match=field):
+        FiniteStateMarkovCovariates(transition=transition, emission=emission)
+
+
+def test_covariate_chain_accepts_one_number_per_state_as_emission():
+    model = FiniteStateMarkovCovariates(transition=((0.9, 0.1), (0.2, 0.8)), emission=(0.0, 1.0))
+    assert model.dim == 1 and model.n_states == 2
