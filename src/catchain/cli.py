@@ -59,15 +59,6 @@ EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
 
-def thread_cap() -> int:
-    """Parallelism ceiling from CATCHAIN_THREADS (computation is replica
-    chunked; 1 disables any worker pools)."""
-    try:
-        return max(1, int(os.environ.get("CATCHAIN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # config schema
 # ---------------------------------------------------------------------------
@@ -277,11 +268,18 @@ def _model(conf: dict, command: str):
     return conf["model"]
 
 
+def _covariates(conf: dict, model, **default):
+    """The covariates block, or else the command's default iid process in the
+    model's covariate dimension (at least 1)."""
+    return conf["covariates"] or IIDCovariates(dim=max(model.covariate_dim, 1), **default)
+
+
 def cmd_simulate(conf: dict, quiet: bool) -> int:
     sim, seed, out_dir = conf["simulate"], conf["seed"], conf["out"]
     window, eps, max_burnin = sim["window"], float(sim["eps"]), sim["max_burnin"]
-    cov = conf["covariates"] or IIDCovariates(kind="const", mean=0.0)
-    kernel = model_to_kernel(_model(conf, "simulate"))
+    model = _model(conf, "simulate")
+    cov = _covariates(conf, model, kind="const")
+    kernel = model_to_kernel(model)
     x = sample_covariates(cov, window + max_burnin, SeededRng(seed, 1))
     path = sample_forward(kernel, x, window, eps, SeededRng(seed, 2))
     write_atomic(os.path.join(out_dir, "path.csv"), path_to_csv(path))
@@ -304,7 +302,7 @@ def cmd_simulate(conf: dict, quiet: bool) -> int:
 def cmd_bounds(conf: dict, quiet: bool) -> int:
     blk, out_dir = conf["bounds"], conf["out"]
     spec = _model(conf, "bounds")
-    cov = conf["covariates"] or IIDCovariates()
+    cov = _covariates(conf, spec)
     try:
         kernel = model_to_kernel(spec)
         cert = certificate_for_model(
@@ -340,47 +338,6 @@ def sidak_z(family_rate: float, n_tests: int, sides: int) -> float:
     1967, JASA 62)."""
     per_test = -math.expm1(math.log1p(-family_rate) / n_tests)
     return float(-ndtri(per_test / sides))
-
-
-def _ladder_chunked(table_a, table_b, init_a, init_b, length, replicas, seed, stream_base):
-    """Ladder Monte Carlo in fixed chunks, optionally thread-parallel.
-
-    Chunking is fixed so the merged counts are identical for every value of
-    CATCHAIN_THREADS (integer count addition commutes).
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    n_chunks = 8
-    sizes = [replicas // n_chunks] * n_chunks
-    sizes[-1] += replicas - sum(sizes)
-
-    def run(chunk_idx):
-        y1, y2 = coupled_ladder_mc(
-            table_a,
-            table_b,
-            init_a,
-            init_b,
-            2,
-            2,
-            length,
-            sizes[chunk_idx],
-            SeededRng(seed, stream_base + chunk_idx),
-        )
-        mism = (y1 != y2).sum(axis=1)
-        m1 = np.stack([(y1 == c).sum(axis=1) for c in range(2)], axis=1)
-        m2 = np.stack([(y2 == c).sum(axis=1) for c in range(2)], axis=1)
-        return mism, m1, m2
-
-    workers = min(thread_cap(), n_chunks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(n_chunks)))
-    else:
-        parts = [run(i) for i in range(n_chunks)]
-    mism = sum(p[0] for p in parts)
-    m1 = sum(p[1] for p in parts)
-    m2 = sum(p[2] for p in parts)
-    return mism, m1, m2
 
 
 def _verify_checks(vblk: dict, seed: int):
@@ -442,9 +399,17 @@ def _verify_checks(vblk: dict, seed: int):
         table_a = 0.7 * raw + 0.3 / 2
         table_b = np.clip(table_a + gen.uniform(-0.04, 0.04, size=table_a.shape), 0.05, None)
         table_b = table_b / table_b.sum(axis=1, keepdims=True)
-        mism_ct, marg1, marg2 = _ladder_chunked(
-            table_a, table_b, 0, 3, length, replicas, seed, 100 + 16 * i
-        )
+        # eight fixed chunks, each on its own stream, merged by integer counts
+        sizes = [replicas // 8] * 8
+        sizes[-1] += replicas - sum(sizes)
+        mism_ct = marg1 = marg2 = 0
+        for chunk, size in enumerate(sizes):
+            y1, y2 = coupled_ladder_mc(
+                table_a, table_b, 0, 3, 2, 2, length, size, SeededRng(seed, 100 + 16 * i + chunk)
+            )
+            mism_ct = mism_ct + (y1 != y2).sum(axis=1)
+            marg1 = marg1 + (y1[..., None] == np.arange(2)).sum(axis=1)
+            marg2 = marg2 + (y2[..., None] == np.arange(2)).sum(axis=1)
         delta = float(0.5 * np.abs(table_a - table_b).sum(axis=1).max())
         b_hi = np.maximum(
             b_exact_from_table(table_a, 2, 2).values, b_exact_from_table(table_b, 2, 2).values
@@ -551,7 +516,7 @@ def cmd_fit(conf: dict, quiet: bool) -> int:
         return EXIT_CONFIG
     n, selftest = blk["n"], blk["selftest"]
     if selftest:
-        cov = conf["covariates"] or IIDCovariates()
+        cov = _covariates(conf, template)
         kernel = model_to_kernel(template)
         x = sample_covariates(cov, n + 500, SeededRng(seed, 21))
         path = sample_forward(kernel, x, n, 1e-6, SeededRng(seed, 22))

@@ -259,6 +259,14 @@ class _BinaryLink:
         return int(1.0 - float(self.link.cdf(lam)) < u)
 
 
+def _finite_forcing(bound: float) -> float:
+    """``bound``, the largest change of the forcing that the category lags
+    can make, rejected when the coefficients overflow it."""
+    if not math.isfinite(bound):
+        raise ConstructionError(f"category forcing bound {bound} is not finite: a lag coefficient overflows it")
+    return bound
+
+
 class _LatentRecursion:
     """Linear latent recursion ``lam_t = sum_k A_k v(y_{t-k}) + Gamma x_t +
     sum_j B_j lam_{t-j}`` and the kernel certified from its contraction."""
@@ -435,11 +443,12 @@ class _LatentRecursion:
 
     def kernel_parts(self, max_lag_y, max_lag_x) -> dict:
         """Kernel fields from the contraction of the latent recursion."""
-        cc = self.contraction()
-        s_a, prefac, rate = self.envelope(cc)
+        with np.errstate(over="ignore"):  # an overflowing forcing bound is rejected by name
+            cc = self.contraction()
+            s_a, prefac, rate = self.envelope(cc)
+            d_max = _finite_forcing(self.category_forcing_bound() * s_a)
         p, q = self.lag_counts
         tv_lip = self.tv_lipschitz
-        d_max = self.category_forcing_bound() * s_a
         b0 = certify_b0(self.b0_profile, d_max)
         e_scale = tv_lip * float(np.abs(self.Gamma).max(initial=0.0)) * prefac
         cap = min(b0, tv_lip * d_max)
@@ -520,7 +529,9 @@ class BinaryInfiniteOrderSpec(_BinaryLink):
     def kernel_parts(self, max_lag_y, max_lag_x) -> dict:
         """Kernel fields from the tail sums of the lag coefficients."""
         abs_a = self.abs_coeff_seq()
-        b0 = certify_b0(self.b0_profile, abs_a.total())
+        with np.errstate(over="ignore"):  # an overflowing bound is rejected by name
+            total = _finite_forcing(abs_a.total())
+        b0 = certify_b0(self.b0_profile, total)
         L_F = self.tv_lipschitz
         horizon = max(ENV_HORIZON, abs_a.values.size + 1)
         # |a_j| sits at index j-1, so the mass beyond lag m starts at index m

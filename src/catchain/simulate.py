@@ -24,7 +24,15 @@ import numpy as np
 from scipy.special import gamma, hyp1f1
 
 from .bounds import DecaySeq, DivergenceError, GeometricTail, bstar_from_b
-from .kernels import KernelHandle, memory_step, state_code, successor_code, transition_table
+from .kernels import (
+    ENUM_STATE_LIMIT,
+    KernelHandle,
+    UnsupportedKernelError,
+    memory_step,
+    state_code,
+    successor_code,
+    transition_table,
+)
 from .prob import as_generator
 
 __all__ = [
@@ -109,15 +117,15 @@ class IIDCovariates:
     dim: int = 1
 
     def __post_init__(self):
+        if self.kind not in ("normal", "const"):
+            raise ValueError(f"kind must be 'normal' or 'const', got {self.kind!r}")
         _check_gaussian_fields(self.dim, self.sd, self.mean)
 
     def sample(self, length: int, rng) -> np.ndarray:
         gen = as_generator(rng)
         if self.kind == "const":
             return np.full((length, self.dim), self.mean)
-        if self.kind == "normal":
-            return self.mean + self.sd * gen.normal(size=(length, self.dim))
-        raise UnsupportedCovariateError(f"unknown iid kind {self.kind!r}")
+        return self.mean + self.sd * gen.normal(size=(length, self.dim))
 
     def exp_abs(self) -> float:
         if self.kind == "const":
@@ -499,26 +507,42 @@ def coupled_ladder_mc(
     ``table_a``/``table_b`` map memory-state codes to next-category laws and
     are held fixed over time (no-covariate or frozen-covariate case).
     Returns ``(y1, y2)`` as ``(length, replicas)`` integer arrays.
+
+    The maximal-coupling rows of the three table pairs, ``(b, b)`` before
+    the swap time, ``(a, b)`` at it and ``(a, a)`` after it, are built once:
+    the first law, the overlap ``min(p, q)``, the residual cumsum and the
+    residual mass (1.0 where the residual is empty), one row per
+    ``prev_code * C + cur_code`` with ``C = n_categories**memory``.  Each
+    step gathers from them.
     """
+    n, mem = n_categories, memory
+    n_codes = n**mem
+    if n_codes * n_codes > ENUM_STATE_LIMIT:
+        raise UnsupportedKernelError(f"{n_codes}^2 code pairs exceed the enumeration limit")
     gen = as_generator(rng)
     R = replicas
-    n, mem = n_categories, memory
 
-    def simulate_plain(table, code0):
-        codes = np.full(R, code0, dtype=np.int64)
-        ys = np.empty((length + 1, R), dtype=np.int64)
-        cds = np.empty((length + 1, R), dtype=np.int64)
-        cds[0] = codes
-        for t in range(1, length + 1):
-            rows = table[codes]
-            u = gen.random(R)
-            # a rounded last cumulative sum can fall below u; the draw stays in the alphabet
-            ys[t] = np.minimum((rows.cumsum(axis=1) < u[:, None]).sum(axis=1), n - 1)
-            codes = successor_code(codes, ys[t], n, mem)
-            cds[t] = codes
-        return ys, cds
+    def coupling_rows(tp, tq):
+        p = np.repeat(tp, n_codes, axis=0)  # row prev * C + cur holds tp[prev]
+        q = np.tile(tq, (n_codes, 1))  # and tq[cur]
+        overlap = np.minimum(p, q)
+        resid = np.clip(q - overlap, 0.0, None)
+        mass = resid.sum(axis=1)
+        return p.ravel(), overlap.ravel(), resid.cumsum(axis=1), np.where(mass > 0, mass, 1.0)
 
-    prev_y, prev_c = simulate_plain(table_a, code_a0)
+    # indexed by 1 + sign(t - j): before, at and after the swap time j
+    pairs = [coupling_rows(table_b, table_b), coupling_rows(table_a, table_b), coupling_rows(table_a, table_a)]
+
+    # the first rung: the plain table_a chain
+    cum_a = table_a.cumsum(axis=1)
+    prev_y = np.empty((length + 1, R), dtype=np.int64)
+    prev_c = np.empty((length + 1, R), dtype=np.int64)
+    prev_c[0] = code_a0
+    for t in range(1, length + 1):
+        u = gen.random(R)
+        # a rounded last cumulative sum can fall below u; the draw stays in the alphabet
+        prev_y[t] = np.minimum((cum_a[prev_c[t - 1]] < u[:, None]).sum(axis=1), n - 1)
+        prev_c[t] = successor_code(prev_c[t - 1], prev_y[t], n, mem)
     y1 = prev_y[1:].copy()
 
     diag = np.zeros((length + 1, R), dtype=np.int64)
@@ -527,21 +551,17 @@ def coupled_ladder_mc(
         cur_c = np.empty((length + 1, R), dtype=np.int64)
         cur_c[0] = code_b0
         for t in range(1, length + 1):
-            tp = table_b if t <= j - 1 else table_a
-            tq = table_b if t <= j else table_a
-            p = tp[prev_c[t - 1]]
-            q = tq[cur_c[t - 1]]
+            p, overlap, resid_cum, mass = pairs[(t > j) - (t < j) + 1]
             u = prev_y[t]
-            pu = np.take_along_axis(p, u[:, None], axis=1)[:, 0]
-            qu = np.take_along_axis(q, u[:, None], axis=1)[:, 0]
-            overlap = np.minimum(pu, qu)
-            stay = gen.random(R) * pu < overlap
-            resid = np.clip(q - np.minimum(p, q), 0.0, None)
-            mass = resid.sum(axis=1)
-            safe = np.where(mass > 0, mass, 1.0)
-            draw = gen.random(R) * safe
-            v_res = (resid.cumsum(axis=1) < draw[:, None]).sum(axis=1)
-            v = np.where(stay, u, np.minimum(v_res, n - 1))
+            pair = prev_c[t - 1] * n_codes + cur_c[t - 1]
+            at_u = pair * n + u
+            stay = gen.random(R) * p[at_u] < overlap[at_u]
+            draw = gen.random(R)
+            v = u.copy()
+            move = np.flatnonzero(~stay)
+            if move.size:  # none on most steps of close tables
+                rows = pair[move]
+                v[move] = np.minimum((resid_cum[rows] < (draw[move] * mass[rows])[:, None]).sum(axis=1), n - 1)
             cur_y[t] = v
             cur_c[t] = successor_code(cur_c[t - 1], v, n, mem)
         if j >= 1:

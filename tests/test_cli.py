@@ -289,6 +289,43 @@ def test_uncertifiable_sensitivity_fails_with_status_one(tmp_path, command):
 
 
 @pytest.mark.parametrize(
+    "model",
+    [
+        {"class": "observation_driven_binary", "alpha": [1e308], "beta": [0.5], "gamma": [0.3]},
+        {"class": "observation_driven_binary", "alpha": [1e308, 1e308], "beta": [0.0], "gamma": [0.3]},
+        {"class": "binary_infinite_order", "a": [1e308, 1e308], "gamma": [0.3]},
+    ],
+    ids=["latent-scaled", "latent-sum", "infinite-order"],
+)
+def test_overflowing_coefficient_fails_with_status_one(tmp_path, capsys, model):
+    # the forcing bound overflowed to inf and ended in a ValueError traceback from certify_b0
+    cfg = base_config()
+    cfg["model"] = model
+    cfg["fit"] = {"selftest": True, "n": 200}
+    cfg_path = write_config(tmp_path, cfg)
+    commands = ["simulate", "bounds", "fit"] if model["class"] == "observation_driven_binary" else ["simulate", "bounds"]
+    for command in commands:
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / command), "--quiet"]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert "category forcing bound inf is not finite" in err and "Traceback" not in err
+
+
+def test_default_covariates_take_the_model_dimension(tmp_path):
+    # without a covariates block, simulate ended in a matmul traceback and
+    # bounds certified dimension-1 covariates for a model that loads two
+    cfg = base_config()
+    cfg["model"]["gamma"] = [0.3, 0.2]
+    del cfg["covariates"]
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "s"), "--quiet"]) == EXIT_OK
+    rows = (tmp_path / "s" / "path.csv").read_text().splitlines()
+    assert rows[0] == "t,y,x_1,x_2,lambda_1" and rows[1].split(",")[2:4] == ["0.0", "0.0"]
+    assert main(["bounds", "--config", cfg_path, "--out", str(tmp_path / "b"), "--quiet"]) == EXIT_OK
+    summary = (tmp_path / "b" / "certificate.txt").read_text()
+    assert f"exp_abs_x0: {2 * math.sqrt(2 / math.pi)!r}" in summary
+
+
+@pytest.mark.parametrize(
     "block,patch",
     [
         ("model", {"class": "multinomial", "A": [], "B": [], "n_categories": 3}),

@@ -14,7 +14,9 @@ writer those of the row-by-row ``csv.writer``, ``DecaySeq.head`` those of
 the per-element tail loop and ``bstar_sum_bracket`` those of the
 full-length first-return loop, and the blocked per-axis b0 sweeps of the
 multinomial and discrete-choice profiles the floats of the whole stacked
-mesh, all kept here.
+mesh, and the glued ladder built from per-pair coupling rows the paths of
+the per-step ladder that gathers and recomputes them at every step, all
+kept here.
 """
 
 import csv
@@ -63,12 +65,14 @@ from catchain.models import (
     russell_damping,
 )
 from catchain.prob import SeededRng, as_generator
+from test_simulate import _TopDraws
 from catchain.simulate import (
     CSV_BLOCK,
     FiniteStateMarkovCovariates,
     SamplePath,
     _coupled_step,
     _required_burnin,
+    coupled_ladder_mc,
     exact_marginal_laws,
     glued_coupling,
     path_to_csv,
@@ -940,3 +944,104 @@ def test_blocked_b0_sweep_matches_full_mesh(family, dims, c, link, step, boundar
 def test_blocked_b0_sweep_matches_full_mesh_on_default_grid(family, dims, c):
     # the c values model-zoo's two kernels and verify's b0 row certify
     _assert_sweep_matches_reference(family, dims, c, GridSpec())
+
+
+# -- glued ladder Monte Carlo ----------------------------------------------------------
+
+
+def _reference_coupled_ladder_mc(table_a, table_b, code_a0, code_b0, n_categories, memory, length, replicas, rng):
+    # the per-step ladder: gathers both laws per replica and recomputes the
+    # overlap, the residual, its mass and its cumsum at every step
+    gen = as_generator(rng)
+    R = replicas
+    n, mem = n_categories, memory
+
+    def simulate_plain(table, code0):
+        codes = np.full(R, code0, dtype=np.int64)
+        ys = np.empty((length + 1, R), dtype=np.int64)
+        cds = np.empty((length + 1, R), dtype=np.int64)
+        cds[0] = codes
+        for t in range(1, length + 1):
+            rows = table[codes]
+            u = gen.random(R)
+            ys[t] = np.minimum((rows.cumsum(axis=1) < u[:, None]).sum(axis=1), n - 1)
+            codes = successor_code(codes, ys[t], n, mem)
+            cds[t] = codes
+        return ys, cds
+
+    prev_y, prev_c = simulate_plain(table_a, code_a0)
+    y1 = prev_y[1:].copy()
+
+    diag = np.zeros((length + 1, R), dtype=np.int64)
+    for j in range(0, length + 1):
+        cur_y = np.empty((length + 1, R), dtype=np.int64)
+        cur_c = np.empty((length + 1, R), dtype=np.int64)
+        cur_c[0] = code_b0
+        for t in range(1, length + 1):
+            tp = table_b if t <= j - 1 else table_a
+            tq = table_b if t <= j else table_a
+            p = tp[prev_c[t - 1]]
+            q = tq[cur_c[t - 1]]
+            u = prev_y[t]
+            pu = np.take_along_axis(p, u[:, None], axis=1)[:, 0]
+            qu = np.take_along_axis(q, u[:, None], axis=1)[:, 0]
+            overlap = np.minimum(pu, qu)
+            stay = gen.random(R) * pu < overlap
+            resid = np.clip(q - np.minimum(p, q), 0.0, None)
+            mass = resid.sum(axis=1)
+            safe = np.where(mass > 0, mass, 1.0)
+            draw = gen.random(R) * safe
+            v_res = (resid.cumsum(axis=1) < draw[:, None]).sum(axis=1)
+            v = np.where(stay, u, np.minimum(v_res, n - 1))
+            cur_y[t] = v
+            cur_c[t] = successor_code(cur_c[t - 1], v, n, mem)
+        if j >= 1:
+            diag[j] = cur_y[j]
+        prev_y, prev_c = cur_y, cur_c
+    return y1, diag[1:]
+
+
+@st.composite
+def _ladder_tables(draw, n, mem):
+    # rows of weights in which about a third of the entries are exactly zero
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    rows = draw(st.lists(st.lists(weight, min_size=n, max_size=n), min_size=n**mem, max_size=n**mem))
+    table = np.array(rows)
+    table[table.sum(axis=1) == 0, draw(st.integers(0, n - 1))] = 1.0
+    return table / table.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def _ladder_cases(draw):
+    n, mem = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    table_a = draw(_ladder_tables(n, mem))
+    table_b = table_a if draw(st.booleans()) else draw(_ladder_tables(n, mem))
+    codes = st.integers(0, n**mem - 1)
+    return table_a, table_b, draw(codes), draw(codes), n, mem, draw(st.integers(1, 8)), draw(st.integers(1, 64))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_ladder_cases(), seed=st.integers(0, 2**32 - 1), top=st.booleans())
+def test_coupling_row_ladder_matches_per_step_reference(case, seed, top):
+    def rng():
+        return _TopDraws(np.random.PCG64(0)) if top else np.random.default_rng(seed)
+
+    got = coupled_ladder_mc(*case, rng())
+    want = _reference_coupled_ladder_mc(*case, rng())
+    assert got[0].shape == want[0].shape == got[1].shape
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_coupling_row_ladder_matches_per_step_reference_on_verify_fixtures(seed):
+    # the glued_coupling_mc row's table pairs, past and chunk streams
+    gen = SeededRng(seed, 12).generator()
+    for i in range(3):
+        table_a = 0.7 * gen.dirichlet(np.ones(2), size=4) + 0.3 / 2
+        table_b = np.clip(table_a + gen.uniform(-0.04, 0.04, size=table_a.shape), 0.05, None)
+        table_b = table_b / table_b.sum(axis=1, keepdims=True)
+        for chunk in (0, 7):
+            args = (table_a, table_b, 0, 3, 2, 2, 8, 2000)
+            got = coupled_ladder_mc(*args, SeededRng(seed, 100 + 16 * i + chunk))
+            want = _reference_coupled_ladder_mc(*args, SeededRng(seed, 100 + 16 * i + chunk))
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from catchain.bounds import bstar_from_b
-from catchain.kernels import memory_state, table_kernel
+from catchain.kernels import UnsupportedKernelError, memory_state, table_kernel
 from catchain.models import (
     BinaryInfiniteOrderSpec,
     ObservationDrivenBinarySpec,
@@ -158,6 +158,13 @@ def test_ladder_draw_at_top_of_unit_interval_stays_in_alphabet():
     table = np.array([row] * 3)
     y1, y2 = coupled_ladder_mc(table, table, 0, 0, 3, 1, 4, 5, _TopDraws(np.random.PCG64(0)))
     assert y1.max() == 2 and y2.max() == 2
+
+
+def test_ladder_past_the_enumeration_limit_is_unsupported():
+    # 2**11 memory states give 2**22 coupling rows per table pair
+    table = np.full((2**11, 2), 0.5)
+    with pytest.raises(UnsupportedKernelError):
+        coupled_ladder_mc(table, table, 0, 0, 2, 11, 2, 4, SeededRng(0))
 
 
 def test_single_draw_glued_coupling_matches_ladder_statistics():
@@ -327,6 +334,7 @@ def test_gaussian_norm_p_is_the_absolute_moment(p):
         lambda: IIDCovariates(dim=0),
         lambda: IIDCovariates(dim=1.5),
         lambda: IIDCovariates(kind="const", mean=0.5, dim=True),
+        lambda: IIDCovariates(kind="foo"),
         lambda: AR1Covariates(rho=0.5, sd=-1.0),
         lambda: AR1Covariates(rho=0.5, sd=None),
         lambda: AR1Covariates(rho=0.5, dim=0),
