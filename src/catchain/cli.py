@@ -270,8 +270,12 @@ def _model(conf: dict, command: str):
 
 def _covariates(conf: dict, model, **default):
     """The covariates block, or else the command's default iid process in the
-    model's covariate dimension (at least 1)."""
-    return conf["covariates"] or IIDCovariates(dim=max(model.covariate_dim, 1), **default)
+    model's covariate dimension.  A covariate path has dimension 1 or more,
+    so a model that loads no covariate cannot take one."""
+    if model.covariate_dim == 0:  # with a covariates block, check_config has rejected it already
+        loading = "gamma" if hasattr(model, "gamma") else "Gamma"
+        raise ConfigError(f"model.{loading} must load at least one covariate, got an empty loading")
+    return conf["covariates"] or IIDCovariates(dim=model.covariate_dim, **default)
 
 
 def cmd_simulate(conf: dict, quiet: bool) -> int:

@@ -73,13 +73,29 @@ class Dataset:
         else:
             with open(path_or_text, newline="") as fh:
                 rows = list(csv.reader(fh))
+        if not rows:
+            raise ValueError("dataset CSV is empty")
         header = [c.strip() for c in rows[0]]
         d = next((i for i, h in enumerate(header[2:]) if not h.startswith("x_")), len(header) - 2)
         if header[:2] != ["t", "y"] or not all(h.startswith("lambda_") for h in header[2 + d :]):
             raise ValueError("expected CSV header t,y,x_1..x_d[,lambda_1..k]")
         body = [r for r in rows[1:] if r]
-        y = np.array([int(r[1]) for r in body])
-        x = np.array([[float(v) for v in r[2 : 2 + d]] for r in body])
+        if not body:
+            raise ValueError("dataset CSV has a header but no rows")
+        short = next((i for i, r in enumerate(body, start=1) if len(r) != len(header)), None)
+        if short is not None:
+            raise ValueError(f"data row {short} has {len(body[short - 1])} fields, the header {len(header)}")
+        try:
+            y = np.array([int(r[1]) for r in body])
+            x = np.array([[float(v) for v in r[2 : 2 + d]] for r in body])
+        except ValueError as exc:
+            raise ValueError(f"dataset CSV holds a value that is not a number: {exc}") from exc
+        bad = np.flatnonzero((y != 0) & (y != 1))
+        if bad.size:
+            raise ValueError(f"y must be 0 or 1, got {y[bad[0]]} in data row {bad[0] + 1}")
+        row, col = np.nonzero(~np.isfinite(x))
+        if row.size:
+            raise ValueError(f"x_{col[0] + 1} must be finite, got {x[row[0], col[0]]} in data row {row[0] + 1}")
         return cls(y=y, x=x)
 
     def to_csv(self, dest=None) -> str:
@@ -108,19 +124,25 @@ def _shifted(series: np.ndarray, lag: int) -> np.ndarray:
     return out
 
 
-def _mu_path(alpha, beta, gamma, y, x) -> np.ndarray:
-    """Latent index path with zero initialization via linear filtering."""
+def _index_path(alpha, beta, forcing, lags) -> np.ndarray:
+    """Latent index path from the covariate forcing ``x @ gamma`` and the
+    lagged responses ``lags`` (lag 1 first, one per entry of ``alpha``),
+    with zero initialization via linear filtering."""
     # scipy.signal and scipy.optimize are imported where they are used: they
     # are slow to import and only fitting needs them
     from scipy.signal import lfilter
 
-    forcing = x @ gamma
-    for k, ak in enumerate(alpha, start=1):
-        forcing = forcing + ak * _shifted(y, k)
+    for ak, lag in zip(alpha, lags, strict=True):
+        forcing = forcing + ak * lag
     if beta.size == 0:
         return forcing
     den = np.concatenate([[1.0], -beta])
     return lfilter([1.0], den, forcing)
+
+
+def _mu_path(alpha, beta, gamma, y, x) -> np.ndarray:
+    """Latent index path with zero initialization via linear filtering."""
+    return _index_path(alpha, beta, x @ gamma, [_shifted(y, k) for k in range(1, len(alpha) + 1)])
 
 
 def _unpack(theta: np.ndarray, p: int, q: int, d: int):
@@ -143,6 +165,62 @@ def _default_warmup(spec: ObservationDrivenBinarySpec) -> int:
     return max(base, 10)
 
 
+class _Likelihood:
+    """The arrays of one dataset that every likelihood evaluation reads.
+
+    ``fit_mle`` and ``semiparametric_fit`` build one per call: the float
+    responses, their ``lags`` lagged copies and the indices of the ones and
+    of the rest are made once, not once per evaluation.  Nothing outlives
+    the call.
+    """
+
+    def __init__(self, data: Dataset, lags: int):
+        self.n, self.x = data.n, data.x
+        self.yf = data.y.astype(float)
+        self.lags = [_shifted(self.yf, k) for k in range(1, lags + 1)]
+        self.ones = np.flatnonzero(data.y == 1)
+        self.rest = np.flatnonzero(data.y != 1)
+
+    def mu(self, alpha, beta, gamma) -> np.ndarray:
+        """``_mu_path`` of the dataset."""
+        return _index_path(alpha, beta, self.x @ gamma, self.lags)
+
+    def log_terms(self, f: np.ndarray) -> np.ndarray:
+        """``np.where(y == 1, np.log(f), np.log1p(-f))``, each log taken only
+        where it is kept."""
+        ll = np.empty_like(f)
+        ll[self.ones] = np.log(f[self.ones])
+        ll[self.rest] = np.log1p(-f[self.rest])
+        return ll
+
+    def loglik(self, spec: ObservationDrivenBinarySpec, warmup: int | None) -> float:
+        """``conditional_loglik`` of ``spec``, whose stationarity the caller checked."""
+        warmup = _default_warmup(spec) if warmup is None else warmup
+        mu = self.mu(spec.alpha, spec.beta, spec.gamma)
+        f = np.clip(spec.link.cdf(mu), 1e-300, 1.0 - 1e-16)
+        ll = np.maximum(self.log_terms(f), _LOG_FLOOR)
+        return float(ll[warmup:].sum())
+
+    def score(self, spec: ObservationDrivenBinarySpec, warmup: int | None) -> np.ndarray:
+        """``loglik_gradient`` of ``spec``."""
+        from scipy.signal import lfilter
+
+        warmup = _default_warmup(spec) if warmup is None else warmup
+        mu = self.mu(spec.alpha, spec.beta, spec.gamma)
+        if spec.link.pdf is None:
+            raise NotImplementedError("analytic score needs a link with a known density")
+        f = np.clip(spec.link.cdf(mu), 1e-12, 1.0 - 1e-12)
+        w = (self.yf - f) * spec.link.pdf(mu) / (f * (1.0 - f))
+        den = np.concatenate([[1.0], -spec.beta]) if spec.beta.size else np.array([1.0])
+        drivers = self.lags + [_shifted(mu, j) for j in range(1, spec.beta.size + 1)] + list(self.x.T)
+        return np.array([float((w * lfilter([1.0], den, c))[warmup:].sum()) for c in drivers])
+
+
+def _require_stationary(report: StationarityReport) -> None:
+    if not report.passed:
+        raise ValueError(f"spec fails stationarity at radius {report.spectral_radius}")
+
+
 def conditional_loglik(
     spec: ObservationDrivenBinarySpec,
     data: Dataset,
@@ -154,15 +232,8 @@ def conditional_loglik(
     absorb the initialization error.  Probabilities are floored at 1e-300
     before the log.
     """
-    report = stationarity_check(spec)
-    if not report.passed:
-        raise ValueError(f"spec fails stationarity at radius {report.spectral_radius}")
-    warmup = _default_warmup(spec) if warmup is None else warmup
-    mu = _mu_path(spec.alpha, spec.beta, spec.gamma, data.y.astype(float), data.x)
-    f = np.clip(spec.link.cdf(mu), 1e-300, 1.0 - 1e-16)
-    ll = np.where(data.y == 1, np.log(f), np.log1p(-f))
-    ll = np.maximum(ll, _LOG_FLOOR)
-    return float(ll[warmup:].sum())
+    _require_stationary(stationarity_check(spec))
+    return _Likelihood(data, spec.alpha.size).loglik(spec, warmup)
 
 
 def loglik_gradient(
@@ -176,25 +247,7 @@ def loglik_gradient(
     itself, driven by the lagged responses, the lagged index and the
     covariates respectively.
     """
-    from scipy.signal import lfilter
-
-    warmup = _default_warmup(spec) if warmup is None else warmup
-    yf = data.y.astype(float)
-    mu = _mu_path(spec.alpha, spec.beta, spec.gamma, yf, data.x)
-    if spec.link.pdf is None:
-        raise NotImplementedError("analytic score needs a link with a known density")
-    f = np.clip(spec.link.cdf(mu), 1e-12, 1.0 - 1e-12)
-    w = (yf - f) * spec.link.pdf(mu) / (f * (1.0 - f))
-    den = np.concatenate([[1.0], -spec.beta]) if spec.beta.size else np.array([1.0])
-    cols = []
-    for k in range(1, spec.alpha.size + 1):
-        cols.append(lfilter([1.0], den, _shifted(yf, k)))
-    for j in range(1, spec.beta.size + 1):
-        cols.append(lfilter([1.0], den, _shifted(mu, j)))
-    for i in range(data.dim):
-        cols.append(lfilter([1.0], den, data.x[:, i]))
-    grad = np.array([float((w * c)[warmup:].sum()) for c in cols])
-    return grad
+    return _Likelihood(data, spec.alpha.size).score(spec, warmup)
 
 
 @dataclass(frozen=True)
@@ -222,7 +275,7 @@ class FitResult:
     report: StationarityReport
 
 
-def _objective(theta, template, data, cfg) -> float:
+def _objective(theta, template, lik: _Likelihood, cfg) -> float:
     p, q, d = template.alpha.size, template.beta.size, template.gamma.size
     _, b, _ = _unpack(theta, p, q, d)
     spec = ObservationDrivenBinarySpec(
@@ -232,8 +285,9 @@ def _objective(theta, template, data, cfg) -> float:
     slack = 1.0 - report.spectral_radius - cfg.stationarity_margin
     if slack <= 0.0 or not np.isfinite(report.spectral_radius):
         return float("inf")
-    ll = conditional_loglik(spec, data, warmup=cfg.warmup)
-    return -ll / data.n - cfg.barrier_weight * math.log(slack)
+    _require_stationary(report)  # conditional_loglik's check, on the same report
+    ll = lik.loglik(spec, cfg.warmup)
+    return -ll / lik.n - cfg.barrier_weight * math.log(slack)
 
 
 def fit_mle(
@@ -257,6 +311,7 @@ def fit_mle(
         raise DataSizeError(
             f"{data.n} observations cannot support {n_par} parameters"
         )
+    lik = _Likelihood(data, template.alpha.size)
     candidates = []
     tried = 0
     for off in cfg.start_offsets:
@@ -267,7 +322,7 @@ def fit_mle(
         res = minimize(
             _objective,
             x0,
-            args=(template, data, cfg),
+            args=(template, lik, cfg),
             method="Nelder-Mead",
             options={
                 "maxiter": cfg.max_iter,
@@ -307,8 +362,8 @@ def fit_mle(
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            gp = loglik_gradient(_spec_at(template, tp), data, warmup=cfg.warmup)
-            gm = loglik_gradient(_spec_at(template, tm), data, warmup=cfg.warmup)
+            gp = lik.score(_spec_at(template, tp), cfg.warmup)
+            gm = lik.score(_spec_at(template, tm), cfg.warmup)
             H[i] = (gp - gm) / (2 * h)
         info = -0.5 * (H + H.T)
         cov = np.linalg.inv(info)
@@ -367,10 +422,12 @@ def _link_regression(y, mu, h, grid_size=512):
     idx = np.clip(np.rint((mu - lo) / step).astype(np.int64), 0, grid_size - 1)
     cnt = np.bincount(idx, minlength=grid_size).astype(float)
     ysum = np.bincount(idx, weights=y, minlength=grid_size)
-    width = max(int(math.ceil(h / step)), 1)
+    # no kernel weight past grid_size - 1 cells can reach another cell
+    width = int(np.clip(np.ceil(h / step), 1, grid_size - 1))
     kern = _epanechnikov(np.arange(-width, width + 1) * step / h)
-    den = np.convolve(cnt, kern, mode="same")
-    num = np.convolve(ysum, kern, mode="same")
+    # the cells of the full convolution that mode="same" keeps while the kernel is the shorter
+    den = np.convolve(cnt, kern)[width : width + grid_size]
+    num = np.convolve(ysum, kern)[width : width + grid_size]
     empty = int((den <= 1e-12).sum())
     valid = den > 1e-12
     fhat = np.empty_like(grid)
@@ -378,6 +435,56 @@ def _link_regression(y, mu, h, grid_size=512):
     if empty:
         fhat[~valid] = np.interp(grid[~valid], grid[valid], fhat[valid])
     return grid, np.clip(fhat, 1e-6, 1.0 - 1e-6), empty
+
+
+def _uniform_interp(x: np.ndarray, grid: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, grid, fp)`` to the bit, for points ``x`` within the
+    equally spaced grid that ``_link_regression`` builds from them.
+
+    Each point's cell comes from the spacing instead of a binary search; a
+    point that the nodes show to lie outside that cell (one within rounding
+    of a node) is placed by ``np.searchsorted``.  The values are numpy's:
+    ``fp[j]`` where ``x`` is the node ``grid[j]`` (the last node included)
+    and else the cell's slope times ``x - grid[j]`` plus ``fp[j]``.  A grid
+    of two nodes, or one that does not increase strictly, goes to
+    ``np.interp``.
+    """
+    last = grid.size - 1
+    if last < 2 or not (grid[1:] > grid[:-1]).all():
+        return np.interp(x, grid, fp)
+    # numpy's cell j holds grid[j] <= x < grid[j + 1]; the last node is a cell of its own
+    j = np.minimum(((x - grid[0]) / ((grid[-1] - grid[0]) / last)).astype(np.int64), last)
+    node = grid[j]
+    miss = np.flatnonzero((node > x) | (np.concatenate([grid[1:], [np.inf]])[j] <= x))
+    if miss.size:
+        j[miss] = np.searchsorted(grid, x[miss], side="right") - 1
+        node[miss] = grid[j[miss]]
+    slopes = np.concatenate([(fp[1:] - fp[:-1]) / (grid[1:] - grid[:-1]), [0.0]])
+    return np.where(node == x, fp[j], slopes[j] * (x - node) + fp[j])
+
+
+def _profile_params(theta_free: np.ndarray, p: int, q: int):
+    """``(alpha, beta, gamma)`` with the first covariate loading pinned to one."""
+    gamma = np.concatenate([[1.0], theta_free[p + q :]])
+    return theta_free[:p], theta_free[p : p + q], gamma
+
+
+def _bandwidth(bandwidth: float | None, mu: np.ndarray, n: int) -> float:
+    return bandwidth or max(float(mu.std()) * n ** (-0.2), 1e-3)
+
+
+def _profile_objective(theta_free, template, lik: _Likelihood, bandwidth) -> float:
+    """Negative plug-in log likelihood per observation, with the link
+    profiled out by the kernel regression at ``theta_free``."""
+    a, b, g = _profile_params(theta_free, template.alpha.size, template.beta.size)
+    spec = ObservationDrivenBinarySpec(alpha=a, beta=b, gamma=g, link=template.link)
+    if not stationarity_check(spec).passed:
+        return float("inf")
+    mu = lik.mu(a, b, g)
+    grid, fhat, _ = _link_regression(lik.yf, mu, _bandwidth(bandwidth, mu, lik.n))
+    fv = np.clip(_uniform_interp(mu, grid, fhat), 1e-6, 1.0 - 1e-6)
+    ll = lik.log_terms(fv)
+    return -float(ll[_default_warmup(spec) :].sum()) / lik.n
 
 
 def semiparametric_fit(
@@ -403,31 +510,11 @@ def semiparametric_fit(
     n_free = p + q + (d - 1)
     if data.n < cfg.min_obs_per_param * max(n_free, 1):
         raise DataSizeError(f"{data.n} observations cannot support {n_free} parameters")
-    yf = data.y.astype(float)
-    state = {"empty": 0}
-
-    def build(theta_free):
-        gamma = np.concatenate([[1.0], theta_free[p + q :]])
-        return theta_free[:p], theta_free[p : p + q], gamma
-
-    def profile_objective(theta_free):
-        a, b, g = build(theta_free)
-        spec = ObservationDrivenBinarySpec(alpha=a, beta=b, gamma=g, link=template.link)
-        if not stationarity_check(spec).passed:
-            return float("inf")
-        mu = _mu_path(a, np.asarray(b), g, yf, data.x)
-        h = bandwidth or max(float(mu.std()) * data.n ** (-0.2), 1e-3)
-        grid, fhat, empty = _link_regression(yf, mu, h)
-        state["empty"] = empty
-        fv = np.clip(np.interp(mu, grid, fhat), 1e-6, 1.0 - 1e-6)
-        ll = np.where(data.y == 1, np.log(fv), np.log1p(-fv))
-        warm = _default_warmup(ObservationDrivenBinarySpec(a, np.asarray(b), g, template.link))
-        return -float(ll[warm:].sum()) / data.n
-
+    lik = _Likelihood(data, p)
     best = None
     if n_free == 0:
         theta_free = np.zeros(0)
-        obj = profile_objective(theta_free)
+        obj = _profile_objective(theta_free, template, lik, bandwidth)
         best = type("R", (), {"x": theta_free, "fun": obj, "success": True})()
     else:
         for off in cfg.start_offsets:
@@ -435,8 +522,9 @@ def semiparametric_fit(
             if q:
                 x0[p : p + q] *= 0.5
             res = minimize(
-                profile_objective,
+                _profile_objective,
                 x0,
+                args=(template, lik, bandwidth),
                 method="Nelder-Mead",
                 options={"maxiter": cfg.max_iter, "xatol": 1e-4, "fatol": 1e-7},
             )
@@ -444,10 +532,9 @@ def semiparametric_fit(
                 best = res
     if best is None:
         raise RuntimeError("no feasible starting point for the profile objective")
-    a, b, g = build(best.x)
-    mu = _mu_path(a, np.asarray(b), g, yf, data.x)
-    h = bandwidth or max(float(mu.std()) * data.n ** (-0.2), 1e-3)
-    grid, fhat, empty = _link_regression(yf, mu, h)
+    mu = lik.mu(*_profile_params(best.x, p, q))
+    h = _bandwidth(bandwidth, mu, data.n)
+    grid, fhat, empty = _link_regression(lik.yf, mu, h)
     return SemiparametricResult(
         theta_hat=np.asarray(best.x),
         grid=grid,

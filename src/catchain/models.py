@@ -57,6 +57,7 @@ from .kernels import (
 
 __all__ = [
     "ConstructionError",
+    "LatentOverflowError",
     "LinkFunction",
     "logistic_link",
     "probit_link",
@@ -85,6 +86,11 @@ ENV_HORIZON = 160  # decay envelopes are stored up to this lag, then continue as
 
 class ConstructionError(RuntimeError):
     """A model spec fails one of its certification requirements."""
+
+
+class LatentOverflowError(ConstructionError, OverflowError):
+    """The latent recursion of a spec left the float range on a path: its
+    contraction does not hold there."""
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +271,15 @@ def _finite_forcing(bound: float) -> float:
     if not math.isfinite(bound):
         raise ConstructionError(f"category forcing bound {bound} is not finite: a lag coefficient overflows it")
     return bound
+
+
+def _finite_envelope(env: DecaySeq) -> None:
+    """Reject the covariate envelope ``env`` when a covariate loading
+    overflows its sum."""
+    with np.errstate(over="ignore"):
+        total = env.total()
+    if not math.isfinite(total):
+        raise ConstructionError(f"covariate envelope sum {total} is not finite: a covariate loading overflows it")
 
 
 class _LatentRecursion:
@@ -467,6 +482,7 @@ class _LatentRecursion:
             vals[0] = max(vals[0], b0)
             b_env = DecaySeq(vals, tail=b_env.tail)
             e_env = _geometric_envelope(e_scale, rate, ENV_HORIZON)
+        _finite_envelope(e_env)
 
         if max_lag_x is None:
             if gap_scale > 0.0:
@@ -810,7 +826,7 @@ def _latent_scan(spec, x: np.ndarray, y=None, pre=(), u=None):
     scan = _scalar_scan if spec.block_dim == 1 else _array_scan
     state = scan(spec, x, hist, p, u, lam)
     if not np.isfinite(lam).all():
-        raise OverflowError("latent recursion diverged; contraction unverified")
+        raise LatentOverflowError("latent recursion diverged; contraction unverified")
     return hist[p:], lam, state
 
 

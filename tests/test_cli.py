@@ -498,6 +498,122 @@ def test_simulate_path_csv_feeds_fit(tmp_path):
     assert "n: 1500" in (out / "fit_summary.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "text,name",
+    [
+        ("", "dataset CSV is empty"),
+        ("t,y,x_1\n", "header but no rows"),
+        ("t,y,x_1\n1,0,0.5\n2,2,0.1\n", "y must be 0 or 1, got 2 in data row 2"),
+        ("t,y,x_1\n1,0,0.5\n2,1,nan\n", "x_1 must be finite, got nan in data row 2"),
+        ("t,y,x_1,x_2\n1,0,0.5,0.1\n2,1,0.3\n", "data row 2 has 3 fields, the header 4"),
+        ("t,y,x_1\n1,0,0.5\n2,yes,0.3\n", "not a number"),
+    ],
+    ids=["zero-byte", "header-only", "y-two", "x-nan", "short-row", "y-word"],
+)
+def test_bad_dataset_is_config_error_naming_it(tmp_path, capsys, text, name):
+    # a zero-byte file ended in an IndexError traceback, y 2 was fitted as 0,
+    # a NaN covariate failed every optimizer start and a header-only file
+    # read as "y and x lengths differ"
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    cfg = base_config()
+    cfg["fit"] = {"semiparametric": True}
+    argv = ["fit", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "f"), "--data", str(data), "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
+def test_multinomial_path_csv_is_not_a_binary_dataset(tmp_path, capsys):
+    cfg = base_config()
+    cfg["model"] = {"class": "multinomial", "A": [[[0.3, 0.1], [0.1, 0.3]]], "B": [], "Gamma": [[0.2], [0.1]], "n_categories": 3}
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg, "multi.json"), "--out", str(sim), "--quiet"]) == EXIT_OK
+    assert "2" in {row.split(",")[1] for row in (sim / "path.csv").read_text().splitlines()[1:]}
+    argv = ["fit", "--config", write_config(tmp_path, base_config()), "--out", str(tmp_path / "f"), "--quiet"]
+    assert main(argv + ["--data", str(sim / "path.csv")]) == EXIT_CONFIG
+    assert "y must be 0 or 1, got 2" in capsys.readouterr().err
+
+
+def test_semiparametric_fit_on_a_constant_covariate(tmp_path):
+    # the kernel regression's kernel outgrew its grid near alpha 0 and ended in an IndexError traceback
+    gen = np.random.default_rng(3)
+    data = tmp_path / "const.csv"
+    data.write_text("t,y,x_1\n" + "".join(f"{t + 1},{int(gen.random() < 0.5)},0.5\n" for t in range(600)))
+    cfg = base_config()
+    cfg["fit"] = {"semiparametric": True}
+    out = tmp_path / "f"
+    argv = ["fit", "--config", write_config(tmp_path, cfg), "--out", str(out), "--data", str(data), "--quiet"]
+    assert main(argv) == EXIT_OK
+    assert len((out / "fhat_grid.csv").read_text().splitlines()) == 513
+
+
+@pytest.mark.parametrize(
+    "beta,commands,name",
+    [
+        ([0.9], ["simulate", "bounds", "fit"], "covariate envelope sum inf is not finite"),
+        ([0.0], ["simulate", "fit"], "latent recursion diverged"),
+    ],
+    ids=["envelope-overflows", "path-overflows"],
+)
+def test_huge_covariate_loading_fails_with_status_one(tmp_path, capsys, beta, commands, name):
+    # bounds exited 0 with a bound of inf at every n, and simulate and fit
+    # ended in an OverflowError traceback once the latent path overflowed
+    cfg = base_config()
+    cfg["model"] = {"class": "observation_driven_binary", "alpha": [0.4], "beta": beta, "gamma": [1e308]}
+    cfg["fit"] = {"selftest": True, "n": 200}
+    cfg_path = write_config(tmp_path, cfg)
+    for command in commands:
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / command), "--quiet"]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "model,name",
+    [
+        ({"class": "observation_driven_binary", "alpha": [0.4], "beta": [0.5], "gamma": []}, "model.gamma"),
+        ({"class": "binary_infinite_order", "a": [0.5], "gamma": []}, "model.gamma"),
+        ({"class": "nonlinear_binary", "gamma": []}, "model.gamma"),
+        ({"class": "multinomial", "A": [], "B": [], "Gamma": [[], []], "n_categories": 3}, "model.Gamma"),
+        ({"class": "discrete_choice", "A": [], "B": [], "Gamma": [[], []], "n_components": 2}, "model.Gamma"),
+    ],
+    ids=["observation-driven", "infinite-order", "nonlinear", "multinomial", "discrete-choice"],
+)
+def test_empty_covariate_loading_is_config_error_naming_it(tmp_path, capsys, model, name):
+    # without a covariates block simulate ended in a matmul traceback, while bounds exited 0;
+    # with one, check_config rejects the pair on the dimension check
+    cfg = base_config()
+    cfg["model"] = model
+    cfg["fit"] = {"selftest": True, "n": 200}
+    del cfg["covariates"]
+    cfg_path = write_config(tmp_path, cfg)
+    # the commands that sample default covariates; fit takes only the observation-driven class
+    sampling = ("simulate", "bounds", "fit") if model["class"] == "observation_driven_binary" else ("simulate", "bounds")
+    for command in sampling:
+        out = tmp_path / "out" / command
+        assert main([command, "--config", cfg_path, "--out", str(out), "--quiet"]) == EXIT_CONFIG, command
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err, (command, err)
+        assert not out.exists() or not any(out.iterdir()), command
+
+
+def test_fit_data_without_covariates_fits_alpha_and_beta(tmp_path, capsys):
+    # a t,y dataset has x of shape (n, 0), and a model that loads no covariate fits it
+    rng = np.random.default_rng(3)
+    y = (rng.random(400) < 0.4).astype(int)
+    data = tmp_path / "ty.csv"
+    data.write_text("t,y\n" + "".join(f"{t},{v}\n" for t, v in enumerate(y)))
+    cfg = base_config()
+    cfg["model"] = {"class": "observation_driven_binary", "alpha": [0.4], "beta": [0.5], "gamma": []}
+    del cfg["covariates"]
+    out = tmp_path / "out"
+    args = ["fit", "--config", write_config(tmp_path, cfg), "--data", str(data), "--out", str(out), "--quiet"]
+    assert main(args) == EXIT_OK, capsys.readouterr().err
+    names = [row.split(",")[0] for row in (out / "theta_hat.csv").read_text().splitlines()[1:]]
+    assert names == ["alpha_1", "beta_1"]
+
+
 def test_bounds_horizon_zero_writes_the_certificate_working_horizon(tmp_path):
     # horizon 0 leaves the working horizon to the certificate: max(4 * n_max, 64) = 80 at n_max 20
     outputs = []

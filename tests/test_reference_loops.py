@@ -16,7 +16,11 @@ full-length first-return loop, and the blocked per-axis b0 sweeps of the
 multinomial and discrete-choice profiles the floats of the whole stacked
 mesh, and the glued ladder built from per-pair coupling rows the paths of
 the per-step ladder that gathers and recomputes them at every step, all
-kept here.
+kept here.  The likelihood evaluations of ``fit`` read data-only arrays
+built once per fit, check stationarity once, take each log only where it is
+kept and look the profiled link up on its equally spaced grid without a
+binary search; they must give the floats of the per-evaluation code, with
+``np.where`` and ``np.interp``, kept here.
 """
 
 import csv
@@ -41,6 +45,18 @@ from catchain.bounds import (
     bstar_sum_bracket,
 )
 from catchain.dependence import _JointChain
+from catchain.estimate import (
+    Dataset,
+    FitConfig,
+    _Likelihood,
+    _link_regression,
+    _objective,
+    _profile_objective,
+    _shifted,
+    _uniform_interp,
+    conditional_loglik,
+    loglik_gradient,
+)
 from catchain.kernels import (
     B0_BLOCK_POINTS,
     GridSpec,
@@ -63,12 +79,14 @@ from catchain.models import (
     model_to_kernel,
     probit_link,
     russell_damping,
+    stationarity_check,
 )
 from catchain.prob import SeededRng, as_generator
 from test_simulate import _TopDraws
 from catchain.simulate import (
     CSV_BLOCK,
     FiniteStateMarkovCovariates,
+    IIDCovariates,
     SamplePath,
     _coupled_step,
     _required_burnin,
@@ -76,6 +94,7 @@ from catchain.simulate import (
     exact_marginal_laws,
     glued_coupling,
     path_to_csv,
+    sample_covariates,
     sample_forward,
 )
 
@@ -1045,3 +1064,266 @@ def test_coupling_row_ladder_matches_per_step_reference_on_verify_fixtures(seed)
             got = coupled_ladder_mc(*args, SeededRng(seed, 100 + 16 * i + chunk))
             want = _reference_coupled_ladder_mc(*args, SeededRng(seed, 100 + 16 * i + chunk))
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+# -- likelihood evaluations ----------------------------------------------------------
+
+
+def _reference_mu_path(alpha, beta, gamma, y, x):
+    # the lagged responses rebuilt at every evaluation
+    from scipy.signal import lfilter
+
+    forcing = x @ gamma
+    for k, ak in enumerate(alpha, start=1):
+        forcing = forcing + ak * _shifted(y, k)
+    if beta.size == 0:
+        return forcing
+    den = np.concatenate([[1.0], -beta])
+    return lfilter([1.0], den, forcing)
+
+
+def _reference_conditional_loglik(spec, data, warmup=None):
+    # both logs on every entry, picked by np.where
+    report = stationarity_check(spec)
+    if not report.passed:
+        raise ValueError(f"spec fails stationarity at radius {report.spectral_radius}")
+    warmup = max(spec.alpha.size, spec.beta.size, 10) if warmup is None else warmup
+    mu = _reference_mu_path(spec.alpha, spec.beta, spec.gamma, data.y.astype(float), data.x)
+    f = np.clip(spec.link.cdf(mu), 1e-300, 1.0 - 1e-16)
+    ll = np.where(data.y == 1, np.log(f), np.log1p(-f))
+    ll = np.maximum(ll, math.log(1e-300))
+    return float(ll[warmup:].sum())
+
+
+def _reference_objective(theta, template, data, cfg):
+    # a second stationarity check inside conditional_loglik
+    p, q = template.alpha.size, template.beta.size
+    spec = ObservationDrivenBinarySpec(alpha=theta[:p], beta=theta[p : p + q], gamma=theta[p + q :], link=template.link)
+    report = stationarity_check(spec)
+    slack = 1.0 - report.spectral_radius - cfg.stationarity_margin
+    if slack <= 0.0 or not np.isfinite(report.spectral_radius):
+        return float("inf")
+    ll = _reference_conditional_loglik(spec, data, warmup=cfg.warmup)
+    return -ll / data.n - cfg.barrier_weight * math.log(slack)
+
+
+def _reference_profile_objective(theta_free, template, data, bandwidth):
+    # np.interp's binary search and both logs on every entry; the kernel
+    # regression is checked against its own reference above
+    p, q = template.alpha.size, template.beta.size
+    yf = data.y.astype(float)
+    a, b, g = theta_free[:p], theta_free[p : p + q], np.concatenate([[1.0], theta_free[p + q :]])
+    spec = ObservationDrivenBinarySpec(alpha=a, beta=b, gamma=g, link=template.link)
+    if not stationarity_check(spec).passed:
+        return float("inf")
+    mu = _reference_mu_path(a, np.asarray(b), g, yf, data.x)
+    h = bandwidth or max(float(mu.std()) * data.n ** (-0.2), 1e-3)
+    grid, fhat, _ = _link_regression(yf, mu, h)
+    fv = np.clip(np.interp(mu, grid, fhat), 1e-6, 1.0 - 1e-6)
+    ll = np.where(data.y == 1, np.log(fv), np.log1p(-fv))
+    warm = max(p, q, 10)
+    return -float(ll[warm:].sum()) / data.n
+
+
+def _reference_link_regression(y, mu, h, grid_size=512):
+    # mode="same" convolutions, whose length is the kernel's once the kernel is the longer
+    lo, hi = float(mu.min()), float(mu.max())
+    if hi - lo < 1e-12:
+        fill = float(y.mean())
+        return np.array([lo - 1e-6, hi + 1e-6]), np.array([fill, fill]), 0
+    grid = np.linspace(lo, hi, grid_size)
+    step = (hi - lo) / (grid_size - 1)
+    idx = np.clip(np.rint((mu - lo) / step).astype(np.int64), 0, grid_size - 1)
+    cnt = np.bincount(idx, minlength=grid_size).astype(float)
+    ysum = np.bincount(idx, weights=y, minlength=grid_size)
+    width = max(int(math.ceil(h / step)), 1)
+    kern = 0.75 * np.clip(1.0 - (np.arange(-width, width + 1) * step / h) ** 2, 0.0, None)
+    den = np.convolve(cnt, kern, mode="same")
+    num = np.convolve(ysum, kern, mode="same")
+    empty = int((den <= 1e-12).sum())
+    valid = den > 1e-12
+    fhat = np.empty_like(grid)
+    fhat[valid] = num[valid] / den[valid]
+    if empty:
+        fhat[~valid] = np.interp(grid[~valid], grid[valid], fhat[valid])
+    return grid, np.clip(fhat, 1e-6, 1.0 - 1e-6), empty
+
+
+def _reference_loglik_gradient(spec, data, warmup=None):
+    from scipy.signal import lfilter
+
+    warmup = max(spec.alpha.size, spec.beta.size, 10) if warmup is None else warmup
+    yf = data.y.astype(float)
+    mu = _reference_mu_path(spec.alpha, spec.beta, spec.gamma, yf, data.x)
+    f = np.clip(spec.link.cdf(mu), 1e-12, 1.0 - 1e-12)
+    w = (yf - f) * spec.link.pdf(mu) / (f * (1.0 - f))
+    den = np.concatenate([[1.0], -spec.beta]) if spec.beta.size else np.array([1.0])
+    cols = [lfilter([1.0], den, _shifted(yf, k)) for k in range(1, spec.alpha.size + 1)]
+    cols += [lfilter([1.0], den, _shifted(mu, j)) for j in range(1, spec.beta.size + 1)]
+    cols += [lfilter([1.0], den, data.x[:, i]) for i in range(data.dim)]
+    return np.array([float((w * c)[warmup:].sum()) for c in cols])
+
+
+def _outcome_bytes(fn, *args):
+    """The float bytes ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return np.asarray(fn(*args), dtype=float).tobytes()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_signed_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, 1.0]),
+    st.floats(-1.0, 1.0),
+    st.floats(-1e307, 1e307),
+)
+
+
+@st.composite
+def _uniform_grid_cases(draw):
+    m = draw(st.integers(2, 700))
+    lo = draw(st.floats(-1e3, 1e3))
+    # the narrowest spans give grids with repeated nodes
+    span = draw(st.floats(1e-12, 1e3))
+    grid = np.linspace(lo, lo + span, m)
+    fp = np.array(draw(st.lists(_signed_values, min_size=m, max_size=m)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # the points lie within the grid, as the profile objective's do: its grid spans them
+    inside = np.clip(gen.uniform(grid[0], grid[-1], size=draw(st.integers(0, 60))), grid[0], grid[-1])
+    nodes = grid[gen.integers(0, m, size=draw(st.integers(0, 30)))]
+    x = np.concatenate([inside, nodes, grid[[0, -1]]])
+    gen.shuffle(x)
+    return x, grid, fp
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_uniform_grid_cases())
+# a node whose value is -0.0 under a rising cell: slope * 0.0 + fp[j] would read +0.0
+@example(case=(np.array([0.0, 0.5, 1.0, 1.5, 2.0]), np.linspace(0.0, 2.0, 5), np.array([1.0, -0.0, 1.0, 2.0, 3.0])))
+# a slope that overflows: inf * 0.0 at a node would read nan
+@example(case=(np.linspace(0.0, 1e-300, 5)[1:4], np.linspace(0.0, 1e-300, 5), np.array([0.0, -1e300, 1e300, 5.0, 6.0])))
+def test_uniform_grid_lookup_matches_np_interp(case):
+    x, grid, fp = case
+    with np.errstate(over="ignore", invalid="ignore"):  # values far past the link's [1e-6, 1) overflow slopes
+        got = _uniform_interp(x, grid, fp)
+    assert got.tobytes() == np.interp(x, grid, fp).tobytes()
+
+
+def test_uniform_grid_lookup_reads_every_cell_at_its_own_slope():
+    # fp with a different slope in every cell and points at every node and every cell middle
+    grid = np.linspace(-1.0, 2.0, 40)
+    fp = np.cumsum(np.arange(40.0) ** 1.5)
+    x = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1])])
+    assert _uniform_interp(x, grid, fp).tobytes() == np.interp(x, grid, fp).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    y=st.lists(st.integers(0, 2), min_size=0, max_size=200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_log_terms_match_where(y, seed):
+    y = np.array(y, dtype=np.int64)
+    gen = np.random.default_rng(seed)
+    # the clip bounds of both objectives among uniform draws
+    ends = gen.choice([1e-300, 1e-6, 1.0 - 1e-6, 1.0 - 1e-16], size=y.size)
+    f = np.where(gen.random(y.size) < 0.3, ends, gen.random(y.size))
+    lik = _Likelihood(Dataset(y=y, x=np.zeros((y.size, 1))), 0)
+    assert lik.log_terms(f).tobytes() == np.where(y == 1, np.log(f), np.log1p(-f)).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    scale=st.floats(1e-9, 1e3),
+    h=st.floats(1e-4, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_link_regression_matches_same_mode_reference(n, scale, h, seed):
+    gen = np.random.default_rng(seed)
+    y = gen.integers(0, 2, size=n).astype(float)
+    mu = scale * gen.normal(size=n)
+    got = _link_regression(y, mu, h)
+    span = float(mu.max()) - float(mu.min())
+    if span >= 1e-12 and 2 * math.ceil(h / (span / 511)) + 1 > 512:
+        # a kernel longer than the grid made mode="same" return the kernel's
+        # length (an IndexError, or no memory for a kernel of billions of
+        # cells); every cell now gets its full-convolution value
+        assert got[0].shape == got[1].shape == (512,) and np.all((got[1] >= 1e-6) & (got[1] <= 1.0 - 1e-6))
+        return
+    want = _reference_link_regression(y, mu, h)
+    assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]] and got[2] == want[2]
+
+
+@st.composite
+def _fit_cases(draw):
+    p, q, d = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    n = draw(st.integers(1, 300))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = gen.normal(size=(n, d))
+    x[gen.random(n) < 0.1] = 0.0
+    data = Dataset(y=gen.integers(0, 2, size=n), x=x)
+    link = draw(st.sampled_from([logistic_link(), probit_link()]))
+    template = ObservationDrivenBinarySpec(alpha=np.zeros(p), beta=np.zeros(q), gamma=np.zeros(d), link=link)
+    coefficient = st.floats(-1.5, 1.5)
+    thetas = [np.array(draw(st.lists(coefficient, min_size=p + q + d, max_size=p + q + d))) for _ in range(3)]
+    return template, data, thetas
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    case=_fit_cases(),
+    warmup=st.one_of(st.none(), st.integers(0, 40)),
+    margin=st.sampled_from([1e-3, 0.0, -1e-3]),
+)
+def test_objective_matches_per_evaluation_reference(case, warmup, margin):
+    # a negative margin lets a non-stationary spec through to the check the likelihood makes
+    template, data, thetas = case
+    cfg = FitConfig(warmup=warmup, stationarity_margin=margin)
+    lik = _Likelihood(data, template.alpha.size)
+    for theta in thetas:
+        got = _outcome_bytes(_objective, theta, template, lik, cfg)
+        assert got == _outcome_bytes(_reference_objective, theta, template, data, cfg)
+        spec = ObservationDrivenBinarySpec(
+            alpha=theta[: template.alpha.size],
+            beta=theta[template.alpha.size : template.alpha.size + template.beta.size],
+            gamma=theta[template.alpha.size + template.beta.size :],
+            link=template.link,
+        )
+        # the sign of a zero index too: x holds zero rows and gamma may be negative
+        want_mu = _reference_mu_path(spec.alpha, spec.beta, spec.gamma, data.y.astype(float), data.x)
+        assert lik.mu(spec.alpha, spec.beta, spec.gamma).tobytes() == want_mu.tobytes()
+        assert _outcome_bytes(conditional_loglik, spec, data, warmup) == _outcome_bytes(
+            _reference_conditional_loglik, spec, data, warmup
+        )
+        assert _outcome_bytes(loglik_gradient, spec, data, warmup) == _outcome_bytes(
+            _reference_loglik_gradient, spec, data, warmup
+        )
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_fit_cases(), bandwidth=st.one_of(st.none(), st.floats(0.01, 2.0)))
+def test_profile_objective_matches_per_evaluation_reference(case, bandwidth):
+    template, data, thetas = case
+    lik = _Likelihood(data, template.alpha.size)
+    for theta in thetas:
+        theta_free = theta[1:]  # the first covariate loading is pinned to one
+        got = _profile_objective(theta_free, template, lik, bandwidth)
+        want = _reference_profile_objective(theta_free, template, data, bandwidth)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_objectives_match_reference_on_the_selftest_data(seed):
+    # the fit-selftest model at n 2e4, at the truth and at the optimizers' starting points
+    spec = ObservationDrivenBinarySpec(alpha=[0.4], beta=[0.5], gamma=[0.3])
+    x = sample_covariates(IIDCovariates(), 20500, SeededRng(seed, 21))
+    path = sample_forward(model_to_kernel(spec), x, 20000, 1e-6, SeededRng(seed, 22))
+    data = Dataset(y=path.y, x=path.x)
+    lik = _Likelihood(data, 1)
+    for off in (0.0, 0.5, -0.5, 0.4):
+        theta = np.array([off, 0.5 * off, off])
+        cfg = FitConfig()
+        assert _objective(theta, spec, lik, cfg) == _reference_objective(theta, spec, data, cfg)
+        got = _profile_objective(theta[:2], spec, lik, None)
+        assert got == _reference_profile_objective(theta[:2], spec, data, None)
