@@ -23,6 +23,7 @@ from .dependence import certificate_for_model, empirical_beta_small
 from .estimate import Dataset, FitConfig, fit_mle, loglik_gradient, semiparametric_fit
 from .kernels import (
     CertificationError,
+    UnsupportedKernelError,
     b_exact_from_table,
     certify_b0,
     table_kernel,
@@ -519,6 +520,9 @@ def cmd_fit(conf: dict, quiet: bool) -> int:
         print("fit requires an observation_driven_binary model block", file=sys.stderr)
         return EXIT_CONFIG
     n, selftest = blk["n"], blk["selftest"]
+    if blk["semiparametric"] and template.gamma.size == 0:
+        # the profile pins the first covariate loading to one to fix the index scale
+        raise ConfigError("model.gamma must load at least one covariate for fit.semiparametric, got an empty loading")
     if selftest:
         cov = _covariates(conf, template)
         kernel = model_to_kernel(template)
@@ -570,7 +574,7 @@ def cmd_fit(conf: dict, quiet: bool) -> int:
         summary.append(f"selftest score at truth (per obs): {float(np.abs(grad).max()) / data.n!r}")
     write_atomic(os.path.join(out_dir, "fit_summary.txt"), "\n".join(summary) + "\n")
     if blk["semiparametric"]:
-        sem = semiparametric_fit(data, template)
+        sem = semiparametric_fit(data, template, config=fit_cfg)
         rows = ["z,fhat"]
         rows += [f"{float(z)!r},{float(f)!r}" for z, f in zip(sem.grid, sem.fhat)]
         write_atomic(os.path.join(out_dir, "fhat_grid.csv"), "\n".join(rows) + "\n")
@@ -605,7 +609,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConstructionError, CertificationError) as exc:
+    except (ConstructionError, CertificationError, UnsupportedKernelError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except HorizonError as exc:

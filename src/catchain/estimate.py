@@ -55,6 +55,9 @@ class Dataset:
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
         if self.x.shape[0] != self.y.size:
             raise ValueError("y and x lengths differ")
+        bad = np.flatnonzero((self.y != 0) & (self.y != 1))
+        if bad.size:
+            raise ValueError(f"y must be 0 or 1, got {self.y[bad[0]]} in data row {bad[0] + 1}")
 
     @property
     def n(self) -> int:
@@ -90,9 +93,6 @@ class Dataset:
             x = np.array([[float(v) for v in r[2 : 2 + d]] for r in body])
         except ValueError as exc:
             raise ValueError(f"dataset CSV holds a value that is not a number: {exc}") from exc
-        bad = np.flatnonzero((y != 0) & (y != 1))
-        if bad.size:
-            raise ValueError(f"y must be 0 or 1, got {y[bad[0]]} in data row {bad[0] + 1}")
         row, col = np.nonzero(~np.isfinite(x))
         if row.size:
             raise ValueError(f"x_{col[0] + 1} must be finite, got {x[row[0], col[0]]} in data row {row[0] + 1}")
@@ -473,9 +473,10 @@ def _bandwidth(bandwidth: float | None, mu: np.ndarray, n: int) -> float:
     return bandwidth or max(float(mu.std()) * n ** (-0.2), 1e-3)
 
 
-def _profile_objective(theta_free, template, lik: _Likelihood, bandwidth) -> float:
+def _profile_objective(theta_free, template, lik: _Likelihood, bandwidth, warmup: int | None = None) -> float:
     """Negative plug-in log likelihood per observation, with the link
-    profiled out by the kernel regression at ``theta_free``."""
+    profiled out by the kernel regression at ``theta_free``; the first
+    ``warmup`` terms (default ``max(p, q, 10)``) are dropped."""
     a, b, g = _profile_params(theta_free, template.alpha.size, template.beta.size)
     spec = ObservationDrivenBinarySpec(alpha=a, beta=b, gamma=g, link=template.link)
     if not stationarity_check(spec).passed:
@@ -484,7 +485,8 @@ def _profile_objective(theta_free, template, lik: _Likelihood, bandwidth) -> flo
     grid, fhat, _ = _link_regression(lik.yf, mu, _bandwidth(bandwidth, mu, lik.n))
     fv = np.clip(_uniform_interp(mu, grid, fhat), 1e-6, 1.0 - 1e-6)
     ll = lik.log_terms(fv)
-    return -float(ll[_default_warmup(spec) :].sum()) / lik.n
+    warmup = _default_warmup(spec) if warmup is None else warmup
+    return -float(ll[warmup:].sum()) / lik.n
 
 
 def semiparametric_fit(
@@ -499,7 +501,8 @@ def semiparametric_fit(
     covariate loading is pinned to one, fixing the scale of the index that
     the nonparametric link absorbs.  Bandwidth defaults to
     ``std(mu) * n**(-1/5)`` recomputed per candidate; the returned link
-    estimate is tabulated on the final grid.
+    estimate is tabulated on the final grid.  The profile drops the first
+    ``config.warmup`` terms, as ``fit_mle`` does.
     """
     from scipy.optimize import minimize
 
@@ -514,7 +517,7 @@ def semiparametric_fit(
     best = None
     if n_free == 0:
         theta_free = np.zeros(0)
-        obj = _profile_objective(theta_free, template, lik, bandwidth)
+        obj = _profile_objective(theta_free, template, lik, bandwidth, cfg.warmup)
         best = type("R", (), {"x": theta_free, "fun": obj, "success": True})()
     else:
         for off in cfg.start_offsets:
@@ -524,7 +527,7 @@ def semiparametric_fit(
             res = minimize(
                 _profile_objective,
                 x0,
-                args=(template, lik, bandwidth),
+                args=(template, lik, bandwidth, cfg.warmup),
                 method="Nelder-Mead",
                 options={"maxiter": cfg.max_iter, "xatol": 1e-4, "fatol": 1e-7},
             )

@@ -221,7 +221,7 @@ def transition_table(kernel: KernelHandle, past_x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-B0_BLOCK_POINTS = 1 << 14  # mesh points per block of the multinomial and choice sweep
+B0_BLOCK_POINTS = 1 << 14  # mesh points per block of the discrete-choice sweep
 
 
 @dataclass(frozen=True)
@@ -267,9 +267,10 @@ def _b0_binary(cdf: Callable, lipschitz: float, c: float, grid: GridSpec) -> flo
 
 
 def _row_sum(cols: list) -> np.ndarray:
-    """Sum of per-category columns in the order ``np.sum(axis=1)`` adds a
-    row of that many entries: left to right below eight, and numpy's
-    pairwise tree at eight.  The columns are left as they are."""
+    """Sum of a law's columns, one per sign pattern, in the order
+    ``np.sum(axis=1)`` adds a row of that many entries: left to right below
+    eight, and numpy's pairwise tree at eight.  The columns are left as
+    they are."""
     c = cols
     if len(c) == 8:
         return ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
@@ -277,18 +278,6 @@ def _row_sum(cols: list) -> np.ndarray:
     for col in c[2:]:
         total += col
     return total
-
-
-def _softmax_columns(logits: list) -> list:
-    """Category probabilities with a zero reference logit, one array per
-    category; ``logits`` are the other categories' logits, broadcast
-    against each other."""
-    top = np.maximum(logits[0], 0.0)
-    for z in logits[1:]:
-        top = np.maximum(top, z)
-    ez = [np.exp(-top)] + [np.exp(z - top) for z in logits]
-    total = _row_sum(ez)
-    return [e / total for e in ez]
 
 
 def _cell_columns(success: list) -> list:
@@ -348,21 +337,20 @@ def _sweep_sup(law: Callable, base: np.ndarray, shifted: list, dims: int) -> flo
 
 
 def _b0_multinomial(n_categories: int, c: float, grid: GridSpec) -> float:
-    dims = n_categories - 1
-    if dims > 3:
-        raise UnsupportedKernelError("grid certification supported up to 4 categories")
-    step = max(grid.step, 0.05 if dims == 2 else (0.25 if dims == 3 else grid.step))
-    axis = grid.axis(step)
-    best = _sweep_sup(_softmax_columns, axis, [axis + c * (s - 1.0) for s in range(3)], dims)
-    # the swept TV is (dims/2)-Lipschitz in z under the sup norm
-    return best + 0.25 * dims * step
+    # A shift y in [-c, c]^(N-1) moves the log-likelihood ratios of the two
+    # laws by the entries of (0, y) less a common term: a spread of c for two
+    # categories and 2c from three on.  TV is at most tanh(spread / 4), which
+    # is attained (Birkhoff's Hilbert-metric contraction).  Two ulps up cover
+    # a rounded tanh.
+    sup = math.tanh(c / 4.0 if n_categories == 2 else c / 2.0)
+    return math.nextafter(math.nextafter(sup, 2.0), 2.0)
 
 
 def _b0_discrete_choice(
     cdf: Callable, n_components: int, lipschitz: float, c: float, grid: GridSpec
 ) -> float:
     if n_components > 3:
-        raise UnsupportedKernelError("grid certification supported up to 3 components")
+        raise UnsupportedKernelError(f"grid certification supported up to 3 components, got {n_components}")
     step = max(grid.step, 0.05 if n_components == 2 else 0.25)
     axis = grid.axis(step)
     shifted = [1.0 - cdf(-(axis + c * (s - 1.0))) for s in range(3)]
@@ -379,12 +367,15 @@ def certify_b0(
     grid: GridSpec | None = None,
     tolerance: float = 1e-9,
 ) -> float:
-    """Numeric sup of the one-step TV sensitivity over a bounded shift.
+    """Certified sup of the one-step TV sensitivity over a bounded shift.
 
-    Sweeps the covariate-driven latent argument over the grid (plus far-out
-    boundary points) and the category-driven part over shifts of magnitude
-    up to ``bound_on_category_part``, then adds the grid-resolution
-    continuity correction so the returned value upper-bounds the true sup.
+    The category-driven part of the latent argument shifts by at most
+    ``c = bound_on_category_part`` per dimension.  The multinomial sup is
+    the closed form ``tanh(c/2)`` (``tanh(c/4)`` for two categories),
+    rounded up two ulps.  The binary and discrete-choice sups sweep the
+    covariate-driven argument over the grid and every vertex of the shift
+    cube and add the grid's continuity correction, so the returned value
+    upper-bounds the true sup.
     Raises :class:`CertificationError` when the result does not stay below
     one, and ``ValueError`` when ``bound_on_category_part`` is not a finite
     number >= 0.  ``profile`` names the family and its parameters:
@@ -393,15 +384,14 @@ def certify_b0(
     - ``("multinomial", n_categories)``
     - ``("discrete_choice", cdf, n_components, lipschitz)``
 
-    The binary sweep is one pass over the grid's axis.  The multinomial and
-    discrete-choice sweeps raise the step to at least 0.05 in two
-    dimensions and 0.25 in three (and for a single choice component), and
-    visit every point of the mesh of that axis and every vertex of the
-    shift cube.  They hold each law as one array per category, evaluate
-    the links once per axis and shift, and run in blocks of about
-    ``B0_BLOCK_POINTS`` mesh points.  They give the same floats as stacking
-    the whole mesh, in about 0.1 s for 3 categories or 2 components on the
-    default grid and 3 to 5 s for 4 categories or 3 components.
+    The binary sweep is one pass over the grid's axis.  The discrete-choice
+    sweep raises the step to at least 0.05 for two components and 0.25
+    otherwise, and visits every point of the mesh of that axis.  It holds
+    each law as one array per sign pattern, evaluates the link once per
+    axis and shift, and runs in blocks of about ``B0_BLOCK_POINTS`` mesh
+    points.  It gives the same floats as stacking the whole mesh, in about
+    0.1 s for 2 components on the default grid and 3 to 5 s for 3; four or
+    more components raise :class:`UnsupportedKernelError`.
     """
     grid = grid or GridSpec()
     c = float(bound_on_category_part)

@@ -447,9 +447,10 @@ class _LatentRecursion:
         covariates keep the per-row ``Gamma[0] @ x_t``, whose summation
         order an array product could change."""
         g = self.Gamma[0]
-        if g.size == 1 == x.shape[1]:
-            return (x[:, 0] * g[0] + 0.0).tolist()
-        return [float(g @ x_t) for x_t in x]
+        with np.errstate(over="ignore"):  # _latent_scan reports an overflowing path by name
+            if g.size == 1 == x.shape[1]:
+                return (x[:, 0] * g[0] + 0.0).tolist()
+            return [float(g @ x_t) for x_t in x]
 
     def draw(self, lam: float, u: float) -> int:
         """Category drawn by inverting ``u`` through ``response([lam])``, as

@@ -569,6 +569,76 @@ def test_huge_covariate_loading_fails_with_status_one(tmp_path, capsys, beta, co
         assert name in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_path_overflow_exits_one_without_an_overflow_warning(tmp_path, capsys):
+    # the covariate forcing printed an overflow RuntimeWarning before the scan reported the overflow by name
+    test_huge_covariate_loading_fails_with_status_one(
+        tmp_path, capsys, [0.0], ["simulate", "fit"], "latent recursion diverged"
+    )
+
+
+def test_semiparametric_fit_without_a_covariate_is_config_error(tmp_path, capsys):
+    # fit wrote theta_hat.csv and fit_summary.txt, then ended in a ValueError
+    # traceback from the profile's scale normalization
+    gen = np.random.default_rng(3)
+    data = tmp_path / "ty.csv"
+    data.write_text("t,y\n" + "".join(f"{t + 1},{int(gen.random() < 0.5)}\n" for t in range(600)))
+    cfg = base_config()
+    cfg["model"]["gamma"] = []
+    del cfg["covariates"]
+    cfg["fit"] = {"semiparametric": True}
+    out = tmp_path / "f"
+    argv = ["fit", "--config", write_config(tmp_path, cfg), "--out", str(out), "--data", str(data), "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "model.gamma" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_fit_warmup_reaches_the_semiparametric_profile(tmp_path):
+    # the profile always dropped max(p, q, 10) terms, so fhat_grid.csv was
+    # the same at every fit.warmup
+    grids = []
+    for warmup in (0, 200):
+        cfg = base_config()
+        cfg["fit"] = {"selftest": True, "n": 2000, "semiparametric": True, "warmup": warmup}
+        out = tmp_path / f"warmup{warmup}"
+        assert main(["fit", "--config", write_config(tmp_path, cfg), "--out", str(out), "--quiet"]) == EXIT_OK
+        grids.append((out / "fhat_grid.csv").read_text())
+    assert grids[0] != grids[1]
+
+
+_LOADS_4 = [[0.2], [0.1], [0.1], [0.1]]
+
+
+@pytest.mark.parametrize(
+    "model,status,name",
+    [
+        (
+            {"class": "discrete_choice", "A": [np.diag([0.3] * 4).tolist()], "Gamma": _LOADS_4, "n_components": 4},
+            EXIT_FAILURE,
+            "up to 3 components, got 4",
+        ),
+        (
+            {"class": "multinomial", "A": [np.diag([0.3] * 4).tolist()], "Gamma": _LOADS_4, "n_categories": 5},
+            EXIT_OK,
+            "",
+        ),
+    ],
+    ids=["choice-4-components", "multinomial-5-categories"],
+)
+def test_b0_certification_caps_exit_without_a_traceback(tmp_path, capsys, model, status, name):
+    # both ended bounds and simulate in an UnsupportedKernelError traceback:
+    # the choice sweep stops at 3 components, and the multinomial closed form has no cap
+    cfg = base_config()
+    cfg["model"] = model
+    cfg_path = write_config(tmp_path, cfg)
+    for command in ("bounds", "simulate"):
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / command), "--quiet"]) == status
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "model,name",
     [

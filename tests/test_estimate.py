@@ -35,6 +35,13 @@ def test_loglik_at_zero_parameters_is_coin_flipping():
     assert conditional_loglik(spec0, data, warmup=0) == pytest.approx(-800 * math.log(2))
 
 
+@pytest.mark.parametrize("y,bad,row", [([0, 1, 2, 2], 2, 3), ([-1, 0], -1, 1)])
+def test_dataset_rejects_responses_outside_zero_one(y, bad, row):
+    # a library caller's y of 2 was accepted, and the likelihood read it as 0
+    with pytest.raises(ValueError, match=f"y must be 0 or 1, got {bad} in data row {row}"):
+        Dataset(y=y, x=np.zeros((len(y), 1)))
+
+
 def test_loglik_single_observation_unit_index():
     # one covariate value of 1 with gamma = 1 pins the index at 1
     data = Dataset(y=np.array([1]), x=np.array([[1.0]]))

@@ -82,11 +82,11 @@ GOLDEN = {
         "simulate/path.csv": "9edd3a1ae9b5c91f8d11055152853fff992cde88333ad35c07f5f7c71fdf036a",
     },
     "multinomial": {
-        "bounds/b.csv": "afa0c7e47e0d8daf73419d454530799466b8cea94f5541947af334b8fad6593b",
-        "bounds/bstar.csv": "9b8956aa07650bd1fe6db60b1a87e6f0630052458665161514e7348ffc2bdc1e",
-        "bounds/certificate.txt": "be2221a2a2976b9154bd1fd74b0f4feb22c0aa9a4a216f5f6fc0bf1c8d1f2ff8",
-        "bounds/dependence_bound.csv": "9f0ae5ad7b0ac85327c7d6a453ca5161e5f0f166a67f867fc041b7118d8d97d8",
-        "simulate/certificate.json": "88b7d28629aac803c98805d0c30a0f06701ef61e7385c691c2235ffe2b1238af",
+        "bounds/b.csv": "196911a47cbbf56800d9c1916bdf5a92ca3b8efdcb8c5a274e37a6a0c20e9351",
+        "bounds/bstar.csv": "0a508098514c29c8555fca304a0db59eaa6273a41b7c53ec9f9b016666a11a13",
+        "bounds/certificate.txt": "bf88a77bb798db120adb745d865b319e359e098b594e25ca4b002a1a9aab26d6",
+        "bounds/dependence_bound.csv": "f8ae1cca8966d834c8950c3d5cd90c620a7e6436127e20a02d030e965f947936",
+        "simulate/certificate.json": "3e3ab1332d3e081b89293e67c0f452ad7af3b698c5acc2652974783ef6fb1b5d",
         "simulate/path.csv": "d343098e881359fab153a544ff996ad4addd8fbdce310f622ffd150fb9e3a92f",
     },
     "discrete_choice": {

@@ -1,5 +1,7 @@
 import math
+import time
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -235,6 +237,29 @@ def test_certify_b0_multinomial_brackets_hilbert_closed_form(n_categories, grid,
     got = certify_b0(("multinomial", n_categories), c, grid)
     assert got >= exact
     assert got - 0.25 * dims * step <= exact + 1e-12
+
+
+def _tanh_exact(x: float) -> Decimal:
+    """tanh(x) worked in enough digits that ``exp(2x) - 1`` keeps the
+    smallest subnormal."""
+    with localcontext() as ctx:
+        ctx.prec = 400
+        e = (2 * Decimal(x)).exp()
+        return (e - 1) / (e + 1)
+
+
+@pytest.mark.parametrize("n_categories", range(2, 9))
+def test_certify_b0_multinomial_is_the_closed_form_within_four_ulps(n_categories):
+    # the exact sup is tanh(c/4) for two categories and tanh(c/2) from three
+    # on; the certificate lies at most four ulps above it, with no grid
+    cs = [5e-324, 1e-300, 1e-8, 0.1, 0.42857142857142866, 1.0, 2.0, math.pi, 4.0]
+    cs += list(np.random.default_rng(n_categories).uniform(0.0, 4.0, size=200))
+    start = time.perf_counter()
+    certs = [certify_b0(("multinomial", n_categories), c) for c in cs]
+    assert (time.perf_counter() - start) / len(cs) < 1e-3
+    for c, got in zip(cs, certs):
+        exact = _tanh_exact(c / 4.0 if n_categories == 2 else c / 2.0)
+        assert exact <= Decimal(got) <= exact + 4 * Decimal(math.ulp(float(exact))), c
 
 
 def test_certify_b0_multinomial_sweep_memory_stays_bounded():

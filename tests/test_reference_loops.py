@@ -12,15 +12,16 @@ the same law as the sparse one-step matrix, both kept here.  The scalar
 latent scan must give the bytes of the array-step engine, the blocked CSV
 writer those of the row-by-row ``csv.writer``, ``DecaySeq.head`` those of
 the per-element tail loop and ``bstar_sum_bracket`` those of the
-full-length first-return loop, and the blocked per-axis b0 sweeps of the
-multinomial and discrete-choice profiles the floats of the whole stacked
-mesh, and the glued ladder built from per-pair coupling rows the paths of
-the per-step ladder that gathers and recomputes them at every step, all
-kept here.  The likelihood evaluations of ``fit`` read data-only arrays
+full-length first-return loop, the blocked per-axis b0 sweep of the
+discrete-choice profile the floats of the whole stacked mesh, and the glued
+ladder built from per-pair coupling rows the paths of the per-step ladder
+that gathers and recomputes them at every step, all kept here.  The likelihood evaluations of ``fit`` read data-only arrays
 built once per fit, check stationarity once, take each log only where it is
 kept and look the profiled link up on its equally spaced grid without a
 binary search; they must give the floats of the per-evaluation code, with
-``np.where`` and ``np.interp``, kept here.
+``np.where`` and ``np.interp``, kept here.  The closed-form multinomial b0
+must lie between the sup over the whole stacked mesh and that sup plus the
+mesh's continuity correction.
 """
 
 import csv
@@ -869,7 +870,8 @@ def _reference_softmax_probs(z):
 
 
 def _reference_b0_multinomial(n_categories, c, grid):
-    """The whole mesh stacked as a (points, dims) array."""
+    """The whole mesh stacked as a (points, dims) array: the mesh sup and
+    the continuity correction that covers the sup between mesh points."""
     dims = n_categories - 1
     step = max(grid.step, 0.05 if dims == 2 else (0.25 if dims == 3 else grid.step))
     axis = np.concatenate(
@@ -886,7 +888,7 @@ def _reference_b0_multinomial(n_categories, c, grid):
         shifted = _reference_softmax_probs(z + y)
         tv = 0.5 * np.abs(shifted - base).sum(axis=1)
         best = max(best, float(tv.max()))
-    return best + 0.25 * dims * step
+    return best, 0.25 * dims * step
 
 
 def _reference_cell_probs(success):
@@ -920,17 +922,23 @@ def _reference_b0_discrete_choice(cdf, n_components, lipschitz, c, grid):
 
 
 _LINKS = {"logistic": (expit, 0.25), "probit": (ndtr, 1.0 / math.sqrt(2.0 * math.pi))}
+# the mesh's TV differences probabilities of up to four categories, each
+# rounded within a few eps, so a mesh point at the sup may round above it
+MESH_ROUNDING = 8 * np.finfo(float).eps
 
 
 def _assert_sweep_matches_reference(family, dims, c, grid, link="logistic"):
     if family == "multinomial":
+        # the closed form is the exact sup, which the mesh approaches from below
         got = _b0_multinomial(dims + 1, c, grid)
-        want = _reference_b0_multinomial(dims + 1, c, grid)
+        mesh_sup, correction = _reference_b0_multinomial(dims + 1, c, grid)
+        assert mesh_sup <= got + MESH_ROUNDING
+        assert got <= mesh_sup + correction
     else:
         cdf, lip = _LINKS[link]
         got = _b0_discrete_choice(cdf, dims, lip, c, grid)
         want = _reference_b0_discrete_choice(cdf, dims, lip, c, grid)
-    assert got == want
+        assert got == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -1219,7 +1227,7 @@ def test_uniform_grid_lookup_reads_every_cell_at_its_own_slope():
 
 @settings(max_examples=100, deadline=None)
 @given(
-    y=st.lists(st.integers(0, 2), min_size=0, max_size=200),
+    y=st.lists(st.integers(0, 1), min_size=0, max_size=200),  # Dataset rejects any other response
     seed=st.integers(0, 2**32 - 1),
 )
 def test_split_log_terms_match_where(y, seed):
