@@ -2,10 +2,12 @@
 
 Covers the binary latent-recursion family: the latent index path is a linear
 filter of the forcing series, so likelihood, analytic score and their finite
-sample behaviour are all O(n) via ``scipy.signal.lfilter``.  The
-semiparametric route profiles out the link by a kernel regression of the
-responses on the fitted index and maximizes the plug-in likelihood over the
-autoregressive parameters, with the first covariate loading pinned to one as
+sample behaviour are all O(n) via ``scipy.signal.lfilter``.  ``fit_mle``
+runs BFGS on the analytic score (finite differences of the objective for a
+link with no density).  The semiparametric route profiles out the link by a
+kernel regression of the responses on the fitted index and maximizes the
+plug-in likelihood over the autoregressive parameters by Nelder-Mead, since
+the profile has no score, with the first covariate loading pinned to one as
 the scale normalization.
 """
 
@@ -193,20 +195,21 @@ class _Likelihood:
         ll[self.rest] = np.log1p(-f[self.rest])
         return ll
 
-    def loglik(self, spec: ObservationDrivenBinarySpec, warmup: int | None) -> float:
-        """``conditional_loglik`` of ``spec``, whose stationarity the caller checked."""
+    def loglik(self, spec: ObservationDrivenBinarySpec, warmup: int | None, mu=None) -> float:
+        """``conditional_loglik`` of ``spec``, whose stationarity the caller
+        checked; ``mu``, if given, is ``spec``'s index path."""
         warmup = _default_warmup(spec) if warmup is None else warmup
-        mu = self.mu(spec.alpha, spec.beta, spec.gamma)
+        mu = self.mu(spec.alpha, spec.beta, spec.gamma) if mu is None else mu
         f = np.clip(spec.link.cdf(mu), 1e-300, 1.0 - 1e-16)
         ll = np.maximum(self.log_terms(f), _LOG_FLOOR)
         return float(ll[warmup:].sum())
 
-    def score(self, spec: ObservationDrivenBinarySpec, warmup: int | None) -> np.ndarray:
-        """``loglik_gradient`` of ``spec``."""
+    def score(self, spec: ObservationDrivenBinarySpec, warmup: int | None, mu=None) -> np.ndarray:
+        """``loglik_gradient`` of ``spec``; ``mu`` as for ``loglik``."""
         from scipy.signal import lfilter
 
         warmup = _default_warmup(spec) if warmup is None else warmup
-        mu = self.mu(spec.alpha, spec.beta, spec.gamma)
+        mu = self.mu(spec.alpha, spec.beta, spec.gamma) if mu is None else mu
         if spec.link.pdf is None:
             raise NotImplementedError("analytic score needs a link with a known density")
         f = np.clip(spec.link.cdf(mu), 1e-12, 1.0 - 1e-12)
@@ -252,11 +255,15 @@ def loglik_gradient(
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Deterministic multi-start simplex optimization settings."""
+    """Deterministic multi-start optimization settings.
+
+    ``max_iter`` caps the iterations of each start, of ``fit_mle``'s BFGS
+    and of the profile's Nelder-Mead alike; ``gtol`` is the BFGS stopping
+    bound on the largest gradient entry of the objective per observation.
+    """
 
     max_iter: int = 2000
-    xatol: float = 1e-6
-    fatol: float = 1e-9
+    gtol: float = 1e-9
     stationarity_margin: float = 1e-3
     barrier_weight: float = 1e-6
     start_offsets: tuple = (0.0, 0.5, -0.5, 0.25, -0.25)
@@ -275,7 +282,33 @@ class FitResult:
     report: StationarityReport
 
 
-def _objective(theta, template, lik: _Likelihood, cfg) -> float:
+def _radius_gradient(beta: np.ndarray) -> np.ndarray:
+    """Derivative of the spectral radius of the latent companion matrix in
+    ``beta``.
+
+    The eigenvalues are the roots of P(z) = z^q - beta_1 z^(q-1) - ... -
+    beta_q.  At the top root lam, dlam/dbeta_j = lam^(q-j) / P'(lam), and the
+    radius |lam| moves by Re(conj(lam) dlam/dbeta_j) / |lam|; for q = 1 that
+    is sign(beta).  A conjugate pair on top gives both roots the same value.
+    Where the radius is 0 or P'(lam) is 0 the entries are 0.
+    """
+    q = beta.size
+    if q == 0:
+        return np.zeros(0)
+    companion = np.eye(q, k=-1)
+    companion[0] = beta
+    roots = np.linalg.eigvals(companion)
+    lam = roots[np.argmax(np.abs(roots))]
+    powers = lam ** np.arange(q - 1, -1, -1)  # lam^(q-j) for j = 1..q
+    slope = q * powers[0] - np.dot(np.arange(q - 1, 0, -1) * beta[:-1], powers[1:])
+    if lam == 0.0 or slope == 0.0:
+        return np.zeros(q)
+    return np.real(np.conj(lam) * powers / slope) / abs(lam)
+
+
+def _feasible(theta, template, cfg):
+    """``theta``'s spec and its stationarity slack, or ``None`` for the spec
+    when the radius is not finite or leaves no slack inside the margin."""
     p, q, d = template.alpha.size, template.beta.size, template.gamma.size
     _, b, _ = _unpack(theta, p, q, d)
     spec = ObservationDrivenBinarySpec(
@@ -284,10 +317,35 @@ def _objective(theta, template, lik: _Likelihood, cfg) -> float:
     report = stationarity_check(spec)
     slack = 1.0 - report.spectral_radius - cfg.stationarity_margin
     if slack <= 0.0 or not np.isfinite(report.spectral_radius):
-        return float("inf")
+        return None, slack
     _require_stationary(report)  # conditional_loglik's check, on the same report
+    return spec, slack
+
+
+def _objective(theta, template, lik: _Likelihood, cfg) -> float:
+    """Negative log likelihood per observation plus the log barrier on the
+    stationarity slack; ``inf`` outside the stationarity margin."""
+    spec, slack = _feasible(theta, template, cfg)
+    if spec is None:
+        return float("inf")
     ll = lik.loglik(spec, cfg.warmup)
     return -ll / lik.n - cfg.barrier_weight * math.log(slack)
+
+
+def _objective_and_gradient(theta, template, lik: _Likelihood, cfg):
+    """``_objective`` and its gradient, from one index path: minus the score
+    per observation plus the barrier's derivative through the radius.
+    Outside the margin the gradient is 0, so the line search only sees the
+    infinite value."""
+    spec, slack = _feasible(theta, template, cfg)
+    if spec is None:
+        return float("inf"), np.zeros(np.size(theta))
+    mu = lik.mu(spec.alpha, spec.beta, spec.gamma)
+    ll = lik.loglik(spec, cfg.warmup, mu)
+    grad = -lik.score(spec, cfg.warmup, mu) / lik.n
+    p, q = spec.alpha.size, spec.beta.size
+    grad[p : p + q] += cfg.barrier_weight * _radius_gradient(spec.beta) / slack
+    return -ll / lik.n - cfg.barrier_weight * math.log(slack), grad
 
 
 def fit_mle(
@@ -298,7 +356,11 @@ def fit_mle(
     """Maximize the conditional likelihood over the stationary region.
 
     Deterministic: a fixed fan of starting points (zero and symmetric
-    offsets), Nelder-Mead per start, best final value wins.  Standard errors
+    offsets) and BFGS from each on the log-barrier objective, driven by the
+    analytic score; a link with no density has no score, and BFGS then
+    differences the objective.  A start that ends on a non-finite value or
+    on a scipy status other than 0, 1 (``max-iter``) or 2 (precision loss
+    at the optimum) is dropped; the best final value wins.  Standard errors
     are the inverse observed-information diagonal obtained by differencing
     the analytic score; they are omitted when the information matrix is not
     invertible.
@@ -312,6 +374,7 @@ def fit_mle(
             f"{data.n} observations cannot support {n_par} parameters"
         )
     lik = _Likelihood(data, template.alpha.size)
+    fun, jac = (_objective, None) if template.link.pdf is None else (_objective_and_gradient, True)
     candidates = []
     tried = 0
     for off in cfg.start_offsets:
@@ -319,28 +382,21 @@ def fit_mle(
         if template.beta.size:
             # keep the latent recursion well inside the stationary region
             x0[template.alpha.size : template.alpha.size + template.beta.size] *= 0.5
-        res = minimize(
-            _objective,
-            x0,
-            args=(template, lik, cfg),
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.max_iter,
-                "xatol": cfg.xatol,
-                "fatol": cfg.fatol,
-            },
-        )
+        # a differenced gradient at a trial point outside the margin
+        # subtracts infinities; the line search rejects the point
+        with np.errstate(invalid="ignore"):
+            res = minimize(
+                fun,
+                x0,
+                args=(template, lik, cfg),
+                method="BFGS",
+                jac=jac,
+                options={"maxiter": cfg.max_iter, "gtol": cfg.gtol},
+            )
         tried += 1
-        if np.isfinite(res.fun) and np.all(np.isfinite(res.x)):
+        if res.status in (0, 1, 2) and np.isfinite(res.fun) and np.all(np.isfinite(res.x)):
             candidates.append(res)
-    best = None
-    if candidates:
-        top = min(c.fun for c in candidates)
-        # ties at the objective's resolution go to the smallest parameter
-        # norm, which pins directions the data leave flat
-        near = [c for c in candidates if c.fun <= top + 1e-6]
-        best = min(near, key=lambda c: float(np.linalg.norm(c.x)))
-    if best is None or not np.all(np.isfinite(best.x)):
+    if not candidates:
         return FitResult(
             theta_hat=np.full(n_par, np.nan),
             loglik=float("-inf"),
@@ -350,6 +406,11 @@ def fit_mle(
             starts_tried=tried,
             report=StationarityReport(False, float("inf"), 0.0),
         )
+    top = min(c.fun for c in candidates)
+    # ties at the objective's resolution go to the smallest parameter
+    # norm, which pins directions the data leave flat
+    near = [c for c in candidates if c.fun <= top + 1e-6]
+    best = min(near, key=lambda c: float(np.linalg.norm(c.x)))
     theta = best.x
     spec_hat = _spec_at(template, theta)
     ll = conditional_loglik(spec_hat, data, warmup=cfg.warmup)
@@ -374,7 +435,7 @@ def fit_mle(
     return FitResult(
         theta_hat=theta,
         loglik=ll,
-        convergence="converged" if best.success else "max-iter",
+        convergence="max-iter" if best.status == 1 else "converged",
         stderr=stderr,
         n_used=data.n,
         starts_tried=tried,

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
+from catchain import estimate
 from catchain.estimate import (
     DataSizeError,
     Dataset,
@@ -13,8 +16,8 @@ from catchain.estimate import (
     loglik_gradient,
     semiparametric_fit,
 )
-from catchain.estimate import _link_regression, _mu_path
-from catchain.models import ObservationDrivenBinarySpec, custom_link, model_to_kernel, probit_link
+from catchain.estimate import _link_regression, _mu_path, _radius_gradient
+from catchain.models import ObservationDrivenBinarySpec, custom_link, model_to_kernel, probit_link, stationarity_check
 from catchain.prob import SeededRng
 from catchain.simulate import IIDCovariates, sample_covariates, sample_forward
 
@@ -233,3 +236,45 @@ def test_link_density_drives_the_score():
     custom = ObservationDrivenBinarySpec(alpha=[0.4], beta=[0.5], gamma=[0.3], link=custom_link(expit, 0.25))
     with pytest.raises(NotImplementedError):
         loglik_gradient(custom, data)
+
+
+def test_fit_on_selftest_data_takes_few_objective_evaluations(monkeypatch):
+    # the fit-selftest data at seed 5 and n 2e4; Nelder-Mead took 1118 evaluations
+    x = sample_covariates(IIDCovariates(), 20500, SeededRng(5, 21))
+    path = sample_forward(model_to_kernel(TRUTH), x, 20000, 1e-6, SeededRng(5, 22))
+    data = Dataset(y=path.y, x=path.x)
+    calls = []
+    for name in ("_objective", "_objective_and_gradient"):
+        fn = getattr(estimate, name)
+        monkeypatch.setattr(estimate, name, lambda *args, fn=fn: calls.append(args) or fn(*args))
+    result = fit_mle(TRUTH, data)
+    assert result.convergence == "converged"
+    assert 0 < len(calls) <= 150
+
+
+@pytest.mark.parametrize("q", [0, 2, 3])
+def test_radius_gradient_is_zero_at_zero_radius(q):
+    # the zero start of a fit with two or more latent lags
+    assert _radius_gradient(np.zeros(q)).tolist() == [0.0] * q
+
+
+def _radius(beta):
+    spec = ObservationDrivenBinarySpec(alpha=[], beta=beta, gamma=[0.0])
+    return stationarity_check(spec).spectral_radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta=st.integers(1, 3).flatmap(lambda q: st.lists(st.floats(-1.5, 1.5), min_size=q, max_size=q)))
+def test_radius_gradient_matches_central_differences(beta):
+    beta = np.array(beta)
+    roots = np.roots(np.concatenate([[1.0], -beta]))
+    mod = np.abs(roots)
+    top = roots[np.argmax(mod)]
+    # a simple top root: separated roots, and none but the top one and its
+    # conjugate on the top circle
+    gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(roots.size)
+    on_top = int((mod > mod.max() - 1e-2).sum())
+    assume(mod.max() > 0.05 and gaps.min() > 1e-2 and on_top == (1 if top.imag == 0.0 else 2))
+    h = 1e-6
+    num = np.array([(_radius(beta + h * e) - _radius(beta - h * e)) / (2 * h) for e in np.eye(beta.size)])
+    assert np.abs(_radius_gradient(beta) - num).max() <= 1e-5 * np.abs(num).max()

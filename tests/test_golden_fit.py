@@ -3,10 +3,13 @@
 Runs ``fit`` twice at a fixed seed, both times with the semiparametric
 profile: once as a selftest on a simulated path, and once with ``--data``
 on the ``path.csv`` that ``simulate`` writes.  The sha256 of every output
-file is compared with digests recorded before the likelihood evaluations
-were restructured.  A mismatch means a fitted value changed; if the change
-is intended, record the new digests and explain the change in CHANGES.md.
-The digests were recorded with numpy 2.4 and scipy 1.17 on x86-64.
+file is compared with recorded digests.  ``fhat_grid.csv`` dates from
+before the likelihood evaluations were restructured; ``theta_hat.csv`` and
+``fit_summary.txt`` were recorded when ``fit_mle`` moved from Nelder-Mead to
+BFGS on the score.  A mismatch means a fitted value changed; if the change
+is intended, record the new digests with ``fit_digests`` and explain the
+change in CHANGES.md.  The digests were recorded with numpy 2.4 and scipy
+1.17 on x86-64.
 """
 
 import hashlib
@@ -27,13 +30,13 @@ CONFIG = {
 GOLDEN = {
     "data": {
         "fhat_grid.csv": "7cf7b2167b4dc0df1242ffcdd6707a17d3cb7f0cbf19858e7ff92fe71159ab24",
-        "fit_summary.txt": "9fcb78b17d2a161149dbcd975d1a773ac0a9b366c51baacf2d822d110a17217d",
-        "theta_hat.csv": "a37ca3ffaab043b8c2cb6cf449bfe6185c5d144b81a13f1b5c2f50d078dab857",
+        "fit_summary.txt": "9a83d49aa7a3e7761ee7c0a954aec3ff331e97511189b749f6686ac8c7e02c48",
+        "theta_hat.csv": "7e006285eb0041b630872af452cea4961c04a5d3be5a22fe0fa563f5ab27a01e",
     },
     "selftest": {
         "fhat_grid.csv": "2d73ee043657047f4eab503616a150e69b578f0040b81e474ab828f5366e03cd",
-        "fit_summary.txt": "cece3230854878e5f95f1eb2b81f8238445d1ff0119b6badea484bb377531ede",
-        "theta_hat.csv": "a4ec4d9d17cb649b03cea32ae5012cd5b0b8d70307fee583a832bc1a31cd06c1",
+        "fit_summary.txt": "2d79876f3461106b9c841409e4c4bd467eaf8a284f9f8d9736a0bdf444f51346",
+        "theta_hat.csv": "4d6ba3ac45eee8979b5d1bc884bddca1cf8f5005bb2a0b6bf71ffaf6a256166a",
     },
 }
 

@@ -262,12 +262,12 @@ def test_certify_b0_multinomial_is_the_closed_form_within_four_ulps(n_categories
         assert exact <= Decimal(got) <= exact + 4 * Decimal(math.ulp(float(exact))), c
 
 
-def test_certify_b0_multinomial_sweep_memory_stays_bounded():
+def test_certify_b0_choice_sweep_memory_stays_bounded():
     # the blocked sweep holds a few blocks of the 803 x 803 mesh at a time,
-    # not the whole mesh per law
+    # not the whole mesh per law (about 79 MiB in one block)
     tracemalloc.start()
     try:
-        certify_b0(("multinomial", 3), 1.0)
+        certify_b0(("discrete_choice", expit, 2, 0.25), 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

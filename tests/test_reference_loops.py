@@ -19,7 +19,9 @@ that gathers and recomputes them at every step, all kept here.  The likelihood e
 built once per fit, check stationarity once, take each log only where it is
 kept and look the profiled link up on its equally spaced grid without a
 binary search; they must give the floats of the per-evaluation code, with
-``np.where`` and ``np.interp``, kept here.  The closed-form multinomial b0
+``np.where`` and ``np.interp``, kept here.  ``fit_mle``'s BFGS, driven by
+the score, must end no higher than the multi-start Nelder-Mead search it
+replaced, kept here, and near the same point.  The closed-form multinomial b0
 must lie between the sup over the whole stacked mesh and that sup plus the
 mesh's continuity correction.
 """
@@ -52,10 +54,13 @@ from catchain.estimate import (
     _Likelihood,
     _link_regression,
     _objective,
+    _objective_and_gradient,
     _profile_objective,
+    _radius_gradient,
     _shifted,
     _uniform_interp,
     conditional_loglik,
+    fit_mle,
     loglik_gradient,
 )
 from catchain.kernels import (
@@ -76,6 +81,7 @@ from catchain.models import (
     NonlinearBinarySpec,
     ObservationDrivenBinarySpec,
     _latent_scan,
+    custom_link,
     logistic_link,
     model_to_kernel,
     probit_link,
@@ -949,11 +955,16 @@ def _assert_sweep_matches_reference(family, dims, c, grid, link="logistic"):
     link=st.sampled_from(sorted(_LINKS)),
     step=st.sampled_from([1e-3, 0.02, 0.3]),
     boundary=st.sampled_from([6.0, 9.5, 40.0]),
-    block_points=st.sampled_from([1, 7, 300, B0_BLOCK_POINTS]),
+    data=st.data(),
 )
-def test_blocked_b0_sweep_matches_full_mesh(family, dims, c, link, step, boundary, block_points):
-    # the block size changes no float, down to one row of the first axis
+def test_blocked_b0_sweep_matches_full_mesh(family, dims, c, link, step, boundary, data):
+    # the block size changes no float, down to one row of the first axis;
+    # only the discrete-choice sweep reads it
     grid = GridSpec(lo=-6.0, hi=6.0, step=step, boundary=boundary)
+    if family == "multinomial":
+        _assert_sweep_matches_reference(family, dims, c, grid, link)
+        return
+    block_points = data.draw(st.sampled_from([1, 7, 300, B0_BLOCK_POINTS]), label="block_points")
     with mock.patch.object(kernels, "B0_BLOCK_POINTS", block_points):
         _assert_sweep_matches_reference(family, dims, c, grid, link)
 
@@ -1335,3 +1346,83 @@ def test_objectives_match_reference_on_the_selftest_data(seed):
         assert _objective(theta, spec, lik, cfg) == _reference_objective(theta, spec, data, cfg)
         got = _profile_objective(theta[:2], spec, lik, None)
         assert got == _reference_profile_objective(theta[:2], spec, data, None)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    case=_fit_cases(),
+    warmup=st.one_of(st.none(), st.integers(0, 40)),
+    margin=st.sampled_from([1e-3, 0.0, -1e-3]),
+)
+def test_fused_objective_is_objective_with_score_and_barrier_gradient(case, warmup, margin):
+    template, data, thetas = case
+    cfg = FitConfig(warmup=warmup, stationarity_margin=margin)
+    lik = _Likelihood(data, template.alpha.size)
+    p, q = template.alpha.size, template.beta.size
+    for theta in thetas:
+        got = _outcome_bytes(lambda t: _objective_and_gradient(t, template, lik, cfg)[0], theta)
+        assert got == _outcome_bytes(_objective, theta, template, lik, cfg)
+        if not isinstance(got, bytes) or not np.isfinite(np.frombuffer(got)[0]):
+            continue  # the check raised, or theta lies outside the margin
+        grad = _objective_and_gradient(theta, template, lik, cfg)[1]
+        spec = ObservationDrivenBinarySpec(alpha=theta[:p], beta=theta[p : p + q], gamma=theta[p + q :], link=template.link)
+        want = -loglik_gradient(spec, data, warmup) / data.n
+        slack = 1.0 - stationarity_check(spec).spectral_radius - margin
+        want[p : p + q] += cfg.barrier_weight * _radius_gradient(spec.beta) / slack
+        assert grad.tobytes() == want.tobytes()
+
+
+def _reference_fit_mle_nelder_mead(template, data, cfg):
+    # the multi-start Nelder-Mead search of fit_mle before BFGS: the same
+    # starts, objective and tie-break, stopped at xatol 1e-6 and fatol 1e-9
+    from scipy.optimize import minimize
+
+    p, q = template.alpha.size, template.beta.size
+    lik = _Likelihood(data, p)
+    candidates = []
+    for off in cfg.start_offsets:
+        x0 = np.full(p + q + template.gamma.size, off)
+        x0[p : p + q] *= 0.5
+        res = minimize(
+            _objective,
+            x0,
+            args=(template, lik, cfg),
+            method="Nelder-Mead",
+            options={"maxiter": cfg.max_iter, "xatol": 1e-6, "fatol": 1e-9},
+        )
+        if np.isfinite(res.fun) and np.all(np.isfinite(res.x)):
+            candidates.append(res)
+    top = min(c.fun for c in candidates)
+    near = [c for c in candidates if c.fun <= top + 1e-6]
+    return min(near, key=lambda c: float(np.linalg.norm(c.x)))
+
+
+def _forward_binary_data(spec, n, seed, burn=200):
+    # the latent recursion from zero with one draw per step; the first burn steps are dropped
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=(n + burn, spec.gamma.size))
+    y = np.zeros(n + burn, dtype=np.int64)
+    lam = np.zeros(n + burn)
+    for t in range(n + burn):
+        lam[t] = float(x[t] @ spec.gamma)
+        lam[t] += sum(a * y[t - k] for k, a in enumerate(spec.alpha, start=1) if t >= k)
+        lam[t] += sum(b * lam[t - j] for j, b in enumerate(spec.beta, start=1) if t >= j)
+        y[t] = gen.random() < spec.link.cdf(lam[t : t + 1])[0]
+    return Dataset(y=y[burn:], x=x[burn:])
+
+
+_FIT_LINKS = {"logistic": logistic_link(), "probit": probit_link(), "custom": custom_link(expit, 0.25)}
+
+
+@pytest.mark.parametrize("link", sorted(_FIT_LINKS))
+@pytest.mark.parametrize("beta", [[], [0.5], [0.3, 0.1], [0.2, 0.1, 0.05]], ids=["q0", "q1", "q2", "q3"])
+def test_fit_mle_matches_nelder_mead_reference(beta, link):
+    # a custom link has no density, so BFGS differences the objective
+    spec = ObservationDrivenBinarySpec(alpha=[0.4], beta=beta, gamma=[0.3], link=_FIT_LINKS[link])
+    data = _forward_binary_data(spec, 1000, seed=len(beta))
+    cfg = FitConfig()
+    got = fit_mle(spec, data, cfg)
+    want = _reference_fit_mle_nelder_mead(spec, data, cfg)
+    assert got.convergence == "converged"
+    assert _objective(got.theta_hat, spec, _Likelihood(data, 1), cfg) <= want.fun + 1e-9
+    assert float(np.abs(got.theta_hat - want.x).max()) <= 1e-5
