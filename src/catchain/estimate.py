@@ -363,7 +363,8 @@ def fit_mle(
     at the optimum) is dropped; the best final value wins.  Standard errors
     are the inverse observed-information diagonal obtained by differencing
     the analytic score; they are omitted when the information matrix is not
-    invertible.
+    invertible.  Responses that are all equal from the warmup on have no
+    maximum-likelihood estimate and raise ``ValueError``.
     """
     from scipy.optimize import minimize
 
@@ -373,6 +374,10 @@ def fit_mle(
         raise DataSizeError(
             f"{data.n} observations cannot support {n_par} parameters"
         )
+    warmup = _default_warmup(template) if cfg.warmup is None else cfg.warmup
+    kept = np.unique(data.y[warmup:])
+    if kept.size == 1:  # the likelihood rises without bound towards the constant fit
+        raise ValueError(f"every response after the {warmup}-step warmup is {int(kept[0])}: no maximum-likelihood estimate exists")
     lik = _Likelihood(data, template.alpha.size)
     fun, jac = (_objective, None) if template.link.pdf is None else (_objective_and_gradient, True)
     candidates = []

@@ -25,9 +25,7 @@ from scipy.special import gamma, hyp1f1
 
 from .bounds import DecaySeq, DivergenceError, GeometricTail, bstar_from_b
 from .kernels import (
-    ENUM_STATE_LIMIT,
     KernelHandle,
-    UnsupportedKernelError,
     memory_step,
     state_code,
     successor_code,
@@ -410,16 +408,26 @@ def sample_forward(kernel: KernelHandle, x: np.ndarray, window: int, eps: float,
 # ---------------------------------------------------------------------------
 
 
-def _coupled_step(p: np.ndarray, q: np.ndarray, u: int, gen) -> int:
-    """Draw the partner of ``u`` under the maximal coupling of ``p`` and ``q``."""
-    overlap = min(p[u], q[u])
-    if p[u] <= 0:
-        raise ValueError("realized value has zero probability under its own law")
-    if gen.random() < overlap / p[u]:
-        return u
-    resid = np.clip(q - np.minimum(p, q), 0.0, None)
-    resid = resid / resid.sum()
-    return int(gen.choice(resid.size, p=resid))
+def _coupled_partners(tp: np.ndarray, tq: np.ndarray, rp, rq, u, gen) -> np.ndarray:
+    """Partners of ``u`` under the maximal couplings of ``p = tp[rp]`` and
+    ``q = tq[rq]``, one per replica: keep ``u`` when ``U * p[u] < min(p[u],
+    q[u])``, else invert a second uniform against the residual
+    ``(q - min(p, q))^+``, built only for the replicas that move."""
+    n = tp.shape[1]
+    p_u = tp.ravel()[rp * n + u]
+    q_u = tq.ravel()[rq * n + u]
+    stay = gen.random(p_u.size) * p_u < np.minimum(p_u, q_u)
+    draw = gen.random(p_u.size)
+    v = u.copy()
+    move = np.flatnonzero(~stay)
+    if move.size:  # none on most steps of close laws
+        p, q = tp[rp[move]], tq[rq[move]]
+        resid = np.clip(q - np.minimum(p, q), 0.0, None)
+        mass = resid.sum(axis=1)
+        mass = np.where(mass > 0, mass, 1.0)
+        # a rounded last cumulative sum can fall below the draw; it stays in the alphabet
+        v[move] = np.minimum((resid.cumsum(axis=1) < (draw[move] * mass)[:, None]).sum(axis=1), n - 1)
+    return v
 
 
 def glued_coupling(
@@ -439,9 +447,14 @@ def glued_coupling(
     time index per rung to ``kernel_b`` on ``x_b``; its diagonal is returned
     as the second path, whose marginal law is the plain ``kernel_b`` path
     law.  Adjacent rungs are coupled maximally one time step at a time.
+
+    This is :func:`coupled_ladder_mc` at one replica, with each law read
+    from the rung's history, so any kernel couples; on table kernels it
+    returns the ladder's draws for the same stream.
     """
     if kernel_a.n_categories != kernel_b.n_categories:
         raise ValueError("kernels must share the alphabet")
+    n = kernel_a.n_categories
     gen = as_generator(rng)
     x_a = np.atleast_2d(np.asarray(x_a, dtype=float))
     x_b = np.atleast_2d(np.asarray(x_b, dtype=float))
@@ -456,17 +469,16 @@ def glued_coupling(
 
     prev = []
     for t in range(1, length + 1):
-        p = law(-1, prev, t)
-        prev.append(int(gen.choice(p.size, p=p / p.sum())))
+        prev.append(min(int((np.cumsum(law(-1, prev, t)) < gen.random(1)).sum()), n - 1))
     y1 = np.array(prev, dtype=np.int64)
 
+    row = np.zeros(1, dtype=np.int64)
     diag = np.zeros(length, dtype=np.int64)
     for j in range(0, length + 1):
         cur: list = []
         for t in range(1, length + 1):
-            p = law(j - 1, prev, t)
-            q = law(j, cur, t)
-            cur.append(_coupled_step(p, q, prev[t - 1], gen))
+            p, q = law(j - 1, prev, t), law(j, cur, t)
+            cur.append(int(_coupled_partners(p[None], q[None], row, row, np.array([prev[t - 1]]), gen)[0]))
         if j >= 1:
             diag[j - 1] = cur[j - 1]
         prev = cur
@@ -508,30 +520,13 @@ def coupled_ladder_mc(
     are held fixed over time (no-covariate or frozen-covariate case).
     Returns ``(y1, y2)`` as ``(length, replicas)`` integer arrays.
 
-    The maximal-coupling rows of the three table pairs, ``(b, b)`` before
-    the swap time, ``(a, b)`` at it and ``(a, a)`` after it, are built once:
-    the first law, the overlap ``min(p, q)``, the residual cumsum and the
-    residual mass (1.0 where the residual is empty), one row per
-    ``prev_code * C + cur_code`` with ``C = n_categories**memory``.  Each
-    step gathers from them.
+    Rung ``j`` follows ``table_b`` up to time ``j``; each coupled step
+    reads its two laws straight from the tables, at the earlier rung's
+    code and at its own, so any table size couples.
     """
     n, mem = n_categories, memory
-    n_codes = n**mem
-    if n_codes * n_codes > ENUM_STATE_LIMIT:
-        raise UnsupportedKernelError(f"{n_codes}^2 code pairs exceed the enumeration limit")
     gen = as_generator(rng)
     R = replicas
-
-    def coupling_rows(tp, tq):
-        p = np.repeat(tp, n_codes, axis=0)  # row prev * C + cur holds tp[prev]
-        q = np.tile(tq, (n_codes, 1))  # and tq[cur]
-        overlap = np.minimum(p, q)
-        resid = np.clip(q - overlap, 0.0, None)
-        mass = resid.sum(axis=1)
-        return p.ravel(), overlap.ravel(), resid.cumsum(axis=1), np.where(mass > 0, mass, 1.0)
-
-    # indexed by 1 + sign(t - j): before, at and after the swap time j
-    pairs = [coupling_rows(table_b, table_b), coupling_rows(table_a, table_b), coupling_rows(table_a, table_a)]
 
     # the first rung: the plain table_a chain
     cum_a = table_a.cumsum(axis=1)
@@ -551,19 +546,10 @@ def coupled_ladder_mc(
         cur_c = np.empty((length + 1, R), dtype=np.int64)
         cur_c[0] = code_b0
         for t in range(1, length + 1):
-            p, overlap, resid_cum, mass = pairs[(t > j) - (t < j) + 1]
-            u = prev_y[t]
-            pair = prev_c[t - 1] * n_codes + cur_c[t - 1]
-            at_u = pair * n + u
-            stay = gen.random(R) * p[at_u] < overlap[at_u]
-            draw = gen.random(R)
-            v = u.copy()
-            move = np.flatnonzero(~stay)
-            if move.size:  # none on most steps of close tables
-                rows = pair[move]
-                v[move] = np.minimum((resid_cum[rows] < (draw[move] * mass[rows])[:, None]).sum(axis=1), n - 1)
-            cur_y[t] = v
-            cur_c[t] = successor_code(cur_c[t - 1], v, n, mem)
+            tp = table_b if t < j else table_a
+            tq = table_b if t <= j else table_a
+            cur_y[t] = _coupled_partners(tp, tq, prev_c[t - 1], cur_c[t - 1], prev_y[t], gen)
+            cur_c[t] = successor_code(cur_c[t - 1], cur_y[t], n, mem)
         if j >= 1:
             diag[j] = cur_y[j]
         prev_y, prev_c = cur_y, cur_c

@@ -250,6 +250,19 @@ def test_fit_too_small_dataset_fails(tmp_path):
     assert code == EXIT_FAILURE
 
 
+def test_fit_on_all_ones_responses_fails_without_estimate(tmp_path, capsys):
+    # every y = 1: the likelihood rises towards the constant fit and has no maximum
+    x = np.random.default_rng(4).normal(size=300).tolist()
+    data = tmp_path / "ones.csv"
+    data.write_text("t,y,x_1\n" + "".join(f"{t + 1},1,{v!r}\n" for t, v in enumerate(x)))
+    out = tmp_path / "f"
+    argv = ["fit", "--config", write_config(tmp_path, base_config()), "--out", str(out), "--data", str(data), "--quiet"]
+    assert main(argv) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert "fit failed:" in err and "is 1" in err and "Traceback" not in err
+    assert not (out / "theta_hat.csv").exists()
+
+
 def test_fit_without_data_source_is_config_error(tmp_path):
     cfg_path = write_config(tmp_path, base_config())
     assert main(["fit", "--config", cfg_path, "--out", str(tmp_path / "f2")]) == EXIT_CONFIG

@@ -3,6 +3,9 @@
 Runs ``simulate`` (window 500) and ``bounds`` for one config of each of the
 five model families at a fixed seed and compares the sha256 of every output
 file with digests recorded before the latent-recursion engine was unified.
+``verify``'s report, whose ``glued_coupling_mc`` row reads the seeded glued
+ladder, is compared with a digest recorded while the ladder still
+precomputed its coupling rows, so any change to the ladder's draws shows.
 A mismatch means a seeded output changed; if the change is intended, record
 the new digests and explain the change in CHANGES.md.  The digests were
 recorded with numpy 2.4 and scipy 1.17 on x86-64.
@@ -125,3 +128,16 @@ def family_digests(tmp_path, family: str) -> dict:
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_seeded_outputs_match_recorded_digests(tmp_path, family):
     assert family_digests(tmp_path, family) == GOLDEN[family]
+
+
+# tests/test_cli.py's verify block
+VERIFY = {"replicas": 4000, "pairs": 2, "length": 6, "sequences": 8}
+VERIFY_GOLDEN = "e073f89e495c74c95c21161e74e57ad887e91b078a745420e895c9a5aa6c3e51"
+
+
+def test_verify_report_matches_recorded_digest(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": SEED, "verify": VERIFY}))
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == EXIT_OK
+    assert hashlib.sha256((out / "verify_report.csv").read_bytes()).hexdigest() == VERIFY_GOLDEN

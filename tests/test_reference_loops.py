@@ -14,8 +14,10 @@ writer those of the row-by-row ``csv.writer``, ``DecaySeq.head`` those of
 the per-element tail loop and ``bstar_sum_bracket`` those of the
 full-length first-return loop, the blocked per-axis b0 sweep of the
 discrete-choice profile the floats of the whole stacked mesh, and the glued
-ladder built from per-pair coupling rows the paths of the per-step ladder
-that gathers and recomputes them at every step, all kept here.  The likelihood evaluations of ``fit`` read data-only arrays
+ladder, which builds the residual of a step only for the replicas that
+move, the paths of the per-step ladder that gathers both laws and
+recomputes every residual at every step, all kept here; the single-draw
+glued coupling must give the paths of that ladder at one replica.  The likelihood evaluations of ``fit`` read data-only arrays
 built once per fit, check stationarity once, take each log only where it is
 kept and look the profiled link up on its equally spaced grid without a
 binary search; they must give the floats of the per-evaluation code, with
@@ -69,6 +71,7 @@ from catchain.kernels import (
     _b0_discrete_choice,
     _b0_multinomial,
     b_exact_from_table,
+    state_code,
     successor_code,
     table_kernel,
     transition_table,
@@ -95,7 +98,6 @@ from catchain.simulate import (
     FiniteStateMarkovCovariates,
     IIDCovariates,
     SamplePath,
-    _coupled_step,
     _required_burnin,
     coupled_ladder_mc,
     exact_marginal_laws,
@@ -234,16 +236,26 @@ def _reference_glued(kernel_a, kernel_b, x_a, x_b, z_a, z_b, length, seed):
             return _full_history_law(kernel_b, y_real, x_b, t, z_b)
         return _full_history_law(kernel_a, y_real, x_a, t, z_a if path_idx < 0 else z_b)
 
+    def coupled(p, q, u):
+        # two uniforms per step: the stay test, then the residual draw
+        stay = gen.random() * p[u] < min(p[u], q[u])
+        draw = gen.random()
+        if stay:
+            return u
+        resid = np.clip(q - np.minimum(p, q), 0.0, None)
+        mass = resid.sum() if resid.sum() > 0 else 1.0
+        return min(int((np.cumsum(resid) < draw * mass).sum()), p.size - 1)
+
     prev = []
     for t in range(1, length + 1):
         p = law(-1, prev, t)
-        prev.append(int(gen.choice(p.size, p=p / p.sum())))
+        prev.append(min(int((np.cumsum(p) < gen.random()).sum()), p.size - 1))
     y1 = np.array(prev, dtype=np.int64)
     diag = np.zeros(length, dtype=np.int64)
     for j in range(0, length + 1):
         cur = []
         for t in range(1, length + 1):
-            cur.append(_coupled_step(law(j - 1, prev, t), law(j, cur, t), prev[t - 1], gen))
+            cur.append(coupled(law(j - 1, prev, t), law(j, cur, t), prev[t - 1]))
         if j >= 1:
             diag[j - 1] = cur[j - 1]
         prev = cur
@@ -1083,6 +1095,34 @@ def test_coupling_row_ladder_matches_per_step_reference_on_verify_fixtures(seed)
             got = coupled_ladder_mc(*args, SeededRng(seed, 100 + 16 * i + chunk))
             want = _reference_coupled_ladder_mc(*args, SeededRng(seed, 100 + 16 * i + chunk))
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@st.composite
+def _glued_table_cases(draw):
+    # strictly positive rows, so a table kernel's b0 stays below one
+    n, mem = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    rows = st.lists(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n), min_size=n**mem, max_size=n**mem)
+    table_a = np.array(draw(rows))
+    table_a = table_a / table_a.sum(axis=1, keepdims=True)
+    table_b = table_a if draw(st.booleans()) else np.array(draw(rows))
+    table_b = table_b / table_b.sum(axis=1, keepdims=True)
+    past = st.lists(st.integers(0, n - 1), min_size=mem, max_size=mem)
+    return table_a, table_b, draw(past), draw(past), n, mem, draw(st.integers(1, 8))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_glued_table_cases(), seed=st.integers(0, 2**32 - 1), top=st.booleans())
+def test_glued_coupling_is_the_ladder_at_one_replica(case, seed, top):
+    table_a, table_b, z_a, z_b, n, mem, length = case
+
+    def rng():
+        return _TopDraws(np.random.PCG64(0)) if top else np.random.default_rng(seed)
+
+    x = np.zeros((length, 1))
+    pair = glued_coupling(table_kernel(table_a), table_kernel(table_b), x, x, z_a, z_b, length, rng())
+    codes = state_code(z_a, n, mem), state_code(z_b, n, mem)
+    y1, y2 = coupled_ladder_mc(table_a, table_b, *codes, n, mem, length, 1, rng())
+    assert np.array_equal(pair.y1, y1[:, 0]) and np.array_equal(pair.y2, y2[:, 0])
 
 
 # -- likelihood evaluations ----------------------------------------------------------

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from catchain.bounds import bstar_from_b
-from catchain.kernels import UnsupportedKernelError, memory_state, table_kernel
+from catchain.cli import sidak_z
+from catchain.kernels import memory_state, table_kernel
 from catchain.models import (
     BinaryInfiniteOrderSpec,
     ObservationDrivenBinarySpec,
     model_to_kernel,
 )
-from catchain.prob import SeededRng, tv_distance
+from catchain.prob import SeededRng, maximal_coupling, tv_distance
 from catchain.bounds import DivergenceError
 from catchain.simulate import (
     AR1Covariates,
@@ -19,6 +20,7 @@ from catchain.simulate import (
     IIDCovariates,
     SamplePath,
     UnsupportedCovariateError,
+    _coupled_partners,
     coupled_ladder_mc,
     covariate_coupling_coeffs,
     exact_marginal_law,
@@ -160,11 +162,57 @@ def test_ladder_draw_at_top_of_unit_interval_stays_in_alphabet():
     assert y1.max() == 2 and y2.max() == 2
 
 
-def test_ladder_past_the_enumeration_limit_is_unsupported():
-    # 2**11 memory states give 2**22 coupling rows per table pair
-    table = np.full((2**11, 2), 0.5)
-    with pytest.raises(UnsupportedKernelError):
-        coupled_ladder_mc(table, table, 0, 0, 2, 11, 2, 4, SeededRng(0))
+def test_ladder_runs_on_2_to_the_11_memory_states():
+    # 2**11 memory states would be 2**22 code pairs; each step reads the two tables
+    gen = SeededRng(0).generator()
+    table = 0.8 * gen.dirichlet(np.ones(2), size=2**11) + 0.1
+    y1, y2 = coupled_ladder_mc(table, table, 5, 5, 2, 11, 3, 64, SeededRng(0))
+    assert y1.shape == y2.shape == (3, 64)
+    assert set(np.unique(y1)) <= {0, 1} and set(np.unique(y2)) <= {0, 1}
+    np.testing.assert_array_equal(y1, y2)
+
+
+def test_glued_coupling_runs_on_kernel_past_the_table_limit():
+    # the README spec keeps 46 lags: 2**46 memory states, far past any table
+    k = model_to_kernel(ObservationDrivenBinarySpec(alpha=[0.4], beta=[0.5], gamma=[0.3]))
+    assert k.truncation.max_lag_y == 46
+    x = SeededRng(15).generator().normal(size=(6, 1))
+    for length in (4, 5, 6):
+        same = glued_coupling(k, k, x, x, [1, 0], [1, 0], length, SeededRng(16, length))
+        assert same.y1.shape == same.y2.shape == same.mismatch.shape == (length,)
+        assert set(same.y1) | set(same.y2) <= {0, 1}
+        assert not same.mismatch.any()
+        swapped = glued_coupling(k, k, x, x, [1, 1, 1], [0, 0, 0], length, SeededRng(17, length))
+        assert set(swapped.y1) | set(swapped.y2) <= {0, 1}
+        np.testing.assert_array_equal(swapped.mismatch, swapped.y1 != swapped.y2)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ([0.2, 0.5, 0.3], [0.2, 0.5, 0.3]),  # identical: never moves
+        ([0.6, 0.4, 0.0], [0.0, 0.0, 1.0]),  # disjoint supports: always moves
+        ([0.5, 0.3, 0.2], [0.1, 0.45, 0.45]),
+    ],
+)
+def test_coupled_step_joint_law_is_the_maximal_coupling(p, q):
+    p, q = np.array(p), np.array(q)
+    joint = maximal_coupling(p, q).joint
+    reps = 200_000
+    gen = SeededRng(18).generator()
+    u = np.minimum((np.cumsum(p) < gen.random(reps)[:, None]).sum(axis=1), 2)
+    rows = np.zeros(reps, dtype=np.int64)
+    v = _coupled_partners(p[None], q[None], rows, rows, u, gen)
+    if tv_distance(p, q) == 0.0:
+        np.testing.assert_array_equal(v, u)
+    if not (np.minimum(p, q) > 0).any():
+        assert (v != u).all()
+    counts = np.bincount(u * 3 + v, minlength=9).reshape(3, 3)
+    assert (counts[joint == 0] == 0).all()
+    live = joint > 0
+    # one two-sided z-test per cell of positive mass, held to 1e-4 together
+    z = np.abs(counts[live] / reps - joint[live]) / np.sqrt(joint[live] * (1 - joint[live]) / reps)
+    assert z.max() <= sidak_z(1e-4, int(live.sum()), 2)
 
 
 def test_single_draw_glued_coupling_matches_ladder_statistics():
