@@ -413,8 +413,8 @@ def _verify_checks(vblk: dict, seed: int):
                 table_a, table_b, 0, 3, 2, 2, length, size, SeededRng(seed, 100 + 16 * i + chunk)
             )
             mism_ct = mism_ct + (y1 != y2).sum(axis=1)
-            marg1 = marg1 + (y1[..., None] == np.arange(2)).sum(axis=1)
-            marg2 = marg2 + (y2[..., None] == np.arange(2)).sum(axis=1)
+            marg1 = marg1 + np.stack([(y1 == k).sum(axis=1) for k in range(2)], axis=1)
+            marg2 = marg2 + np.stack([(y2 == k).sum(axis=1) for k in range(2)], axis=1)
         delta = float(0.5 * np.abs(table_a - table_b).sum(axis=1).max())
         b_hi = np.maximum(
             b_exact_from_table(table_a, 2, 2).values, b_exact_from_table(table_b, 2, 2).values

@@ -31,7 +31,7 @@ from .kernels import (
     successor_code,
     transition_table,
 )
-from .prob import as_generator
+from .prob import PROB_TOL, as_generator
 
 __all__ = [
     "HorizonError",
@@ -409,15 +409,21 @@ def sample_forward(kernel: KernelHandle, x: np.ndarray, window: int, eps: float,
 
 
 def _coupled_partners(tp: np.ndarray, tq: np.ndarray, rp, rq, u, gen) -> np.ndarray:
+    """:func:`_partners_from` on ``u.size`` stay uniforms drawn from ``gen``,
+    then as many residual uniforms."""
+    stay_u = gen.random(u.size)
+    return _partners_from(tp, tq, rp, rq, u, stay_u, gen.random(u.size))
+
+
+def _partners_from(tp: np.ndarray, tq: np.ndarray, rp, rq, u, stay_u, draw) -> np.ndarray:
     """Partners of ``u`` under the maximal couplings of ``p = tp[rp]`` and
-    ``q = tq[rq]``, one per replica: keep ``u`` when ``U * p[u] < min(p[u],
-    q[u])``, else invert a second uniform against the residual
+    ``q = tq[rq]``, one per replica: keep ``u`` when ``stay_u * p[u] <
+    min(p[u], q[u])``, else invert ``draw`` against the residual
     ``(q - min(p, q))^+``, built only for the replicas that move."""
     n = tp.shape[1]
     p_u = tp.ravel()[rp * n + u]
     q_u = tq.ravel()[rq * n + u]
-    stay = gen.random(p_u.size) * p_u < np.minimum(p_u, q_u)
-    draw = gen.random(p_u.size)
+    stay = stay_u * p_u < np.minimum(p_u, q_u)
     v = u.copy()
     move = np.flatnonzero(~stay)
     if move.size:  # none on most steps of close laws
@@ -503,6 +509,41 @@ def kernel_distance_profile(
     return out
 
 
+def _check_ladder_inputs(table_a, table_b, code_a0, code_b0, n, mem, length, replicas) -> None:
+    """Reject, by argument name, what the ladder cannot step: tables that are
+    not ``(N^memory, N)`` laws, codes outside ``[0, N^memory)``, no replicas
+    and a negative length."""
+    counts = (("n_categories", n, 1), ("memory", mem, 1), ("length", length, 0), ("replicas", replicas, 1))
+    for name, value, low in counts:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    shape = (n**mem, n)
+    for name, table in (("table_a", table_a), ("table_b", table_b)):
+        if table.shape != shape:
+            raise ValueError(f"{name} must be shaped (n_categories**memory, n_categories) {shape}, got {table.shape}")
+        if not (np.isfinite(table).all() and (table >= 0).all()):
+            raise ValueError(f"{name} must hold finite entries >= 0")
+        off = float(np.abs(table.sum(axis=1) - 1.0).max())
+        if off > PROB_TOL:
+            raise ValueError(f"every row of {name} must sum to 1 within {PROB_TOL:g}, one is off by {off:.3g}")
+    for name, code in (("code_a0", code_a0), ("code_b0", code_b0)):
+        if isinstance(code, bool) or not isinstance(code, numbers.Integral) or not 0 <= code < n**mem:
+            raise ValueError(f"{name} must be a memory-state code in [0, {n**mem}), got {code!r}")
+
+
+def _draw_skipper(gen):
+    """A function that moves ``gen`` past ``k`` uniforms as ``gen.random(k)``
+    would: ``advance`` on a plain generator over PCG64, whose doubles take one
+    64-bit step each and which holds no buffered 32-bit half (``advance``
+    clears it), else drawing and dropping them."""
+    bitgen = gen.bit_generator
+    if type(gen) is np.random.Generator and type(bitgen) is np.random.PCG64:
+        state = bitgen.state
+        if state["has_uint32"] == 0 and state["uinteger"] == 0:
+            return bitgen.advance
+    return gen.random
+
+
 def coupled_ladder_mc(
     table_a: np.ndarray,
     table_b: np.ndarray,
@@ -518,41 +559,80 @@ def coupled_ladder_mc(
 
     ``table_a``/``table_b`` map memory-state codes to next-category laws and
     are held fixed over time (no-covariate or frozen-covariate case).
-    Returns ``(y1, y2)`` as ``(length, replicas)`` integer arrays.
+    Returns ``(y1, y2)`` as ``(length, replicas)`` integer arrays.  Raises
+    ``ValueError`` naming the argument for tables that are not
+    ``(N^memory, N)`` laws, codes outside ``[0, N^memory)``, ``replicas < 1``
+    and ``length < 0``.
 
     Rung ``j`` follows ``table_b`` up to time ``j``; each coupled step
     reads its two laws straight from the tables, at the earlier rung's
     code and at its own, so any table size couples.
+
+    Only replicas whose two rungs can still differ are stepped.  At every
+    ``t != j`` rung ``j`` and rung ``j - 1`` use the same table, and a
+    replica whose two codes agree there has ``p[u] == q[u]``, so its stay
+    test ``U * p[u] < p[u]`` holds for every ``U < 1`` when ``p[u]`` is a
+    positive normal float: it keeps the earlier rung's category and the
+    codes stay equal for good.  So every step ``t < j`` is settled (both
+    rungs start at ``code_b0``), the step ``t == j`` is full width, and
+    after it only replicas whose codes differ stay active.  A table with
+    an entry at or below the smallest normal float keeps every replica
+    active.  Each step still consumes its ``R`` stay uniforms, then its
+    ``R`` residual uniforms, in the order of the full-width ladder (a step
+    with no active replica skips them), so the paths and the generator's
+    state after the call equal those of stepping every replica.
     """
     n, mem = n_categories, memory
+    table_a = np.asarray(table_a, dtype=float)
+    table_b = np.asarray(table_b, dtype=float)
+    _check_ladder_inputs(table_a, table_b, code_a0, code_b0, n, mem, length, replicas)
     gen = as_generator(rng)
     R = replicas
 
-    # the first rung: the plain table_a chain
-    cum_a = table_a.cumsum(axis=1)
-    prev_y = np.empty((length + 1, R), dtype=np.int64)
-    prev_c = np.empty((length + 1, R), dtype=np.int64)
-    prev_c[0] = code_a0
+    # y[t] and c[t] hold the latest rung's category at t and its code after
+    # t; each rung overwrites only its active replicas
+    y = np.empty((length + 1, R), dtype=np.int64)
+    c = np.empty((length + 1, R), dtype=np.int64)
+    # the first rung: the plain table_a chain, counted one cumulative column
+    # at a time; the rows are nondecreasing, so counting the first N - 1
+    # columns keeps a rounded last sum below u inside the alphabet
+    cols = [np.ascontiguousarray(col) for col in table_a.cumsum(axis=1).T[: n - 1]]
+    c[0] = code_a0
     for t in range(1, length + 1):
         u = gen.random(R)
-        # a rounded last cumulative sum can fall below u; the draw stays in the alphabet
-        prev_y[t] = np.minimum((cum_a[prev_c[t - 1]] < u[:, None]).sum(axis=1), n - 1)
-        prev_c[t] = successor_code(prev_c[t - 1], prev_y[t], n, mem)
-    y1 = prev_y[1:].copy()
+        y[t] = 0
+        for col in cols:
+            y[t] += col[c[t - 1]] < u
+        c[t] = successor_code(c[t - 1], y[t], n, mem)
+    y1 = y[1:].copy()
 
+    settles = min(table_a.min(), table_b.min()) > np.finfo(float).tiny
+    skip = _draw_skipper(gen)
+    every = np.arange(R)
     diag = np.zeros((length + 1, R), dtype=np.int64)
     for j in range(0, length + 1):
-        cur_y = np.empty((length + 1, R), dtype=np.int64)
-        cur_c = np.empty((length + 1, R), dtype=np.int64)
-        cur_c[0] = code_b0
+        # the active replicas, with the earlier rung's code and this rung's at t - 1
+        act, pc, cc = every, c[0].copy(), np.full(R, code_b0, dtype=np.int64)
+        c[0] = code_b0
         for t in range(1, length + 1):
+            if settles and t == j:  # every earlier step settled, so both rungs hold c[t - 1]
+                act, pc, cc = every, c[t - 1], c[t - 1]
+            elif settles:
+                keep = np.flatnonzero(pc != cc)
+                act, pc, cc = act[keep], pc[keep], cc[keep]
+            if not act.size:
+                skip(2 * R)
+                continue
+            uni = gen.random(2 * R)
             tp = table_b if t < j else table_a
             tq = table_b if t <= j else table_a
-            cur_y[t] = _coupled_partners(tp, tq, prev_c[t - 1], cur_c[t - 1], prev_y[t], gen)
-            cur_c[t] = successor_code(cur_c[t - 1], cur_y[t], n, mem)
+            yt, ct = y[t], c[t]
+            sel = slice(None) if act.size == R else act  # every replica: views, not gathers
+            v = _partners_from(tp, tq, pc, cc, yt[sel], uni[:R][sel], uni[R:][sel])
+            pc, cc = ct[sel].copy(), successor_code(cc, v, n, mem)
+            yt[sel], ct[sel] = v, cc
         if j >= 1:
-            diag[j] = cur_y[j]
-        prev_y, prev_c = cur_y, cur_c
+            diag[j] = y[j]
     return y1, diag[1:]
 
 

@@ -14,8 +14,9 @@ writer those of the row-by-row ``csv.writer``, ``DecaySeq.head`` those of
 the per-element tail loop and ``bstar_sum_bracket`` those of the
 full-length first-return loop, the blocked per-axis b0 sweep of the
 discrete-choice profile the floats of the whole stacked mesh, and the glued
-ladder, which builds the residual of a step only for the replicas that
-move, the paths of the per-step ladder that gathers both laws and
+ladder, which steps only the replicas whose rungs can still differ and
+builds the residual of a step only for the replicas that move, the paths
+and the generator state of the per-step ladder that gathers both laws and
 recomputes every residual at every step, all kept here; the single-draw
 glued coupling must give the paths of that ladder at one replica.  The likelihood evaluations of ``fit`` read data-only arrays
 built once per fit, check stationarity once, take each log only where it is
@@ -1123,6 +1124,102 @@ def test_glued_coupling_is_the_ladder_at_one_replica(case, seed, top):
     codes = state_code(z_a, n, mem), state_code(z_b, n, mem)
     y1, y2 = coupled_ladder_mc(table_a, table_b, *codes, n, mem, length, 1, rng())
     assert np.array_equal(pair.y1, y1[:, 0]) and np.array_equal(pair.y2, y2[:, 0])
+
+
+@st.composite
+def _positive_ladder_tables(draw, n, mem):
+    # no zero entry, so replicas whose rungs agree settle and are not stepped
+    rows = draw(st.lists(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n), min_size=n**mem, max_size=n**mem))
+    table = np.array(rows)
+    return table / table.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def _settling_ladder_cases(draw):
+    # memory up to 3, equal pasts, identical tables and one replica, with and
+    # without zero entries
+    n, mem = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    tables = _positive_ladder_tables(n, mem) if draw(st.booleans()) else _ladder_tables(n, mem)
+    table_a = draw(tables)
+    table_b = table_a if draw(st.booleans()) else draw(tables)
+    codes = st.integers(0, n**mem - 1)
+    code_a0 = draw(codes)
+    code_b0 = code_a0 if draw(st.booleans()) else draw(codes)
+    replicas = draw(st.one_of(st.just(1), st.integers(1, 64)))
+    return table_a, table_b, code_a0, code_b0, n, mem, draw(st.integers(0, 9)), replicas
+
+
+def _bit_generator(kind: str, seed: int) -> np.random.Generator:
+    # PCG64 skips a settled step's uniforms with advance; MT19937 has none
+    return np.random.Generator(np.random.PCG64(seed) if kind == "pcg64" else np.random.MT19937(seed))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_settling_ladder_cases(), seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["pcg64", "mt19937"]))
+def test_active_replica_ladder_matches_per_step_reference(case, seed, kind):
+    gen, ref = _bit_generator(kind, seed), _bit_generator(kind, seed)
+    got = coupled_ladder_mc(*case, gen)
+    want = _reference_coupled_ladder_mc(*case, ref)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert gen.random() == ref.random()
+
+
+@pytest.mark.parametrize("kind", ["pcg64", "mt19937"])
+def test_active_replica_ladder_leaves_the_stream_where_the_reference_does(kind):
+    # verify's table pair at 500 replicas: 28 of the 72 rung-steps have no
+    # replica to step, and later ones only a few
+    gen = SeededRng(5, 12).generator()
+    table_a = 0.7 * gen.dirichlet(np.ones(2), size=4) + 0.3 / 2
+    table_b = np.clip(table_a + gen.uniform(-0.04, 0.04, size=table_a.shape), 0.05, None)
+    table_b = table_b / table_b.sum(axis=1, keepdims=True)
+    args = (table_a, table_b, 0, 3, 2, 2, 8, 500)
+    got_gen, ref_gen = _bit_generator(kind, 7), _bit_generator(kind, 7)
+    got = coupled_ladder_mc(*args, got_gen)
+    want = _reference_coupled_ladder_mc(*args, ref_gen)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(got_gen.random(4), ref_gen.random(4))
+
+
+class _ScriptedDraws(np.random.Generator):
+    """Returns the given uniforms in order, however many each call asks for."""
+
+    def __init__(self, values):
+        super().__init__(np.random.PCG64(0))
+        self.values, self.drawn = np.asarray(values, dtype=float), 0
+
+    def random(self, size=None):
+        self.drawn += size
+        return self.values[self.drawn - size : self.drawn]
+
+
+_TOP = np.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "row, script, y2",
+    [
+        # the cumulative sum of [a, b, 0] ends at 0.9999999999999998, so the
+        # first rung's top draw lands on the last category, of probability
+        # 0; rung 0 shares that rung's code and table, yet its stay test
+        # 0 < 0 fails and a residual draw of 0.0 moves it to category 0,
+        # which rung 1 keeps
+        ([0.6136640758845232, 0.3863359241154766, 0.0], [_TOP, _TOP, 0.0, _TOP, _TOP], 0),
+        # a draw of 0.0 lands on a category of probability 2**-1022, the
+        # smallest normal float, where _TOP * p rounds back to p: rung 0's
+        # stay test fails, and its top residual draw moves it to category 1
+        ([np.finfo(float).tiny, 1.0], [0.0, _TOP, _TOP, 0.0, _TOP], 1),
+    ],
+    ids=["zero", "smallest-normal"],
+)
+def test_unsettled_tiny_category_keeps_every_replica_stepped(row, script, y2):
+    # a ladder that left rung 0 settled would hand rung 1 the first rung's
+    # category, and the next two draws would give it the other one
+    table = np.array([row] * len(row))
+    args = (table, table, 0, 0, len(row), 1, 1, 1)
+    got = coupled_ladder_mc(*args, _ScriptedDraws(script))
+    want = _reference_coupled_ladder_mc(*args, _ScriptedDraws(script))
+    assert got[1].tolist() == [[y2]] != got[0].tolist()
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 # -- likelihood evaluations ----------------------------------------------------------

@@ -172,6 +172,33 @@ def test_ladder_runs_on_2_to_the_11_memory_states():
     np.testing.assert_array_equal(y1, y2)
 
 
+_LADDER_TABLE = np.array([[0.75, 0.25], [0.3, 0.7], [0.6, 0.4], [0.45, 0.55]])
+
+
+@pytest.mark.parametrize(
+    "change, name",
+    [
+        ({"table_a": _LADDER_TABLE[:3]}, "table_a"),  # not (N^memory, N)
+        ({"table_b": _LADDER_TABLE[:2]}, "table_b"),  # the tables differ in shape
+        ({"table_b": _LADDER_TABLE + [[0.3, -0.3], [0, 0], [0, 0], [0, 0]]}, "table_b"),  # negative entry
+        ({"table_a": np.where(_LADDER_TABLE == 0.3, np.nan, _LADDER_TABLE)}, "table_a"),  # not finite
+        ({"table_a": _LADDER_TABLE * [[1.0, 0.9]]}, "table_a"),  # a row sums to 0.975
+        ({"code_a0": -1}, "code_a0"),
+        ({"code_b0": 4}, "code_b0"),
+        ({"replicas": 0}, "replicas"),
+        ({"length": -1}, "length"),
+    ],
+    ids=["shape", "shapes-differ", "negative", "nan", "row-sum", "code-negative", "code-past-range", "replicas", "length"],
+)
+def test_ladder_rejects_malformed_input_by_name(change, name):
+    args = dict(
+        table_a=_LADDER_TABLE, table_b=_LADDER_TABLE, code_a0=0, code_b0=3,
+        n_categories=2, memory=2, length=4, replicas=8,
+    )
+    with pytest.raises(ValueError, match=name):
+        coupled_ladder_mc(**{**args, **change}, rng=SeededRng(0))
+
+
 def test_glued_coupling_runs_on_kernel_past_the_table_limit():
     # the README spec keeps 46 lags: 2**46 memory states, far past any table
     k = model_to_kernel(ObservationDrivenBinarySpec(alpha=[0.4], beta=[0.5], gamma=[0.3]))
