@@ -286,6 +286,43 @@ def test_certify_b0_rejects_non_finite_or_negative_shift_by_name(profile, bad):
 
 
 @pytest.mark.parametrize(
+    "profile,name",
+    [
+        (("binary", expit, -1.0), "lipschitz"),
+        (("binary", expit, math.nan), "lipschitz"),
+        (("binary", expit, math.inf), "lipschitz"),
+        (("discrete_choice", expit, 2, math.nan), "lipschitz"),
+        (("discrete_choice", expit, 1, -0.25), "lipschitz"),
+        (("multinomial", 1), "n_categories"),
+        (("multinomial", 0), "n_categories"),
+        (("multinomial", 2.5), "n_categories"),
+        (("discrete_choice", expit, 0, 0.25), "n_components"),
+        (("discrete_choice", expit, -1, 0.25), "n_components"),
+        (("discrete_choice", expit, 2.0, 0.25), "n_components"),
+    ],
+)
+def test_certify_b0_rejects_malformed_profile_parameters_by_name(profile, name):
+    with pytest.raises(ValueError, match=name):
+        certify_b0(profile, 1.0)
+
+
+def test_certify_b0_raises_on_a_nan_sup():
+    with pytest.raises(CertificationError):
+        certify_b0(("binary", lambda z: np.full_like(z, np.nan), 0.25), 1.0)
+
+
+@pytest.mark.parametrize("cdf,lipschitz", [(expit, 0.25), (ndtr, 1.0 / math.sqrt(2.0 * math.pi))])
+@pytest.mark.parametrize("c", [0.3, 1.0, 2.5])
+def test_one_component_choice_b0_is_the_binary_sweep(cdf, lipschitz, c):
+    # a single component is Bernoulli(1 - F(-z)), so the binary sweep
+    # certifies it; for the logistic the exact sup is tanh(c/4)
+    got = certify_b0(("discrete_choice", cdf, 1, lipschitz), c)
+    assert got == certify_b0(("binary", cdf, lipschitz), c)
+    if cdf is expit:
+        assert math.tanh(c / 4.0) <= got <= math.tanh(c / 4.0) + 2.0 * lipschitz * GridSpec().step
+
+
+@pytest.mark.parametrize(
     "fields",
     [
         {"step": -1e-3},

@@ -13,8 +13,10 @@ latent scan must give the bytes of the array-step engine, the blocked CSV
 writer those of the row-by-row ``csv.writer``, ``DecaySeq.head`` those of
 the per-element tail loop and ``bstar_sum_bracket`` those of the
 full-length first-return loop, the blocked per-axis b0 sweep of the
-discrete-choice profile the floats of the whole stacked mesh, and the glued
-ladder, which steps only the replicas whose rungs can still differ and
+discrete-choice profile the floats of the whole stacked mesh at the
+all-(+c) shift vertex and a value between the mesh sup and the
+certificate of the whole stacked shift cube, and the glued ladder, which
+steps only the replicas whose rungs can still differ and
 builds the residual of a step only for the replicas that move, the paths
 and the generator state of the per-step ladder that gathers both laws and
 recomputes every residual at every step, all kept here; the single-draw
@@ -37,7 +39,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, ndtr
 
@@ -940,13 +942,27 @@ def _reference_b0_discrete_choice(cdf, n_components, lipschitz, c, grid):
     return best + lipschitz * n_components * step
 
 
+def _reference_b0_choice_vertex(cdf, n_components, lipschitz, c, grid):
+    """The whole mesh stacked, shifted only at the all-(+c) vertex."""
+    step = max(grid.step, 0.05 if n_components == 2 else 0.25)
+    axis = np.concatenate(
+        [[-grid.boundary], np.arange(grid.lo, grid.hi + step / 2, step), [grid.boundary]]
+    )
+    mesh = np.meshgrid(*([axis] * n_components), indexing="ij")
+    lam = np.stack([m.ravel() for m in mesh], axis=1)
+    base = _reference_cell_probs(1.0 - cdf(-lam))
+    shifted = _reference_cell_probs(1.0 - cdf(-(lam + c)))
+    tv = 0.5 * np.abs(shifted - base).sum(axis=1)
+    return float(tv.max()) + lipschitz * n_components * step
+
+
 _LINKS = {"logistic": (expit, 0.25), "probit": (ndtr, 1.0 / math.sqrt(2.0 * math.pi))}
 # the mesh's TV differences probabilities of up to four categories, each
 # rounded within a few eps, so a mesh point at the sup may round above it
 MESH_ROUNDING = 8 * np.finfo(float).eps
 
 
-def _assert_sweep_matches_reference(family, dims, c, grid, link="logistic"):
+def _assert_sweep_matches_reference(family, dims, c, grid, link="logistic", cube_equal=False):
     if family == "multinomial":
         # the closed form is the exact sup, which the mesh approaches from below
         got = _b0_multinomial(dims + 1, c, grid)
@@ -957,7 +973,18 @@ def _assert_sweep_matches_reference(family, dims, c, grid, link="logistic"):
         cdf, lip = _LINKS[link]
         got = _b0_discrete_choice(cdf, dims, lip, c, grid)
         want = _reference_b0_discrete_choice(cdf, dims, lip, c, grid)
-        assert got == want
+        if cube_equal:
+            assert got == want
+            return
+        if dims > 1:
+            assert got == _reference_b0_choice_vertex(cdf, dims, lip, c, grid)
+        # the all-(+c) vertex holds the sup over R^K, so its certificate
+        # covers the mesh sup of the whole shift cube; it sweeps part of the
+        # cube's mesh, so it never exceeds the cube's certificate.  One
+        # component is the binary sweep, over the mirrored axis, which
+        # rounds its own way
+        slack = MESH_ROUNDING if dims == 1 else 0.0
+        assert _reference_b0_discrete_choice(cdf, dims, 0.0, c, grid) <= got <= want + slack
 
 
 @settings(max_examples=30, deadline=None)
@@ -993,8 +1020,26 @@ def test_blocked_b0_sweep_matches_full_mesh(family, dims, c, link, step, boundar
     ids=["zoo-multinomial", "zoo-choice", "verify-multinomial", "verify-choice"],
 )
 def test_blocked_b0_sweep_matches_full_mesh_on_default_grid(family, dims, c):
-    # the c values model-zoo's two kernels and verify's b0 row certify
-    _assert_sweep_matches_reference(family, dims, c, GridSpec())
+    # the c values model-zoo's two kernels and verify's b0 row certify; on
+    # them one vertex gives the floats of the whole shift cube
+    _assert_sweep_matches_reference(family, dims, c, GridSpec(), cube_equal=True)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    dims=st.integers(2, 3),
+    c=st.floats(0.0, 4.0, exclude_min=True),
+    link=st.sampled_from(sorted(_LINKS)),
+    lo=st.floats(-6.0, -3.0),
+    hi=st.floats(3.0, 6.0),
+    step=st.sampled_from([1e-3, 0.02, 0.3]),
+)
+def test_one_vertex_b0_sweep_brackets_the_cube_on_asymmetric_grids(dims, c, link, lo, hi, step):
+    # lo != -hi: the mesh is not mirror-symmetric, so the cube's other
+    # vertices sweep points the all-(+c) vertex does not; the sweep box
+    # still holds the sup, near (-c/2, ..., -c/2)
+    assume(lo != -hi)
+    _assert_sweep_matches_reference("choice", dims, c, GridSpec(lo=lo, hi=hi, step=step, boundary=6.0), link)
 
 
 # -- glued ladder Monte Carlo ----------------------------------------------------------
