@@ -574,10 +574,15 @@ def cmd_fit(conf: dict, quiet: bool) -> int:
         summary.append(f"selftest score at truth (per obs): {float(np.abs(grad).max()) / data.n!r}")
     write_atomic(os.path.join(out_dir, "fit_summary.txt"), "\n".join(summary) + "\n")
     if blk["semiparametric"]:
-        sem = semiparametric_fit(data, template, config=fit_cfg)
+        sem = semiparametric_fit(data, template, config=fit_cfg, theta=result.theta_hat)
         rows = ["z,fhat"]
         rows += [f"{float(z)!r},{float(f)!r}" for z, f in zip(sem.grid, sem.fhat)]
         write_atomic(os.path.join(out_dir, "fhat_grid.csv"), "\n".join(rows) + "\n")
+        # the profile's own coordinates, with the pinned first loading written out
+        p, q = template.alpha.size, template.beta.size
+        profile = np.concatenate([sem.theta_hat[: p + q], [1.0], sem.theta_hat[p + q :]])
+        rows = ["name,estimate"] + [f"{nm},{float(v)!r}" for nm, v in zip(names, profile)]
+        write_atomic(os.path.join(out_dir, "theta_profile.csv"), "\n".join(rows) + "\n")
     if not quiet:
         print("\n".join(summary))
     return EXIT_OK

@@ -6,9 +6,10 @@ sample behaviour are all O(n) via ``scipy.signal.lfilter``.  ``fit_mle``
 runs BFGS on the analytic score (finite differences of the objective for a
 link with no density).  The semiparametric route profiles out the link by a
 kernel regression of the responses on the fitted index and maximizes the
-plug-in likelihood over the autoregressive parameters by Nelder-Mead, since
-the profile has no score, with the first covariate loading pinned to one as
-the scale normalization.
+plug-in likelihood over the autoregressive parameters by one Nelder-Mead
+run, since the profile has no score, with the first covariate loading
+pinned to one as the scale normalization.  That run starts from the
+parametric estimate rescaled to the pinned loading.
 """
 
 from __future__ import annotations
@@ -255,11 +256,13 @@ def loglik_gradient(
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Deterministic multi-start optimization settings.
+    """Deterministic optimization settings.
 
     ``max_iter`` caps the iterations of each start, of ``fit_mle``'s BFGS
     and of the profile's Nelder-Mead alike; ``gtol`` is the BFGS stopping
     bound on the largest gradient entry of the objective per observation.
+    ``start_offsets`` is ``fit_mle``'s fan of starts alone: the profile
+    starts once, from the parametric estimate.
     """
 
     max_iter: int = 2000
@@ -555,20 +558,39 @@ def _profile_objective(theta_free, template, lik: _Likelihood, bandwidth, warmup
     return -float(ll[warmup:].sum()) / lik.n
 
 
+def _profile_start(theta, template, lik: _Likelihood, bandwidth, warmup) -> np.ndarray:
+    """The parametric ``theta`` in the profile's coordinates, ``(alpha /
+    gamma_1, beta, gamma_2..d / gamma_1)``: the index divided by ``gamma_1``
+    has the pinned loading, and ``beta`` does not scale.  The zero vector
+    when that point is not finite or the profile is infinite there."""
+    p, q, d = template.alpha.size, template.beta.size, template.gamma.size
+    a, b, g = _unpack(theta, p, q, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x0 = np.concatenate([a / g[0], b, g[1:] / g[0]])
+    if np.isfinite(x0).all() and np.isfinite(_profile_objective(x0, template, lik, bandwidth, warmup)):
+        return x0
+    return np.zeros(x0.size)
+
+
 def semiparametric_fit(
     data: Dataset,
     template: ObservationDrivenBinarySpec,
     bandwidth: float | None = None,
     config: FitConfig | None = None,
+    theta: np.ndarray | None = None,
 ) -> SemiparametricResult:
     """Profile out the link and fit the autoregressive parameters.
 
     The free parameters are ``(alpha, beta, gamma_2..gamma_d)``; the first
     covariate loading is pinned to one, fixing the scale of the index that
-    the nonparametric link absorbs.  Bandwidth defaults to
-    ``std(mu) * n**(-1/5)`` recomputed per candidate; the returned link
-    estimate is tabulated on the final grid.  The profile drops the first
-    ``config.warmup`` terms, as ``fit_mle`` does.
+    the nonparametric link absorbs.  One Nelder-Mead run starts from the
+    parametric estimate ``theta`` (order ``alpha, beta, gamma``; by default
+    ``fit_mle(template, data, config)``) divided through by its
+    ``gamma_1``, or from zero when that start is not finite or leaves the
+    stationary region.  Bandwidth defaults to ``std(mu) * n**(-1/5)``
+    recomputed per candidate; the returned link estimate is tabulated on
+    the final grid.  The profile drops the first ``config.warmup`` terms,
+    as ``fit_mle`` does.
     """
     from scipy.optimize import minimize
 
@@ -580,26 +602,21 @@ def semiparametric_fit(
     if data.n < cfg.min_obs_per_param * max(n_free, 1):
         raise DataSizeError(f"{data.n} observations cannot support {n_free} parameters")
     lik = _Likelihood(data, p)
-    best = None
     if n_free == 0:
         theta_free = np.zeros(0)
         obj = _profile_objective(theta_free, template, lik, bandwidth, cfg.warmup)
         best = type("R", (), {"x": theta_free, "fun": obj, "success": True})()
     else:
-        for off in cfg.start_offsets:
-            x0 = np.full(n_free, off)
-            if q:
-                x0[p : p + q] *= 0.5
-            res = minimize(
-                _profile_objective,
-                x0,
-                args=(template, lik, bandwidth, cfg.warmup),
-                method="Nelder-Mead",
-                options={"maxiter": cfg.max_iter, "xatol": 1e-4, "fatol": 1e-7},
-            )
-            if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
-                best = res
-    if best is None:
+        if theta is None:
+            theta = fit_mle(template, data, cfg).theta_hat
+        best = minimize(
+            _profile_objective,
+            _profile_start(theta, template, lik, bandwidth, cfg.warmup),
+            args=(template, lik, bandwidth, cfg.warmup),
+            method="Nelder-Mead",
+            options={"maxiter": cfg.max_iter, "xatol": 1e-4, "fatol": 1e-7},
+        )
+    if not np.isfinite(best.fun):
         raise RuntimeError("no feasible starting point for the profile objective")
     mu = lik.mu(*_profile_params(best.x, p, q))
     h = _bandwidth(bandwidth, mu, data.n)

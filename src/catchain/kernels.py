@@ -266,11 +266,21 @@ def _check_lipschitz(lipschitz: float) -> None:
 
 def _b0_binary(cdf: Callable, lipschitz: float, c: float, grid: GridSpec) -> float:
     _check_lipschitz(lipschitz)
+    if c == 0.0:
+        return 0.0
     z = grid.axis()
     sup = float(np.max(np.abs(cdf(z + c) - cdf(z))))
     # nearest grid point is within step/2 and the swept function is
-    # 2*L-Lipschitz in z, so this covers the true sup
+    # 2*L-Lipschitz in z, so this covers the true sup inside the box
     return sup + lipschitz * grid.step
+
+
+def _off_box_binary(cdf: Callable, lipschitz: float, c: float, grid: GridSpec) -> float:
+    """Bound on ``F(z + c) - F(z)`` for ``z`` outside ``[lo, hi]``: a
+    monotone cdf moves by at most ``F(lo + c)`` below the box and
+    ``1 - F(hi)`` above it."""
+    below, at_hi = cdf(np.array([grid.lo + c, grid.hi]))
+    return max(float(below), 1.0 - float(at_hi))
 
 
 def _row_sum(cols: list) -> np.ndarray:
@@ -313,6 +323,8 @@ def _mesh_block(axis: np.ndarray, dims: int, block: slice) -> list:
 def _b0_multinomial(n_categories: int, c: float, grid: GridSpec) -> float:
     if not (isinstance(n_categories, numbers.Integral) and n_categories >= 2):
         raise ValueError(f"n_categories must be an integer >= 2, got {n_categories!r}")
+    if c == 0.0:
+        return 0.0
     # A shift y in [-c, c]^(N-1) moves the log-likelihood ratios of the two
     # laws by the entries of (0, y) less a common term: a spread of c for two
     # categories and 2c from three on.  TV is at most tanh(spread / 4), which
@@ -332,6 +344,8 @@ def _b0_discrete_choice(
         # the law is Bernoulli(1 - F(-z)), whose TV under the shift is
         # |F(w + c) - F(w)| at w = -z - c: the binary sweep, for any cdf
         return _b0_binary(cdf, lipschitz, c, grid)
+    if c == 0.0:
+        return 0.0
     if n_components > 3:
         raise UnsupportedKernelError(f"grid certification supported up to 3 components, got {n_components}")
     step = max(grid.step, 0.05 if n_components == 2 else 0.25)
@@ -354,7 +368,28 @@ def _b0_discrete_choice(
     return best + lipschitz * n_components * step
 
 
-_B0_SUP = {"binary": _b0_binary, "multinomial": _b0_multinomial, "discrete_choice": _b0_discrete_choice}
+def _off_box_discrete_choice(
+    cdf: Callable, n_components: int, lipschitz: float, c: float, grid: GridSpec
+) -> float:
+    """Bound on the choice TV where some component lies outside ``[lo, hi]``.
+
+    That component moves by at most the binary off-box bound ``t`` (at the
+    all-(+c) vertex and for a symmetric cdf), and each other one by at most
+    the binary certificate ``s1`` on the same grid; coupling the components
+    one at a time gives ``1 - (1 - t)(1 - s1)^(K - 1)``.
+    """
+    t = _off_box_binary(cdf, lipschitz, c, grid)
+    s1 = max(_b0_binary(cdf, lipschitz, c, grid), t)
+    return 1.0 - (1.0 - t) * (1.0 - s1) ** (n_components - 1)
+
+
+# family name -> (sweep of the grid's box, which checks the parameters,
+# bound off the box); the multinomial closed form holds on all of R^(N-1)
+_B0_SUP = {
+    "binary": (_b0_binary, _off_box_binary),
+    "multinomial": (_b0_multinomial, None),
+    "discrete_choice": (_b0_discrete_choice, _off_box_discrete_choice),
+}
 
 
 def certify_b0(
@@ -382,9 +417,15 @@ def certify_b0(
     about ``B0_BLOCK_POINTS`` points that give the stacked mesh's floats:
     about 0.02 s for two on the default grid and 0.3 s for three.  Four or
     more raise :class:`UnsupportedKernelError`.  The sweeps add the grid's
-    continuity correction, so they upper-bound the true sup.
+    continuity correction, so they upper-bound the true sup inside the
+    grid's ``[lo, hi]`` box.  Off the box the binary sweep takes the max
+    with the cdf's tails, ``max(F(lo + c), 1 - F(hi))``, and the choice
+    sweep with the product coupling ``1 - (1 - t)(1 - s1)^(K - 1)`` of that
+    tail ``t`` and the binary certificate ``s1``; on the default grid both
+    lie far below the sweep.
 
-    A zero shift certifies 0 before the profile is read.  Raises
+    A zero shift certifies 0 once the profile's name and parameters are
+    checked.  Raises
     :class:`CertificationError` when the result (NaN too) is not below one,
     and ``ValueError`` naming the parameter when ``c`` or ``lipschitz`` is
     not a finite number >= 0, ``n_categories`` not an integer >= 2 or
@@ -394,12 +435,13 @@ def certify_b0(
     c = float(bound_on_category_part)
     if not (math.isfinite(c) and c >= 0.0):
         raise ValueError(f"bound_on_category_part must be a finite number >= 0, got {c}")
-    if c == 0.0:
-        return 0.0
-    sup_fn = _B0_SUP.get(profile[0])
-    if sup_fn is None:
+    family = _B0_SUP.get(profile[0])
+    if family is None:
         raise UnsupportedKernelError(f"unknown certification profile {profile[0]!r}")
-    sup = sup_fn(*profile[1:], c, grid)
+    sweep, off_box = family
+    sup = sweep(*profile[1:], c, grid)
+    if off_box is not None and c > 0.0:
+        sup = max(sup, off_box(*profile[1:], c, grid))
     if not sup < 1.0 - tolerance:
         raise CertificationError(f"one-step sensitivity sup {sup} is not below 1")
     return sup

@@ -220,6 +220,45 @@ def test_semiparametric_fit_runs_and_tabulates():
     assert np.all((preds >= 0) & (preds <= 1))
 
 
+def test_semiparametric_fit_recovers_truth_over_seeds():
+    # Profile coordinates: the index divided by gamma_1 = 0.3.  At n 1e4 over
+    # seeds 1-12 the profile's max abs error had median 0.118 (max 0.30), and
+    # fit_mle's, rescaled the same way, median 0.123 (max 0.19); seeds 13-24
+    # gave medians 0.138 and 0.076 but a profile max of 0.47, so only the
+    # median is bounded.
+    template = ObservationDrivenBinarySpec(alpha=[0.0], beta=[0.0], gamma=[0.3])
+    truth = np.array([0.4 / 0.3, 0.5])
+    errs = []
+    for seed in range(1, 13):
+        data = simulate_dataset(10_000, seed=seed)
+        mle = fit_mle(template, data).theta_hat
+        errs.append(np.abs(semiparametric_fit(data, template, theta=mle).theta_hat - truth).max())
+    assert np.median(errs) < 0.2
+
+
+def test_semiparametric_fit_starts_from_fit_mle_by_default():
+    data = simulate_dataset(4000, seed=11)
+    template = ObservationDrivenBinarySpec(alpha=[0.0], beta=[0.0], gamma=[0.3])
+    own = semiparametric_fit(data, template)
+    given = semiparametric_fit(data, template, theta=fit_mle(template, data).theta_hat)
+    np.testing.assert_array_equal(own.theta_hat, given.theta_hat)
+    np.testing.assert_array_equal(own.fhat, given.fhat)
+    assert own.objective == given.objective
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("theta", [[0.4, 0.5, 0.0], [0.4, 1.5, 0.3]], ids=["gamma1-zero", "non-stationary"])
+def test_semiparametric_fit_unusable_start_falls_back_to_zero(theta):
+    # gamma_1 = 0 has no rescaling and beta 1.5 an infinite profile; both
+    # start where theta (0, 0, 1) does, at the zero vector
+    data = simulate_dataset(4000, seed=11)
+    template = ObservationDrivenBinarySpec(alpha=[0.0], beta=[0.0], gamma=[0.3])
+    got = semiparametric_fit(data, template, theta=np.array(theta))
+    zero = semiparametric_fit(data, template, theta=np.array([0.0, 0.0, 1.0]))
+    np.testing.assert_array_equal(got.theta_hat, zero.theta_hat)
+    assert np.isfinite(got.objective)
+
+
 def test_link_density_drives_the_score():
     # the probit score uses the link's own density; a custom link has none
     data = simulate_dataset(1000, seed=6)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, ndtr
 
+from catchain.cli import check_config
 from catchain.kernels import (
     CertificationError,
     GridSpec,
@@ -31,6 +32,7 @@ from catchain.models import (
     probit_link,
 )
 from catchain.prob import SeededRng
+from test_golden_outputs import FAMILIES
 
 
 def test_kernel_eval_zero_parameters_is_fair_coin():
@@ -285,25 +287,77 @@ def test_certify_b0_rejects_non_finite_or_negative_shift_by_name(profile, bad):
         certify_b0(profile, bad)
 
 
-@pytest.mark.parametrize(
-    "profile,name",
-    [
-        (("binary", expit, -1.0), "lipschitz"),
-        (("binary", expit, math.nan), "lipschitz"),
-        (("binary", expit, math.inf), "lipschitz"),
-        (("discrete_choice", expit, 2, math.nan), "lipschitz"),
-        (("discrete_choice", expit, 1, -0.25), "lipschitz"),
-        (("multinomial", 1), "n_categories"),
-        (("multinomial", 0), "n_categories"),
-        (("multinomial", 2.5), "n_categories"),
-        (("discrete_choice", expit, 0, 0.25), "n_components"),
-        (("discrete_choice", expit, -1, 0.25), "n_components"),
-        (("discrete_choice", expit, 2.0, 0.25), "n_components"),
-    ],
-)
+MALFORMED_PROFILES = [
+    (("binary", expit, -1.0), "lipschitz"),
+    (("binary", expit, math.nan), "lipschitz"),
+    (("binary", expit, math.inf), "lipschitz"),
+    (("discrete_choice", expit, 2, math.nan), "lipschitz"),
+    (("discrete_choice", expit, 1, -0.25), "lipschitz"),
+    (("multinomial", 1), "n_categories"),
+    (("multinomial", 0), "n_categories"),
+    (("multinomial", 2.5), "n_categories"),
+    (("discrete_choice", expit, 0, 0.25), "n_components"),
+    (("discrete_choice", expit, -1, 0.25), "n_components"),
+    (("discrete_choice", expit, 2.0, 0.25), "n_components"),
+]
+
+
+@pytest.mark.parametrize("profile,name", MALFORMED_PROFILES)
 def test_certify_b0_rejects_malformed_profile_parameters_by_name(profile, name):
     with pytest.raises(ValueError, match=name):
         certify_b0(profile, 1.0)
+
+
+@pytest.mark.parametrize("profile,name", MALFORMED_PROFILES + [(("nonsense",), "nonsense")])
+def test_certify_b0_checks_the_profile_before_a_zero_shift(profile, name):
+    # a zero shift returned 0.0 before the profile was read
+    with pytest.raises((ValueError, UnsupportedKernelError), match=name):
+        certify_b0(profile, 0.0)
+
+
+def test_certify_b0_rejects_an_unknown_profile_by_name():
+    with pytest.raises(UnsupportedKernelError, match="nonsense"):
+        certify_b0(("nonsense",), 1.0)
+
+
+BOX_MISSING_SUP = GridSpec(lo=-6.0, hi=-3.0, step=0.01, boundary=6.0)
+
+
+def test_binary_b0_covers_the_sup_off_the_grid_box():
+    # the sup of |F(z + 1) - F(z)| sits at z = -1/2, outside [-6, -3]; the
+    # sweep alone certified 0.0743, below tanh(1/4)
+    assert certify_b0(("binary", expit, 0.25), 1.0, BOX_MISSING_SUP) >= math.tanh(0.25)
+
+
+def test_choice_b0_covers_the_sup_off_the_grid_box():
+    # the sweep alone certified 0.1566, half the default grid's value
+    got = certify_b0(("discrete_choice", expit, 2, 0.25), 1.0, BOX_MISSING_SUP)
+    assert got >= certify_b0(("discrete_choice", expit, 2, 0.25), 1.0)
+
+
+# b0 of the golden-output families, which the benchmark's models share, and
+# of verify's own certificates, recorded before the off-box tail bounds: on
+# the default grid the tails do not bind, so each keeps its float
+RECORDED_B0 = {
+    "observation_driven_binary": "0x1.94bc9579d1e65p-3",
+    "binary_infinite_order": "0x1.d7e96ef34c03fp-3",
+    "nonlinear_binary": "0x1.a9693767c929bp-3",
+    "multinomial": "0x1.b042d554727f9p-3",
+    "discrete_choice": "0x1.8ad27a6466432p-3",
+}
+RECORDED_VERIFY_B0 = [
+    (("binary", expit, 0.25), "0x1.f61afcd839559p-3"),
+    (("multinomial", 3), "0x1.d9353d7568af5p-2"),
+    (("discrete_choice", expit, 2, 0.25), "0x1.40d51a05383cbp-2"),
+]
+
+
+def test_default_grid_certificates_keep_their_floats():
+    for name, (block, _, _) in FAMILIES.items():
+        model = check_config({"model": block})["model"]
+        assert model_to_kernel(model).b0_certificate == float.fromhex(RECORDED_B0[name]), name
+    for profile, recorded in RECORDED_VERIFY_B0:
+        assert certify_b0(profile, 1.0) == float.fromhex(recorded), profile[0]
 
 
 def test_certify_b0_raises_on_a_nan_sup():
