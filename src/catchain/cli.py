@@ -40,7 +40,7 @@ from .models import (
     probit_link,
     russell_damping,
 )
-from .prob import SeededRng
+from .prob import SeededRng, stationary_law, tv_distance
 from .schema import BOOLEAN, PATH, ConfigError, Field, array, integer, one_of, read_fields, real
 from .simulate import (
     AR1Covariates,
@@ -462,9 +462,7 @@ def _verify_checks(vblk: dict, seed: int):
         sup = float(0.5 * np.abs(q - qbar).sum(axis=1).max())
         b0 = b_exact_from_table(q, 3, 1).values[0]
         pb = perturbation_bound(DecaySeq(np.array([b0, 0.0])), None, sup, horizon=256)
-        pi_q = np.linalg.matrix_power(q, 4096)[0]
-        pi_qbar = np.linalg.matrix_power(qbar, 4096)[0]
-        tv = float(0.5 * np.abs(pi_q - pi_qbar).sum())
+        tv = tv_distance(stationary_law(q), stationary_law(qbar))
         if tv > pb.value + 1e-12:
             ok = False
             detail = f"fixture {i}: invariant TV {tv:.4f} > bound {pb.value:.4f}"

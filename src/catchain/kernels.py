@@ -321,7 +321,7 @@ def _mesh_block(axis: np.ndarray, dims: int, block: slice) -> list:
 
 
 def _b0_multinomial(n_categories: int, c: float, grid: GridSpec) -> float:
-    if not (isinstance(n_categories, numbers.Integral) and n_categories >= 2):
+    if isinstance(n_categories, bool) or not isinstance(n_categories, numbers.Integral) or n_categories < 2:
         raise ValueError(f"n_categories must be an integer >= 2, got {n_categories!r}")
     if c == 0.0:
         return 0.0
@@ -337,7 +337,7 @@ def _b0_multinomial(n_categories: int, c: float, grid: GridSpec) -> float:
 def _b0_discrete_choice(
     cdf: Callable, n_components: int, lipschitz: float, c: float, grid: GridSpec
 ) -> float:
-    if not (isinstance(n_components, numbers.Integral) and n_components >= 1):
+    if isinstance(n_components, bool) or not isinstance(n_components, numbers.Integral) or n_components < 1:
         raise ValueError(f"n_components must be an integer >= 1, got {n_components!r}")
     _check_lipschitz(lipschitz)
     if n_components == 1:
@@ -429,7 +429,7 @@ def certify_b0(
     :class:`CertificationError` when the result (NaN too) is not below one,
     and ``ValueError`` naming the parameter when ``c`` or ``lipschitz`` is
     not a finite number >= 0, ``n_categories`` not an integer >= 2 or
-    ``n_components`` not an integer >= 1.
+    ``n_components`` not an integer >= 1 (a bool is not a count).
     """
     grid = grid or GridSpec()
     c = float(bound_on_category_part)

@@ -52,6 +52,7 @@ from .kernels import (
     KernelInputError,
     TruncationPolicy,
     UnsupportedKernelError,
+    _cell_columns,
     certify_b0,
 )
 
@@ -723,11 +724,14 @@ class DiscreteChoiceSpec(_LatentRecursion):
     Gamma: np.ndarray
     n_components: int
     noise: str = "logistic"
+    link: LinkFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._coerce_matrices()
-        if self.noise not in ("logistic", "gaussian"):
+        links = {"logistic": logistic_link, "gaussian": probit_link}
+        if self.noise not in links:
             raise ConstructionError(f"unsupported noise {self.noise!r}")
+        self.link = links[self.noise]()
 
     @property
     def n_categories(self) -> int:
@@ -739,17 +743,11 @@ class DiscreteChoiceSpec(_LatentRecursion):
 
     @property
     def b0_profile(self) -> tuple:
-        return ("discrete_choice", self.noise_cdf(), self.n_components, self.noise_lipschitz())
+        return ("discrete_choice", self.link.cdf, self.n_components, self.link.lipschitz_const)
 
     @property
     def tv_lipschitz(self) -> float:
-        return self.noise_lipschitz() * self.n_components
-
-    def noise_cdf(self) -> Callable:
-        return expit if self.noise == "logistic" else ndtr
-
-    def noise_lipschitz(self) -> float:
-        return 0.25 if self.noise == "logistic" else 1.0 / math.sqrt(2.0 * math.pi)
+        return self.link.lipschitz_const * self.n_components
 
     def category_vector(self, category: int) -> np.ndarray:
         return np.array([(category >> i) & 1 for i in range(self.n_components)], dtype=float)
@@ -765,12 +763,7 @@ def discrete_choice_cellprob(spec: DiscreteChoiceSpec, lam) -> np.ndarray:
     indexed by bitmask with bit ``i`` marking component ``i``.  Sums to one.
     """
     lam = np.asarray(lam, dtype=float).reshape(-1)[: spec.n_components]
-    cdf = spec.noise_cdf()
-    fire = 1.0 - cdf(-lam)
-    cells = np.ones(1)
-    for i in range(spec.n_components):
-        cells = np.concatenate([cells * (1.0 - fire[i]), cells * fire[i]])
-    return cells
+    return np.array(_cell_columns(list(1.0 - spec.link.cdf(-lam))))
 
 
 def category_vector(spec, category: int) -> np.ndarray:

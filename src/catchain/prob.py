@@ -2,8 +2,8 @@
 
 Total variation distance, the maximal coupling of two categorical
 distributions (minimum-overlap diagonal plus an independent product of the
-normalized residuals), sampling from a coupling table, and reproducible
-random streams keyed by ``(seed, stream_id)``.
+normalized residuals), sampling from a coupling table, a chain's stationary
+law and reproducible random streams keyed by ``(seed, stream_id)``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "tv_distance",
     "CouplingTable",
     "maximal_coupling",
+    "stationary_law",
     "SeededRng",
     "as_generator",
     "sample_coupled",
@@ -108,6 +109,18 @@ def maximal_coupling(p, q) -> CouplingTable:
         res_q = (q - diag) / d
         joint = joint + d * np.outer(res_p, res_q)
     return CouplingTable(joint=joint, offdiag_mass=max(d, 0.0))
+
+
+def stationary_law(transition) -> np.ndarray:
+    """The invariant law of a transition matrix that has exactly one: the
+    solution of ``(P^T - I) pi = 0`` with its last row, the negated sum of
+    the others, replaced by ``sum(pi) = 1``, clipped at 0 and renormalised
+    so that it is a law."""
+    P = np.asarray(transition, dtype=float)
+    A = P.T - np.eye(P.shape[0])
+    A[-1] = 1.0
+    pi = np.clip(np.linalg.solve(A, np.eye(P.shape[0])[-1]), 0.0, None)
+    return pi / pi.sum()
 
 
 @dataclass(frozen=True)

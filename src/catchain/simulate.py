@@ -31,7 +31,7 @@ from .kernels import (
     successor_code,
     transition_table,
 )
-from .prob import PROB_TOL, as_generator
+from .prob import PROB_TOL, as_generator, stationary_law
 
 __all__ = [
     "HorizonError",
@@ -228,12 +228,8 @@ class FiniteStateMarkovCovariates:
         return self._g().shape[1]
 
     def invariant(self) -> np.ndarray:
-        P = self._P()
-        vals, vecs = np.linalg.eig(P.T)
-        i = int(np.argmin(np.abs(vals - 1.0)))
-        pi = np.real(vecs[:, i])
-        pi = np.abs(pi)
-        return pi / pi.sum()
+        """The invariant law, by one solve: :func:`~catchain.prob.stationary_law`."""
+        return stationary_law(self._P())
 
     def sample_states(self, length: int, rng) -> np.ndarray:
         gen = as_generator(rng)
@@ -260,40 +256,39 @@ class FiniteStateMarkovCovariates:
         return float((self.invariant() @ g_norms**p) ** (1.0 / p))
 
     def coupling_coeffs(self, horizon: int, metric: str) -> DecaySeq:
-        """The two copies run independently until they meet; the discrepancy
-        law is iterated exactly on the product chain, and the mass past the
-        horizon is bounded by the slowest meeting rate."""
+        """The copies run independently until they meet, then together.  Met
+        pairs cost 0, so only the unmet (off-diagonal) part ``U`` of the pair
+        law is carried; one step takes it to ``(P^T U P) o off``.  Past the
+        horizon the unmet mass ``p`` shrinks by ``1 - delta_k`` every ``k``
+        steps (Doeblin), where ``delta_k`` is the least chance over unmet
+        pairs of meeting within ``k`` steps, so the tail sum is at most
+        ``max(cost) p ((k - 1) + k (1 - delta_k) / delta_k)`` at the first
+        ``k`` with ``delta_k > 0``.  The product chain has ``S^2`` states, so
+        a pair that has not met by ``k = S^2`` never does."""
         P, g, pi = self._P(), self._g(), self.invariant()
         S = P.shape[0]
-        dist = np.outer(pi, pi)
+        off = 1.0 - np.eye(S)
+        unmet = np.outer(pi, pi) * off
         cost = np.abs(g[:, None, :] - g[None, :, :]).sum(axis=2)
         if metric == "discrete":
             cost = (cost > 1e-12).astype(float)
         vals = np.empty(horizon + 1)
-        vals[0] = float((dist * cost).sum())
-        meet_next = np.min([(P[i] * P[j]).sum() for i in range(S) for j in range(S) if i != j] or [1.0])
+        vals[0] = float((unmet * cost).sum())
         for t in range(1, horizon + 1):
-            new = np.zeros_like(dist)
-            # off-diagonal mass moves independently; met pairs move together
-            for i in range(S):
-                for j in range(S):
-                    m = dist[i, j]
-                    if m == 0.0:
-                        continue
-                    if i == j:
-                        new[np.arange(S), np.arange(S)] += m * P[i]
-                    else:
-                        new += m * np.outer(P[i], P[j])
-            dist = new
-            vals[t] = float((dist * cost).sum())
-        p_neq = float(dist.sum() - np.trace(dist))
-        rate = 1.0 - meet_next
-        tail_bound = 0.0
-        if p_neq > 0:
-            if rate >= 1.0:
-                raise DivergenceError("a pair of unmet covariate copies cannot meet in one step")
-            tail_bound = float(cost.max()) * p_neq * rate / (1.0 - rate)
-        return DecaySeq(vals, tail_sum_bound=tail_bound)
+            unmet = P.T @ unmet @ P * off
+            vals[t] = float((unmet * cost).sum())
+        p_neq = float(unmet.sum())  # a sum of nonnegative entries, so never below 0
+        if p_neq == 0.0:
+            return DecaySeq(vals, tail_sum_bound=0.0)
+        # met[i, j]: the chance that copies started at (i, j) meet within k
+        # steps, by the same step run backward: meet now, or stay unmet and meet later
+        met = np.zeros_like(P)
+        for k in range(1, S * S + 1):
+            met = P @ (np.eye(S) + off * met) @ P.T
+            delta = min(float(met[off > 0].min()), 1.0)
+            if delta > 0.0:
+                return DecaySeq(vals, tail_sum_bound=float(cost.max()) * p_neq * ((k - 1) + k * (1.0 - delta) / delta))
+        raise DivergenceError(f"a pair of unmet covariate copies cannot meet within {S * S} steps")
 
 
 def sample_covariates(model, length: int, rng) -> np.ndarray:

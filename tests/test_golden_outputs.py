@@ -87,8 +87,8 @@ GOLDEN = {
     "multinomial": {
         "bounds/b.csv": "196911a47cbbf56800d9c1916bdf5a92ca3b8efdcb8c5a274e37a6a0c20e9351",
         "bounds/bstar.csv": "0a508098514c29c8555fca304a0db59eaa6273a41b7c53ec9f9b016666a11a13",
-        "bounds/certificate.txt": "bf88a77bb798db120adb745d865b319e359e098b594e25ca4b002a1a9aab26d6",
-        "bounds/dependence_bound.csv": "f8ae1cca8966d834c8950c3d5cd90c620a7e6436127e20a02d030e965f947936",
+        "bounds/certificate.txt": "ef3132cf28e500b97c0732a9f53ee335edc2d2deaf6b094f616b725f1d84c90d",
+        "bounds/dependence_bound.csv": "15e9f12da6316d24247b3b100d1b1748c34af3f5348ffa940267ef315accb658",
         "simulate/certificate.json": "3e3ab1332d3e081b89293e67c0f452ad7af3b698c5acc2652974783ef6fb1b5d",
         "simulate/path.csv": "d343098e881359fab153a544ff996ad4addd8fbdce310f622ffd150fb9e3a92f",
     },

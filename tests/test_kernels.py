@@ -299,6 +299,8 @@ MALFORMED_PROFILES = [
     (("discrete_choice", expit, 0, 0.25), "n_components"),
     (("discrete_choice", expit, -1, 0.25), "n_components"),
     (("discrete_choice", expit, 2.0, 0.25), "n_components"),
+    (("discrete_choice", expit, True, 0.25), "n_components"),
+    (("multinomial", True), "n_categories"),
 ]
 
 

@@ -28,7 +28,12 @@ binary search; they must give the floats of the per-evaluation code, with
 the score, must end no higher than the multi-start Nelder-Mead search it
 replaced, kept here, and near the same point.  The closed-form multinomial b0
 must lie between the sup over the whole stacked mesh and that sup plus the
-mesh's continuity correction.
+mesh's continuity correction.  The finite-state covariate coefficients,
+stepped by one matrix product per time, must give the floats of the
+pair-by-pair loop kept here to 1e-12, and their k-step tail must bound the
+coefficients iterated out to ten times the horizon and equal the loop's
+one-step tail where that exists; the stationary-law solve must match the
+eigenvector it replaced.
 """
 
 import csv
@@ -94,15 +99,17 @@ from catchain.models import (
     russell_damping,
     stationarity_check,
 )
-from catchain.prob import SeededRng, as_generator
+from catchain.prob import SeededRng, as_generator, stationary_law
 from test_simulate import _TopDraws
 from catchain.simulate import (
     CSV_BLOCK,
     FiniteStateMarkovCovariates,
     IIDCovariates,
     SamplePath,
+    UnsupportedCovariateError,
     _required_burnin,
     coupled_ladder_mc,
+    covariate_coupling_coeffs,
     exact_marginal_laws,
     glued_coupling,
     path_to_csv,
@@ -527,6 +534,138 @@ def test_joint_chain_step_matches_sparse_reference(seed, mem, n_cov):
     want = np.asarray(dist.reshape(-1, chain.n_states) @ T).reshape(dist.shape)
     assert np.abs(got - want).max() <= 1e-15
     np.testing.assert_allclose(chain.step(dist[0, 0]), want[0, 0], rtol=0, atol=1e-15)
+
+
+# -- finite-state covariate coupling -------------------------------------------------
+
+
+def _reference_coupling_coeffs(model, horizon, metric):
+    """The pair law stepped one pair of states at a time, with the tail from
+    the one-step meeting rate.  Returns ``(values, tail, meet_next)``, where
+    ``tail`` is ``None`` where this raised ``DivergenceError``."""
+    P, g, pi = model._P(), model._g(), model.invariant()
+    S = P.shape[0]
+    dist = np.outer(pi, pi)
+    cost = np.abs(g[:, None, :] - g[None, :, :]).sum(axis=2)
+    if metric == "discrete":
+        cost = (cost > 1e-12).astype(float)
+    vals = np.empty(horizon + 1)
+    vals[0] = float((dist * cost).sum())
+    meet_next = np.min([(P[i] * P[j]).sum() for i in range(S) for j in range(S) if i != j] or [1.0])
+    for t in range(1, horizon + 1):
+        new = np.zeros_like(dist)
+        for i in range(S):
+            for j in range(S):
+                m = dist[i, j]
+                if m == 0.0:
+                    continue
+                if i == j:
+                    new[np.arange(S), np.arange(S)] += m * P[i]
+                else:
+                    new += m * np.outer(P[i], P[j])
+        dist = new
+        vals[t] = float((dist * cost).sum())
+    p_neq = float(dist.sum() - np.trace(dist))
+    rate = 1.0 - meet_next
+    tail_bound = 0.0
+    if p_neq > 0:
+        if rate >= 1.0:
+            return vals, None, meet_next
+        tail_bound = float(cost.max()) * p_neq * rate / (1.0 - rate)
+    return vals, tail_bound, meet_next
+
+
+def _chain(P, emission=None):
+    S = len(P)
+    emission = tuple((float(v),) for v in range(S)) if emission is None else emission
+    return FiniteStateMarkovCovariates(transition=tuple(map(tuple, P)), emission=emission)
+
+
+def _cycle(S, hold):
+    """The ``S``-cycle that holds with probability ``hold`` and else moves on."""
+    P = hold * np.eye(S) + (1.0 - hold) * np.roll(np.eye(S), 1, axis=1)
+    return _chain(P)
+
+
+@st.composite
+def _finite_chains(draw):
+    """Chains on 2-5 states, some with zero entries, with one invariant law
+    (which the class checks) and emissions in R or R^2."""
+    S = draw(st.integers(2, 5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = gen.random((S, S)) >= draw(st.sampled_from([0.0, 0.3, 0.6]))
+    keep[np.arange(S), gen.integers(S, size=S)] = True
+    P = gen.dirichlet(np.ones(S), size=S) * keep
+    P = P / P.sum(axis=1, keepdims=True)
+    emission = tuple(map(tuple, gen.normal(size=(S, draw(st.integers(1, 2))))))
+    try:
+        return _chain(P, emission)
+    except UnsupportedCovariateError:
+        assume(False)
+
+
+def _exact_tail(model, horizon, metric):
+    """The coefficients past ``horizon``, iterated out to ten times it."""
+    return float(covariate_coupling_coeffs(model, 10 * max(horizon, 1), metric).values[horizon + 1 :].sum())
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(model=_finite_chains(), horizon=st.integers(0, 150), metric=st.sampled_from(["l1", "discrete"]))
+def test_matrix_coupling_step_matches_pair_loop(model, horizon, metric):
+    want, want_tail, meet_next = _reference_coupling_coeffs(model, horizon, metric)
+    try:
+        got = covariate_coupling_coeffs(model, horizon, metric)
+    except DivergenceError:
+        # no pair meeting within S^2 steps means none within one
+        assert want_tail is None
+        return
+    # products below about 1e-290 run into subnormals, where ulps are not relative
+    np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=1e-290)
+    assert got.tail_sum_bound >= _exact_tail(model, horizon, metric) * (1.0 - 1e-12)
+    if meet_next > 0:
+        # the reference's unmet mass is a difference of sums near 1, good to
+        # about S^2 ulps of 1, and its 1 - (1 - meet_next) keeps only the
+        # ulps of 1; the one-step tail is otherwise the same formula
+        g = model._g()
+        cost = np.abs(g[:, None, :] - g[None, :, :]).sum(axis=2)
+        cost_max = float((cost > 1e-12).max() if metric == "discrete" else cost.max())
+        eps = np.finfo(float).eps
+        slack = cost_max * model.n_states**2 * eps * (1.0 - meet_next) / meet_next
+        assert got.tail_sum_bound == pytest.approx(want_tail, rel=1e-12 + eps / meet_next, abs=slack)
+
+
+@pytest.mark.parametrize("metric", ["l1", "discrete"])
+def test_four_cycle_certifies_from_its_two_step_meeting_rate(metric):
+    # pairs two states apart cannot meet in one step, so the one-step rate
+    # gave no certificate; in two steps every pair meets with chance >= 1/8
+    model = _cycle(4, 0.5)
+    seq = covariate_coupling_coeffs(model, 64, metric)
+    assert math.isfinite(seq.tail_sum_bound)
+    assert seq.tail_sum_bound >= _exact_tail(model, 64, metric)
+    if metric == "discrete":
+        # every unmet pair costs 1, so a_64 is the unmet mass, and k = 2 with
+        # delta = 1/8 makes the tail (k - 1) + k (1 - delta) / delta = 15 times it
+        assert seq.tail_sum_bound == pytest.approx(15.0 * seq.values[64], rel=1e-12)
+
+
+@pytest.mark.parametrize("metric", ["l1", "discrete"])
+def test_three_cycle_rotation_still_cannot_meet(metric):
+    # copies apart stay apart for all S^2 = 9 steps; the 2-cycle is in test_simulate
+    with pytest.raises(DivergenceError, match="cannot meet"):
+        covariate_coupling_coeffs(_cycle(3, 0.0), 64, metric)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(model=_finite_chains())
+def test_stationary_law_is_invariant_and_matches_eig(model):
+    P = model._P()
+    pi = stationary_law(P)
+    assert pi.min() >= 0.0 and pi.sum() == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(pi @ P, pi, rtol=0, atol=1e-14)
+    # the eigenvector of the eigenvalue nearest 1, made nonnegative
+    vals, vecs = np.linalg.eig(P.T)
+    ref = np.abs(np.real(vecs[:, np.argmin(np.abs(vals - 1.0))]))
+    np.testing.assert_allclose(pi, ref / ref.sum(), rtol=0, atol=1e-12)
 
 
 # -- exact memory sensitivity --------------------------------------------------------
