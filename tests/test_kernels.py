@@ -299,18 +299,23 @@ MALFORMED_PROFILES = [
     (("discrete_choice", expit, 0, 0.25), "n_components"),
     (("discrete_choice", expit, -1, 0.25), "n_components"),
     (("discrete_choice", expit, 2.0, 0.25), "n_components"),
+]
+# a bool is an int to Python, but no count of categories or components
+BOOL_COUNT_PROFILES = [
     (("discrete_choice", expit, True, 0.25), "n_components"),
     (("multinomial", True), "n_categories"),
 ]
 
 
-@pytest.mark.parametrize("profile,name", MALFORMED_PROFILES)
+@pytest.mark.parametrize("profile,name", MALFORMED_PROFILES + BOOL_COUNT_PROFILES)
 def test_certify_b0_rejects_malformed_profile_parameters_by_name(profile, name):
     with pytest.raises(ValueError, match=name):
         certify_b0(profile, 1.0)
 
 
-@pytest.mark.parametrize("profile,name", MALFORMED_PROFILES + [(("nonsense",), "nonsense")])
+@pytest.mark.parametrize(
+    "profile,name", MALFORMED_PROFILES + [(("nonsense",), "nonsense")] + BOOL_COUNT_PROFILES
+)
 def test_certify_b0_checks_the_profile_before_a_zero_shift(profile, name):
     # a zero shift returned 0.0 before the profile was read
     with pytest.raises((ValueError, UnsupportedKernelError), match=name):
