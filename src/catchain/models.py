@@ -24,11 +24,11 @@ linear family defines ``A``, ``B``, ``Gamma``, ``block_dim``,
 the leading latent block) and its TV Lipschitz constant ``tv_lipschitz``, and
 inherits the rest.  The nonlinear family replaces the step and the
 contraction certificate.  ``_latent_scan`` is the one engine behind kernel
-evaluation (``latent_recursion``), ``latent_path`` and forward sampling.  A
-block of dimension 1 (the binary families, and a two-category multinomial or
-one-component choice spec) steps on Python floats through
-``scalar_stepper``, ``covariate_forcing`` and ``draw``; a larger block steps
-on arrays through ``stepper``.
+evaluation (``latent_recursion``), ``latent_path`` and forward sampling: one
+blocked loop that takes each block's ``covariate_forcing`` as a list and runs
+the family's one ``stepper()`` and then ``draw``.  A block of dimension 1
+(the binary families, and a two-category multinomial or one-component choice
+spec) steps on Python floats, a larger block on arrays.
 
 ``model_to_kernel`` turns a spec into a :class:`~catchain.kernels.KernelHandle`
 whose decay metadata is derived from the contraction structure of the latent
@@ -250,9 +250,6 @@ class _BinaryLink:
     def category_vector(self, category: int) -> np.ndarray:
         return np.array([float(category)])
 
-    # the one entry of ``category_vector``, for the scalar step
-    category_value = staticmethod(float)
-
     def response(self, lam: np.ndarray) -> np.ndarray:
         pr = float(self.link.cdf(lam[0]))
         return np.array([1.0 - pr, pr])
@@ -306,15 +303,6 @@ class _LatentRecursion:
     def lag_counts(self) -> tuple[int, int]:
         """(p, q): number of category lags and latent lags in the forcing."""
         return len(self.A), len(self.B)
-
-    def forcing(self, y_lags, x_t) -> np.ndarray:
-        """Forcing vector from the category lags (most recent first) and the
-        current covariate."""
-        out = np.zeros(self.block_dim)
-        for Am, c in zip(self.A, y_lags):
-            out += Am @ self.category_vector(int(c))
-        out += self.Gamma @ x_t
-        return out
 
     def category_forcing_bound(self) -> float:
         """Largest one-step forcing change achievable by altering category lags."""
@@ -391,49 +379,32 @@ class _LatentRecursion:
         return s_a, c_r / cc.kappa, cc.kappa ** (1.0 / cc.r)
 
     def stepper(self):
-        """``(step, state)`` for blocks of dimension > 1: ``step(y_lags,
-        x_t)`` advances the stacked latent ``state`` (zero at the start) by
-        one time step and returns its leading block."""
-        forcing, B = self.forcing, self.B
-        _, q = self.lag_counts
-        state = np.zeros((max(q, 1), self.block_dim))
+        """``(step, state)``: ``step(y_lags, gx)`` takes the category lags
+        (most recent first) and ``gx = Gamma x_t``, returns ``((0.0 + sum_k
+        A_k v(y_{t-k})) + gx) + sum_j B_j lam_{t-j}`` summed left to right,
+        and shifts it into ``state``, the latent lags (most recent first).
 
-        def step(y_lags, x_t):
-            first = forcing(y_lags, x_t)
-            for i, Bj in enumerate(B):
-                first = first + Bj @ state[i]
-            if q > 1:
-                state[1:] = state[:-1]
-            state[0] = first
-            return first
-
-        return step, state
-
-    def category_value(self, category: int) -> float:
-        """The one entry of ``category_vector`` (blocks of dimension 1)."""
-        return float(self.category_vector(category)[0])
-
-    def scalar_stepper(self):
-        """``(step, state)`` for a block of dimension 1, on Python floats.
-
-        ``step(y_lags, gx)`` takes the category lags (most recent first) and
-        ``gx = Gamma x_t``, returns ``((0.0 + sum_k a_k v(y_{t-k})) + gx) +
-        sum_j b_j lam_{t-j}`` summed left to right, which is the order of the
-        array step, and shifts it into ``state``, the latent lags (most
-        recent first).
-        """
-        a = [float(m[0, 0]) for m in self.A]
-        b = [float(m[0, 0]) for m in self.B]
-        value = self.category_value
-        state = [0.0] * max(len(b), 1)
+        Each ``A_k v(c)`` is built once per category and each ``B_j`` once:
+        floats and a product for a block of dimension 1, arrays and a matrix
+        product for a larger block."""
+        vecs = [self.category_vector(c) for c in range(self.n_categories)]
+        if self.block_dim == 1:
+            av = [[float(m[0, 0]) * float(v[0]) for v in vecs] for m in self.A]
+            b_ops = [float(m[0, 0]).__mul__ for m in self.B]
+            zero = 0.0
+        else:
+            av = [[m @ v for v in vecs] for m in self.A]
+            b_ops = [m.__matmul__ for m in self.B]
+            zero = np.zeros(self.block_dim)
+        state = [zero] * max(len(b_ops), 1)
 
         def step(y_lags, gx):
             lam = 0.0
-            for a_k, c in zip(a, y_lags):
-                lam += a_k * value(c)
+            for a_k, c in zip(av, y_lags):
+                lam += a_k[c]
             lam += gx
-            for b_j, lam_j in zip(b, state):
-                lam += b_j * lam_j
+            for b_j, lam_j in zip(b_ops, state):
+                lam += b_j(lam_j)
             state.insert(0, lam)
             state.pop()
             return lam
@@ -441,22 +412,27 @@ class _LatentRecursion:
         return step, state
 
     def covariate_forcing(self, x: np.ndarray) -> list:
-        """``Gamma x_t`` for every row of ``x``, for a block of dimension 1.
+        """``Gamma x_t`` for every row of ``x``: a float for a block of
+        dimension 1, an array for a larger block.
 
-        One covariate takes one array product; adding 0.0 turns a -0.0
-        product into +0.0, as the one-term ``Gamma[0] @ x_t`` does.  More
-        covariates keep the per-row ``Gamma[0] @ x_t``, whose summation
-        order an array product could change."""
-        g = self.Gamma[0]
+        For dimension 1, one covariate takes one array product; adding 0.0
+        turns a -0.0 product into +0.0, as the one-term ``Gamma[0] @ x_t``
+        does.  Otherwise every row keeps its own product, ``Gamma[0] @ x_t``
+        or ``Gamma @ x_t``, whose summation order an array product could
+        change."""
+        G = self.Gamma
         with np.errstate(over="ignore"):  # _latent_scan reports an overflowing path by name
+            if self.block_dim > 1:
+                return [G @ x_t for x_t in x]
+            g = G[0]
             if g.size == 1 == x.shape[1]:
                 return (x[:, 0] * g[0] + 0.0).tolist()
             return [float(g @ x_t) for x_t in x]
 
-    def draw(self, lam: float, u: float) -> int:
-        """Category drawn by inverting ``u`` through ``response([lam])``, as
-        in the array scan."""
-        return min(int((self.response(np.array([lam])).cumsum() < u).sum()), self.n_categories - 1)
+    def draw(self, lam, u: float) -> int:
+        """Category drawn by inverting ``u`` through ``response(lam)``, the
+        last category when a rounded last sum falls below ``u``."""
+        return min(int((self.response(np.atleast_1d(lam)).cumsum() < u).sum()), self.n_categories - 1)
 
     def kernel_parts(self, max_lag_y, max_lag_x) -> dict:
         """Kernel fields from the contraction of the latent recursion."""
@@ -659,7 +635,7 @@ class NonlinearBinarySpec(_BinaryLink, _LatentRecursion):
         # scalar latent: the gap contracts by exactly kappa per step
         return 1.0 / (1.0 - cc.kappa), 1.0, cc.kappa
 
-    def scalar_stepper(self):
+    def stepper(self):
         """``step(y_lags, gx)`` returns ``(g(lam) + alpha * y_{t-1}) + gx``."""
         g, alpha = self.g, self.alpha
         state = [0.0]
@@ -790,7 +766,7 @@ def contraction_constants(spec, r_cap: int = 512) -> ContractionConstants:
 # ---------------------------------------------------------------------------
 
 
-SCAN_BLOCK = 4096  # steps per block of the scalar scan, which bounds its Python lists
+SCAN_BLOCK = 4096  # steps per block of the scan, which bounds its Python lists
 
 
 def _latent_scan(spec, x: np.ndarray, y=None, pre=(), u=None):
@@ -804,41 +780,26 @@ def _latent_scan(spec, x: np.ndarray, y=None, pre=(), u=None):
     lam, state)``: the categories, the leading latent block at every time,
     the final stacked state.
 
-    A block of dimension 1 runs on Python floats (:func:`_scalar_scan`),
-    larger blocks on arrays (:func:`_array_scan`).  Both add the terms in
-    the same order, so the scalar scan gives the array step's bytes.
+    The scan runs in blocks of ``SCAN_BLOCK`` steps.  Per block, the
+    covariate forcing and ``u`` (or the given categories) become Python
+    lists, ``spec.stepper()`` steps on Python floats (a block of dimension
+    1) or arrays, and ``lam`` and the categories in ``hist`` are written
+    back.  The category lags carry over from block to block, so the blocks
+    change no value.
     """
     p, _ = spec.lag_counts
-    T = x.shape[0]
+    T, k = x.shape[0], spec.block_dim
     hist = np.zeros(p + T, dtype=np.int64)
     pre = np.asarray(pre, dtype=np.int64)[:p]
     hist[p - pre.size : p] = pre[::-1]
     if y is not None:
         y = np.asarray(y)[:T]
         hist[p : p + y.size] = y
-    lam = np.empty((T, spec.block_dim))
-    scan = _scalar_scan if spec.block_dim == 1 else _array_scan
-    state = scan(spec, x, hist, p, u, lam)
-    if not np.isfinite(lam).all():
-        raise LatentOverflowError("latent recursion diverged; contraction unverified")
-    return hist[p:], lam, state
-
-
-def _given(lam, category):
-    return category
-
-
-def _scalar_scan(spec, x, hist, p, u, lam) -> np.ndarray:
-    """Scan a block of dimension 1 in blocks of ``SCAN_BLOCK`` steps.
-
-    Per block, the covariate forcing and ``u`` (or the given categories)
-    become Python lists, the steps run on Python floats and ints, and
-    ``lam`` and the categories in ``hist`` are written back.  The category
-    lags carry over from block to block, so the blocks change no value."""
-    step, state = spec.scalar_stepper()
+    lam = np.empty((T, k))
+    step, state = spec.stepper()
     pick, source = (_given, hist[p:]) if u is None else (spec.draw, u)
     y_lags = hist[:p][::-1].tolist()
-    for lo in range(0, x.shape[0], SCAN_BLOCK):
+    for lo in range(0, T, SCAN_BLOCK):
         hi = lo + SCAN_BLOCK
         lam_block, y_block = [], []
         for gx, s in zip(spec.covariate_forcing(x[lo:hi]), source[lo:hi].tolist(), strict=True):
@@ -848,21 +809,15 @@ def _scalar_scan(spec, x, hist, p, u, lam) -> np.ndarray:
             y_lags.pop()
             lam_block.append(first)
             y_block.append(c)
-        lam[lo:hi, 0] = lam_block
+        lam[lo:hi] = np.array(lam_block, dtype=float).reshape(-1, k)
         hist[p + lo : p + hi] = y_block
-    return np.array(state, dtype=float).reshape(-1, 1)
+    if not np.isfinite(lam).all():
+        raise LatentOverflowError("latent recursion diverged; contraction unverified")
+    return hist[p:], lam, np.array(state, dtype=float).reshape(-1, k)
 
 
-def _array_scan(spec, x, hist, p, u, lam) -> np.ndarray:
-    """Scan a block of dimension > 1 one array step at a time."""
-    step, state = spec.stepper()
-    response, last = spec.response, spec.n_categories - 1
-    for t in range(x.shape[0]):
-        first = step(hist[t : t + p][::-1], x[t])
-        lam[t] = first
-        if u is not None:
-            hist[p + t] = min(int((response(first).cumsum() < u[t]).sum()), last)
-    return state
+def _given(lam, category):
+    return category
 
 
 def _in_alphabet(spec, y) -> np.ndarray:

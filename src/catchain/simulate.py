@@ -166,6 +166,8 @@ class AR1Covariates:
     def sample(self, length: int, rng) -> np.ndarray:
         gen = as_generator(rng)
         x = np.empty((length, self.dim))
+        if length == 0:
+            return x
         x[0] = self.stationary_sd * gen.normal(size=self.dim)
         eps = self.sd * gen.normal(size=(length - 1, self.dim)) if length > 1 else None
         for t in range(1, length):
@@ -237,6 +239,8 @@ class FiniteStateMarkovCovariates:
         pi = self.invariant()
         cum = np.cumsum(P, axis=1)
         s = np.empty(length, dtype=np.int64)
+        if length == 0:
+            return s
         s[0] = gen.choice(self.n_states, p=pi)
         u = gen.random(length - 1) if length > 1 else None
         for t in range(1, length):
@@ -459,6 +463,7 @@ def glued_coupling(
     gen = as_generator(rng)
     x_a = np.atleast_2d(np.asarray(x_a, dtype=float))
     x_b = np.atleast_2d(np.asarray(x_b, dtype=float))
+    _check_covariate_rows(length, x_a=x_a, x_b=x_b)
     z_a = np.asarray(z_a, dtype=np.int64)
     z_b = np.asarray(z_b, dtype=np.int64)
 
@@ -494,6 +499,7 @@ def kernel_distance_profile(
     memory states (truncated kernels only); index ``t`` runs 1..length."""
     x_a = np.atleast_2d(np.asarray(x_a, dtype=float))
     x_b = np.atleast_2d(np.asarray(x_b, dtype=float))
+    _check_covariate_rows(length, x_a=x_a, x_b=x_b)
     out = np.zeros(length + 1)
     for t in range(1, length + 1):
         ta = transition_table(kernel_a, x_a[t - 1 :: -1][: kernel_a.truncation.max_lag_x])
@@ -502,6 +508,13 @@ def kernel_distance_profile(
             raise ValueError("kernels must share memory depth for the exact profile")
         out[t] = float(0.5 * np.abs(ta - tb).sum(axis=1).max())
     return out
+
+
+def _check_covariate_rows(length: int, **paths: np.ndarray) -> None:
+    """Reject a ``length`` past the rows of a covariate path, naming it."""
+    for name, x in paths.items():
+        if length > x.shape[0]:
+            raise ValueError(f"length {length} must lie within the covariate path {name} of {x.shape[0]} rows")
 
 
 def _check_ladder_inputs(table_a, table_b, code_a0, code_b0, n, mem, length, replicas) -> None:

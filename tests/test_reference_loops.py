@@ -8,8 +8,10 @@ floats as the per-type formulas kept here, and the exact memory
 sensitivity the same floats as its group-by-group loop.  The memory-state
 law step (``kernels.memory_step``) must give the same bytes as the
 ``np.add.at`` scatter of the exact marginal laws, and the joint-chain step
-the same law as the sparse one-step matrix, both kept here.  The scalar
-latent scan must give the bytes of the array-step engine, the blocked CSV
+the same law as the sparse one-step matrix, both kept here.  The latent
+scan must give the bytes of the array-step engine at every block dimension:
+1 for the binary families, 2 to 4 for multinomial and discrete-choice
+specs.  The blocked CSV
 writer those of the row-by-row ``csv.writer``, ``DecaySeq.head`` those of
 the per-element tail loop and ``bstar_sum_bracket`` those of the
 full-length first-return loop, the blocked per-axis b0 sweep of the
@@ -856,6 +858,45 @@ def test_scalar_scan_keeps_the_sign_of_zero():
     x = np.zeros((6, 1))
     _assert_scan_matches_reference(spec, x, y=np.zeros(6, dtype=np.int64))
     _assert_scan_matches_reference(spec, x, u=np.full(6, 0.25))
+
+
+@st.composite
+def _wide_block_specs(draw):
+    """Multinomial (3 to 5 categories) and discrete-choice (2 or 3
+    components) specs, whose latent block has dimension 2 to 4; the latent
+    lags sum to an inf-norm of at most 0.9, so the recursion stays stable."""
+    choice = draw(st.booleans())
+    k = draw(st.integers(2, 3) if choice else st.integers(2, 4))
+    d, p, q = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+    def matrix(rows, cols, bound):
+        vals = draw(st.lists(st.floats(-bound, bound), min_size=rows * cols, max_size=rows * cols))
+        return np.array(vals, dtype=float).reshape(rows, cols)
+
+    A = [matrix(k, k, 1.5) for _ in range(p)]
+    B = [matrix(k, k, 0.9 / (k * q)) for _ in range(q)]
+    Gamma = matrix(k, d, 2.0)
+    if choice:
+        return DiscreteChoiceSpec(A=A, B=B, Gamma=Gamma, n_components=k, noise=draw(st.sampled_from(["logistic", "gaussian"])))
+    return MultinomialSpec(A=A, B=B, Gamma=Gamma, n_categories=k + 1)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=_wide_block_specs(), T=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_wide_block_scan_matches_array_reference(spec, T, seed):
+    gen = np.random.default_rng(seed)
+    x = _covariates(gen, T, spec.covariate_dim)
+    p, _ = spec.lag_counts
+    n = spec.n_categories
+    # the reference does not clamp a draw to the last category, so every
+    # draw stays below 0.999, where a rounded last cumulative sum cannot fall
+    u = 0.999 * gen.random(T)
+    u[gen.random(T) < 0.1] = 0.0
+    _assert_scan_matches_reference(spec, x, u=u)
+    y = gen.integers(0, n, size=T)
+    _assert_scan_matches_reference(spec, x, y=y)
+    pre = gen.integers(0, n, size=gen.integers(0, p + 2))
+    _assert_scan_matches_reference(spec, x, y=y[: max(T - 1, 0)], pre=pre)
 
 
 # -- CSV export ----------------------------------------------------------------------

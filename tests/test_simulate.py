@@ -61,6 +61,20 @@ def test_finite_markov_invariant_start():
     assert s.mean() == pytest.approx(pi[1], abs=0.02)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        IIDCovariates(dim=2),
+        AR1Covariates(rho=0.5, dim=2),
+        FiniteStateMarkovCovariates(transition=((0.9, 0.1), (0.2, 0.8)), emission=((0.0, 1.0), (1.0, -1.0))),
+    ],
+    ids=lambda m: type(m).__name__,
+)
+def test_empty_covariate_path_has_the_model_dimension(model):
+    x = sample_covariates(model, 0, SeededRng(8))
+    assert x.shape == (0, 2)
+
+
 # -- forward sampling --------------------------------------------------------------
 
 
@@ -261,6 +275,20 @@ def test_kernel_distance_profile_exact_sup():
     t_b = np.array([[0.7, 0.3], [0.4, 0.6]])
     prof = kernel_distance_profile(table_kernel(t_a), table_kernel(t_b), np.zeros((4, 1)), np.zeros((4, 1)), 4)
     np.testing.assert_allclose(prof[1:], 0.1)
+
+
+@pytest.mark.parametrize("short", ["x_a", "x_b"])
+def test_length_past_the_covariate_rows_is_rejected_naming_the_path(short):
+    # the kernel reads the covariate at every time, so a missing row would
+    # silently repeat the last one
+    k = model_to_kernel(BinaryInfiniteOrderSpec(a=[0.5, 0.25], gamma=[0.8]), max_lag_y=2)
+    rows = {"x_a": np.ones((6, 1)), "x_b": np.ones((6, 1))}
+    rows[short] = np.ones((3, 1))
+    with pytest.raises(ValueError, match=f"covariate path {short} of 3 rows"):
+        kernel_distance_profile(k, k, rows["x_a"], rows["x_b"], 6)
+    with pytest.raises(ValueError, match=f"covariate path {short} of 3 rows"):
+        glued_coupling(k, k, rows["x_a"], rows["x_b"], [0, 0], [1, 1], 6, SeededRng(15))
+    assert kernel_distance_profile(k, k, rows["x_a"], rows["x_b"], 3).shape == (4,)
 
 
 # -- exact laws ------------------------------------------------------------------------
