@@ -28,7 +28,10 @@ evaluation (``latent_recursion``), ``latent_path`` and forward sampling: one
 blocked loop that takes each block's ``covariate_forcing`` as a list and runs
 the family's one ``stepper()`` and then ``draw``.  A block of dimension 1
 (the binary families, and a two-category multinomial or one-component choice
-spec) steps on Python floats, a larger block on arrays.
+spec) steps on Python floats, a larger block on arrays.  The infinite-order
+chain truncated at ``m`` lags is the observation-driven recursion with no
+latent lags, so it runs on the same engine: ``_scan_parts`` builds the
+scan's kernel fields for every family.
 
 ``model_to_kernel`` turns a spec into a :class:`~catchain.kernels.KernelHandle`
 whose decay metadata is derived from the contraction structure of the latent
@@ -471,22 +474,35 @@ class _LatentRecursion:
                 max_lag_x = max(8, p + q)
         if max_lag_y is None:
             max_lag_y = max_lag_x + p - 1 if p >= 1 else max_lag_x
-        max_lag_y = max(max_lag_y, 1)
-
-        def probs_fn(y, x):
-            n_steps = min(max_lag_x, y.size - p + 1 if p >= 1 else max_lag_x, x.shape[0])
-            lam = _recursion_state(self, y, x, max(n_steps, 0))
-            return self.response(lam[: self.block_dim])
-
         return {
-            "probs_fn": probs_fn,
-            "truncation": TruncationPolicy(max_lag_y=max_lag_y, max_lag_x=max_lag_x),
+            **_scan_parts(self, max(max_lag_y, 1), max_lag_x),
             "b": b_env,
             "e": e_env,
             "b0_certificate": b0,
             "label": type(self).__name__,
-            "extra": {"latent_sampler": lambda x, u: _latent_scan(self, x, u=u)[:2]},
         }
+
+
+def _scan_parts(spec, max_lag_y: int, max_lag_x: int, keep_lam: bool = True) -> dict:
+    """Kernel fields that run ``spec``'s latent recursion: ``probs_fn``, the
+    ``truncation`` and ``extra["latent_sampler"](x, u)``, which returns the
+    categories and the leading latent block (``None`` without ``keep_lam``)."""
+    p, _ = spec.lag_counts
+
+    def probs_fn(y, x):
+        n_steps = min(max_lag_x, y.size - p + 1 if p >= 1 else max_lag_x, x.shape[0])
+        lam = _recursion_state(spec, y, x, max(n_steps, 0))
+        return spec.response(lam[: spec.block_dim])
+
+    def latent_sampler(x, u):
+        y, lam, _ = _latent_scan(spec, x, u=u)
+        return y, lam if keep_lam else None
+
+    return {
+        "probs_fn": probs_fn,
+        "truncation": TruncationPolicy(max_lag_y=max_lag_y, max_lag_x=max_lag_x),
+        "extra": {"latent_sampler": latent_sampler},
+    }
 
 
 @dataclass
@@ -538,16 +554,11 @@ class BinaryInfiniteOrderSpec(_BinaryLink):
             else:
                 max_lag_y = next((m for m in range(1, 4096) if b_env.value(m) < 1e-14), 4096)
         max_lag_y = max(max_lag_y, 1)
-        max_lag_x = 1 if max_lag_x is None else max_lag_x
-        a_trunc = self.a[:max_lag_y]
-
-        def probs_fn(y, x):
-            mu = float(a_trunc @ y[: a_trunc.size]) + float(self.gamma @ x[0])
-            return self.response(np.array([mu]))
-
+        # the truncated chain is the observation-driven recursion without latent lags
+        recursion = ObservationDrivenBinarySpec(alpha=self.a[:max_lag_y], beta=[], gamma=self.gamma, link=self.link)
         return {
-            "probs_fn": probs_fn,
-            "truncation": TruncationPolicy(max_lag_y=max_lag_y, max_lag_x=max_lag_x),
+            # this family's path.csv carries no latent column
+            **_scan_parts(recursion, max_lag_y, 1 if max_lag_x is None else max_lag_x, keep_lam=False),
             "b": b_env,
             "e": DecaySeq(np.array([e0, 0.0])),
             "b0_certificate": b0,
@@ -886,8 +897,10 @@ def model_to_kernel(
     stationarity check or the one-step sensitivity certification fails.  The
     returned handle carries geometric (or tail-sum) envelopes for the decay
     sequences and evaluates probabilities through the latent recursion
-    truncated at the handle's lag policy.  Kernels of latent-recursion
-    families record a forward sampler ``extra["latent_sampler"](x, u)``.
+    truncated at the handle's lag policy.  Every family's kernel records the
+    scan's forward sampler ``extra["latent_sampler"](x, u)``, which returns
+    the categories and the leading latent block (``None`` for the
+    infinite-order chain, whose paths carry no latent column).
     """
     report = stationarity_check(spec)
     if not report.passed:

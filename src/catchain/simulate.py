@@ -365,14 +365,16 @@ def sample_forward(kernel: KernelHandle, x: np.ndarray, window: int, eps: float,
     The burn-in is the smallest ``n`` with
     ``sum_{l < window} b*_{n + l} <= eps``; the covariate path must be long
     enough to cover it (``len(x) >= window + n``).  Initialization is the
-    all-zero past.  Kernels that record ``extra["latent_sampler"]`` (those
-    built from latent-recursion specs) are simulated by carrying the latent
-    state forward (the exact finite-depth approximation); other kernels fall
-    back to per-step evaluation, which passes only the kernel's truncated
-    memory (``max_lag_y`` categories, ``max_lag_x`` covariates) and so costs
-    O(memory) per step.  The burn-in search iterates ``b*`` only until it
-    is exactly 0.0 for good (see :func:`bstar_from_b`), so for a
-    geometrically decaying ``b`` its cost is linear in ``len(x)``.
+    all-zero past.  Kernels that record ``extra["latent_sampler"]`` (every
+    kernel built from a model spec) are simulated by carrying the latent
+    state forward (the exact finite-depth approximation); ``lam`` is the
+    sampler's latent block, or ``None`` where it returns none.  Hand-built
+    kernels (``table_kernel``) fall back to per-step evaluation, which
+    passes only the kernel's truncated memory (``max_lag_y`` categories,
+    ``max_lag_x`` covariates) and so costs O(memory) per step.  The burn-in
+    search iterates ``b*`` only until it is exactly 0.0 for good (see
+    :func:`bstar_from_b`), so for a geometrically decaying ``b`` its cost is
+    linear in ``len(x)``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -385,8 +387,8 @@ def sample_forward(kernel: KernelHandle, x: np.ndarray, window: int, eps: float,
     x_used = x[:total]
     latent_sampler = kernel.extra.get("latent_sampler")
     if latent_sampler is not None:
-        y, lam_all = latent_sampler(x_used, gen.random(total))
-        lam = lam_all[burnin:]
+        y, lam = latent_sampler(x_used, gen.random(total))
+        lam = None if lam is None else lam[burnin:]
     else:
         y = np.empty(total, dtype=np.int64)
         for t in range(1, total + 1):

@@ -144,6 +144,18 @@ def test_verify_replicas_flag_accepted(tmp_path):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("replicas", [1, 7])
+def test_verify_with_fewer_replicas_than_chunks_writes_every_row(tmp_path, replicas):
+    # the first chunks of the glued ladder's eight are empty; one replica that
+    # mismatches is no evidence against the bound
+    cfg_path = write_config(tmp_path, base_config())
+    out = tmp_path / "v"
+    argv = ["verify", "--config", cfg_path, "--out", str(out), "--replicas", str(replicas), "--quiet"]
+    assert main(argv) == EXIT_OK
+    report = (out / "verify_report.csv").read_text().splitlines()
+    assert len(report) == 8 and all(line.split(",")[1] == "PASS" for line in report[1:])
+
+
 def test_verify_across_seeds_is_stable(tmp_path):
     # 4-sigma design: essentially every seeded run must pass
     cfg = base_config()

@@ -2,15 +2,23 @@
 
 ``estimate._mu_path`` (the ``lfilter`` fast path), ``latent_path`` (time
 ordered) and ``latent_recursion`` (most recent first, as the kernels use it)
-must describe the same index.
+must describe the same index.  Every spec-built kernel, the infinite-order
+chain's included, is evaluated and sampled through that recursion.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
+from catchain.bounds import GeometricTail
 from catchain.estimate import _mu_path
 from catchain.kernels import KernelInputError
 from catchain.models import (
+    BinaryInfiniteOrderSpec,
     DiscreteChoiceSpec,
     MultinomialSpec,
     NonlinearBinarySpec,
@@ -18,9 +26,11 @@ from catchain.models import (
     latent_path,
     latent_recursion,
     logistic_link,
+    model_to_kernel,
     russell_damping,
 )
 from catchain.prob import SeededRng
+from catchain.simulate import sample_forward
 
 T = 40
 
@@ -92,3 +102,41 @@ def test_readme_spec_latent_path_rejects_out_of_alphabet_categories():
     spec = ObservationDrivenBinarySpec(alpha=[0.4], beta=[0.5], gamma=[0.3])
     with pytest.raises(KernelInputError):
         latent_path(spec, [5, -3, 1], np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    _latent_specs() + [BinaryInfiniteOrderSpec(a=[0.5, 0.25], gamma=[0.3])],
+    ids=lambda s: type(s).__name__,
+)
+def test_every_family_records_a_latent_sampler(spec):
+    assert "latent_sampler" in model_to_kernel(spec).extra
+
+
+@st.composite
+def _infinite_order_kernels(draw):
+    n_lags = draw(st.integers(1, 8))
+    a = draw(st.lists(st.floats(-0.25, 0.25), min_size=n_lags, max_size=n_lags))
+    gamma = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=2))
+    a_tail = draw(st.none() | st.floats(0.1, 0.5).map(GeometricTail))
+    spec = BinaryInfiniteOrderSpec(a=a, gamma=gamma, a_tail=a_tail)
+    # a truncation at or below the stored lags, or the kernel's own
+    return spec, model_to_kernel(spec, max_lag_y=draw(st.none() | st.integers(1, n_lags)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_infinite_order_kernels(), seed=st.integers(0, 2**32 - 1))
+def test_infinite_order_sampler_and_probs_match_the_per_step_chain(case, seed):
+    spec, kernel = case
+    gen = SeededRng(seed).generator()
+    x = gen.normal(size=(1040, spec.gamma.size))
+    path = sample_forward(kernel, x, 40, 1e-2, SeededRng(seed))
+    per_step = sample_forward(dataclasses.replace(kernel, extra={}), x, 40, 1e-2, SeededRng(seed))
+    assert path.burnin_used == per_step.burnin_used
+    np.testing.assert_array_equal(path.y, per_step.y)
+    a = spec.a[: kernel.truncation.max_lag_y]
+    for _ in range(8):
+        y = gen.integers(0, 2, size=kernel.truncation.max_lag_y)
+        p = kernel.probs(y, x[:1])
+        want = expit(a @ y[: a.size] + spec.gamma @ x[0])
+        assert abs(p[1] - want) <= 1e-15 and abs(p.sum() - 1.0) <= 1e-15

@@ -1,9 +1,10 @@
 """Linear-time paths against the full-horizon loops they replace.
 
-``bstar_from_b`` stops once every later ``b*`` is exactly 0.0, and the
-per-step sampler reads only the kernel's truncated memory.  Both must give
-the same bytes as the straightforward loops kept here as references.  The
-decay-sequence tails, defined by their tail classes, must give the same
+``bstar_from_b`` stops once every later ``b*`` is exactly 0.0, the
+per-step sampler reads only the kernel's truncated memory, and the latent
+sampler of a spec-built kernel carries the latent state forward.  All
+three must give the same bytes as the straightforward loops kept here as
+references.  The decay-sequence tails, defined by their tail classes, must give the same
 floats as the per-type formulas kept here, and the exact memory
 sensitivity the same floats as its group-by-group loop.  The memory-state
 law step (``kernels.memory_step``) must give the same bytes as the
@@ -39,6 +40,7 @@ eigenvector it replaced.
 """
 
 import csv
+import dataclasses
 import io
 import itertools
 import math
@@ -281,21 +283,36 @@ def _table_kernels():
     return table_kernel(table_a), table_kernel(table_b)
 
 
-def _covariate_kernels():
+def _sampled_covariate_kernels():
     # three covariate lags, so the covariate window is sliced as well
     spec_a = BinaryInfiniteOrderSpec(a=[0.5, 0.25, 0.125], gamma=[0.3])
     spec_b = BinaryInfiniteOrderSpec(a=[0.4, 0.3, 0.1], gamma=[0.6])
     return model_to_kernel(spec_a, max_lag_x=3), model_to_kernel(spec_b, max_lag_x=3)
 
 
+def _covariate_kernels():
+    # the same kernels without their latent sampler, so they step per time
+    return tuple(dataclasses.replace(k, extra={}) for k in _sampled_covariate_kernels())
+
+
 @pytest.mark.parametrize("kernels", [_table_kernels, _covariate_kernels])
 def test_sample_forward_matches_full_history_reference(kernels):
     kernel, _ = kernels()
     assert "latent_sampler" not in kernel.extra
+    _assert_forward_matches_reference(kernel)
+
+
+def test_latent_sampler_matches_full_history_reference():
+    kernel, _ = _sampled_covariate_kernels()
+    assert "latent_sampler" in kernel.extra
+    _assert_forward_matches_reference(kernel)
+
+
+def _assert_forward_matches_reference(kernel):
     x = SeededRng(22).generator().normal(size=(400, 1))
     path = sample_forward(kernel, x, 150, 1e-3, SeededRng(23))
     y_ref, burnin = _reference_forward(kernel, x, 150, 1e-3, 23)
-    assert path.burnin_used == burnin
+    assert path.burnin_used == burnin and path.lam is None
     np.testing.assert_array_equal(path.y, y_ref)
 
 
