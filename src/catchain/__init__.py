@@ -24,7 +24,6 @@ from .dependence import (
 )
 from .estimate import (
     Dataset,
-    FitConfig,
     FitResult,
     conditional_loglik,
     fit_mle,

@@ -27,6 +27,7 @@ from .bounds import (
 )
 from .kernels import KernelHandle, memory_state, memory_step, transition_table
 from .models import model_to_kernel
+from .prob import stationary_law
 from .simulate import (
     FiniteStateMarkovCovariates,
     UnsupportedCovariateError,
@@ -186,6 +187,9 @@ def certificate_for_model(
 # ---------------------------------------------------------------------------
 
 
+_JOINT_STATE_LIMIT = 2**11  # joint states of an exact chain: its one-step matrix takes 32 MB
+
+
 class _JointChain:
     """Finite joint (memory-state, covariate-state) chain with exact stepping.
 
@@ -209,8 +213,10 @@ class _JointChain:
         self.M = kernel.truncation.max_lag_y
         self.C = self.N**self.M
         self.n_states = self.C * self.S
-        if self.n_states > 2**16:
-            raise UnsupportedCovariateError("joint state space exceeds the exact limit")
+        if self.n_states > _JOINT_STATE_LIMIT:
+            raise UnsupportedCovariateError(
+                f"joint state space of {self.n_states} states exceeds the exact limit of {_JOINT_STATE_LIMIT}"
+            )
         self.tables = [transition_table(kernel, g[s].reshape(1, -1)) for s in range(self.S)]
         lead = memory_state(np.arange(self.C), self.N, self.M)[0]
         self.obs = (lead[:, None] * self.S + np.arange(self.S)[None, :]).ravel()
@@ -221,15 +227,6 @@ class _JointChain:
         mixed = dist.reshape(dist.shape[:-1] + (self.C, self.S)) @ self.P
         new = np.stack([memory_step(mixed[..., s], self.tables[s]) for s in range(self.S)], axis=-1)
         return new.reshape(dist.shape)
-
-    def stationary(self, tol: float = 1e-14, max_iter: int = 200000) -> np.ndarray:
-        dist = np.full(self.n_states, 1.0 / self.n_states)
-        for _ in range(max_iter):
-            new = self.step(dist)
-            if np.abs(new - dist).sum() < tol:
-                return new
-            dist = new
-        raise RuntimeError("joint chain did not reach stationarity numerically")
 
     def trajectory_law(self, start: np.ndarray, n: int, window: int) -> np.ndarray:
         """Exact law of the observable trajectory at times ``n..n+window-1``."""
@@ -258,10 +255,16 @@ def empirical_beta_small(
     Conditioning is on the full joint state, which the infinite observable
     past determines exactly (injective emissions, finite memory), so each
     value is a lower bound for the full-future coefficient and a valid
-    one-sided check against any certified upper-bound curve.
+    one-sided check against any certified upper-bound curve.  The invariant
+    law of the joint chain is one solve of its dense one-step matrix
+    (:func:`~catchain.prob.stationary_law`).  A kernel that reads more than
+    the current covariate, an emission map that is not injective, or a
+    joint chain of more than ``2**11`` states raises
+    :class:`~catchain.simulate.UnsupportedCovariateError`.
     """
     chain = _JointChain(kernel, covariate_model)
-    pi = chain.stationary()
+    # row i of the one-step matrix is the step of the point mass on state i
+    pi = stationary_law(chain.step(np.eye(chain.n_states)))
     ref: dict[int, np.ndarray] = {}
     n_list = list(n_values)
     out = np.zeros(len(n_list))

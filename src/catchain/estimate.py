@@ -30,7 +30,6 @@ from .models import (
 __all__ = [
     "DataSizeError",
     "Dataset",
-    "FitConfig",
     "FitResult",
     "conditional_loglik",
     "loglik_gradient",
@@ -40,6 +39,13 @@ __all__ = [
 ]
 
 _LOG_FLOOR = math.log(1e-300)
+# the deterministic optimizer settings of every fit
+_MAX_ITER = 2000  # iterations of each BFGS start and of the profile's Nelder-Mead run
+_GTOL = 1e-9  # BFGS stop on the largest gradient entry of the objective per observation
+_STATIONARITY_MARGIN = 1e-3  # a fit keeps the spectral radius below 1 minus this
+_BARRIER_WEIGHT = 1e-6  # weight of the log barrier on the stationarity slack
+_START_OFFSETS = (0.0, 0.5, -0.5, 0.25, -0.25)  # fit_mle's fan of starts; the profile starts once
+_MIN_OBS_PER_PARAM = 10  # fewer observations per parameter raise DataSizeError
 
 
 class DataSizeError(ValueError):
@@ -220,11 +226,6 @@ class _Likelihood:
         return np.array([float((w * lfilter([1.0], den, c))[warmup:].sum()) for c in drivers])
 
 
-def _require_stationary(report: StationarityReport) -> None:
-    if not report.passed:
-        raise ValueError(f"spec fails stationarity at radius {report.spectral_radius}")
-
-
 def conditional_loglik(
     spec: ObservationDrivenBinarySpec,
     data: Dataset,
@@ -236,7 +237,9 @@ def conditional_loglik(
     absorb the initialization error.  Probabilities are floored at 1e-300
     before the log.
     """
-    _require_stationary(stationarity_check(spec))
+    report = stationarity_check(spec)
+    if not report.passed:
+        raise ValueError(f"spec fails stationarity at radius {report.spectral_radius}")
     return _Likelihood(data, spec.alpha.size).loglik(spec, warmup)
 
 
@@ -254,26 +257,6 @@ def loglik_gradient(
     return _Likelihood(data, spec.alpha.size).score(spec, warmup)
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    """Deterministic optimization settings.
-
-    ``max_iter`` caps the iterations of each start, of ``fit_mle``'s BFGS
-    and of the profile's Nelder-Mead alike; ``gtol`` is the BFGS stopping
-    bound on the largest gradient entry of the objective per observation.
-    ``start_offsets`` is ``fit_mle``'s fan of starts alone: the profile
-    starts once, from the parametric estimate.
-    """
-
-    max_iter: int = 2000
-    gtol: float = 1e-9
-    stationarity_margin: float = 1e-3
-    barrier_weight: float = 1e-6
-    start_offsets: tuple = (0.0, 0.5, -0.5, 0.25, -0.25)
-    warmup: int | None = None
-    min_obs_per_param: int = 10
-
-
 @dataclass
 class FitResult:
     theta_hat: np.ndarray
@@ -281,7 +264,6 @@ class FitResult:
     convergence: str
     stderr: np.ndarray | None
     n_used: int
-    starts_tried: int
     report: StationarityReport
 
 
@@ -309,52 +291,53 @@ def _radius_gradient(beta: np.ndarray) -> np.ndarray:
     return np.real(np.conj(lam) * powers / slope) / abs(lam)
 
 
-def _feasible(theta, template, cfg):
+def _feasible(theta, template):
     """``theta``'s spec and its stationarity slack, or ``None`` for the spec
-    when the radius is not finite or leaves no slack inside the margin."""
+    when the radius is not finite or leaves no slack inside the margin.  A
+    positive slack puts the radius below ``1 - _STATIONARITY_MARGIN``, so the
+    spec passes ``stationarity_check``."""
     p, q, d = template.alpha.size, template.beta.size, template.gamma.size
     _, b, _ = _unpack(theta, p, q, d)
     spec = ObservationDrivenBinarySpec(
         alpha=theta[:p], beta=b, gamma=theta[p + q :], link=template.link
     )
     report = stationarity_check(spec)
-    slack = 1.0 - report.spectral_radius - cfg.stationarity_margin
+    slack = 1.0 - report.spectral_radius - _STATIONARITY_MARGIN
     if slack <= 0.0 or not np.isfinite(report.spectral_radius):
         return None, slack
-    _require_stationary(report)  # conditional_loglik's check, on the same report
     return spec, slack
 
 
-def _objective(theta, template, lik: _Likelihood, cfg) -> float:
+def _objective(theta, template, lik: _Likelihood, warmup: int | None) -> float:
     """Negative log likelihood per observation plus the log barrier on the
     stationarity slack; ``inf`` outside the stationarity margin."""
-    spec, slack = _feasible(theta, template, cfg)
+    spec, slack = _feasible(theta, template)
     if spec is None:
         return float("inf")
-    ll = lik.loglik(spec, cfg.warmup)
-    return -ll / lik.n - cfg.barrier_weight * math.log(slack)
+    ll = lik.loglik(spec, warmup)
+    return -ll / lik.n - _BARRIER_WEIGHT * math.log(slack)
 
 
-def _objective_and_gradient(theta, template, lik: _Likelihood, cfg):
+def _objective_and_gradient(theta, template, lik: _Likelihood, warmup: int | None):
     """``_objective`` and its gradient, from one index path: minus the score
     per observation plus the barrier's derivative through the radius.
     Outside the margin the gradient is 0, so the line search only sees the
     infinite value."""
-    spec, slack = _feasible(theta, template, cfg)
+    spec, slack = _feasible(theta, template)
     if spec is None:
         return float("inf"), np.zeros(np.size(theta))
     mu = lik.mu(spec.alpha, spec.beta, spec.gamma)
-    ll = lik.loglik(spec, cfg.warmup, mu)
-    grad = -lik.score(spec, cfg.warmup, mu) / lik.n
+    ll = lik.loglik(spec, warmup, mu)
+    grad = -lik.score(spec, warmup, mu) / lik.n
     p, q = spec.alpha.size, spec.beta.size
-    grad[p : p + q] += cfg.barrier_weight * _radius_gradient(spec.beta) / slack
-    return -ll / lik.n - cfg.barrier_weight * math.log(slack), grad
+    grad[p : p + q] += _BARRIER_WEIGHT * _radius_gradient(spec.beta) / slack
+    return -ll / lik.n - _BARRIER_WEIGHT * math.log(slack), grad
 
 
 def fit_mle(
     template: ObservationDrivenBinarySpec,
     data: Dataset,
-    config: FitConfig | None = None,
+    warmup: int | None = None,
 ) -> FitResult:
     """Maximize the conditional likelihood over the stationary region.
 
@@ -366,26 +349,27 @@ def fit_mle(
     at the optimum) is dropped; the best final value wins.  Standard errors
     are the inverse observed-information diagonal obtained by differencing
     the analytic score; they are omitted when the information matrix is not
-    invertible.  Responses that are all equal from the warmup on have no
-    maximum-likelihood estimate and raise ``ValueError``.
+    invertible.  The likelihood drops the first ``warmup`` terms (default
+    ``max(p, q, 10)``), as ``conditional_loglik`` does.  Responses that are
+    all equal from the warmup on have no maximum-likelihood estimate and
+    raise ``ValueError``; fewer than ten observations per parameter raise
+    :class:`DataSizeError`.
     """
     from scipy.optimize import minimize
 
-    cfg = config or FitConfig()
     n_par = template.alpha.size + template.beta.size + template.gamma.size
-    if data.n < cfg.min_obs_per_param * n_par:
+    if data.n < _MIN_OBS_PER_PARAM * n_par:
         raise DataSizeError(
             f"{data.n} observations cannot support {n_par} parameters"
         )
-    warmup = _default_warmup(template) if cfg.warmup is None else cfg.warmup
+    warmup = _default_warmup(template) if warmup is None else warmup
     kept = np.unique(data.y[warmup:])
     if kept.size == 1:  # the likelihood rises without bound towards the constant fit
         raise ValueError(f"every response after the {warmup}-step warmup is {int(kept[0])}: no maximum-likelihood estimate exists")
     lik = _Likelihood(data, template.alpha.size)
     fun, jac = (_objective, None) if template.link.pdf is None else (_objective_and_gradient, True)
     candidates = []
-    tried = 0
-    for off in cfg.start_offsets:
+    for off in _START_OFFSETS:
         x0 = np.full(n_par, off)
         if template.beta.size:
             # keep the latent recursion well inside the stationary region
@@ -396,12 +380,11 @@ def fit_mle(
             res = minimize(
                 fun,
                 x0,
-                args=(template, lik, cfg),
+                args=(template, lik, warmup),
                 method="BFGS",
                 jac=jac,
-                options={"maxiter": cfg.max_iter, "gtol": cfg.gtol},
+                options={"maxiter": _MAX_ITER, "gtol": _GTOL},
             )
-        tried += 1
         if res.status in (0, 1, 2) and np.isfinite(res.fun) and np.all(np.isfinite(res.x)):
             candidates.append(res)
     if not candidates:
@@ -411,7 +394,6 @@ def fit_mle(
             convergence="failed",
             stderr=None,
             n_used=data.n,
-            starts_tried=tried,
             report=StationarityReport(False, float("inf"), 0.0),
         )
     top = min(c.fun for c in candidates)
@@ -421,7 +403,7 @@ def fit_mle(
     best = min(near, key=lambda c: float(np.linalg.norm(c.x)))
     theta = best.x
     spec_hat = _spec_at(template, theta)
-    ll = conditional_loglik(spec_hat, data, warmup=cfg.warmup)
+    ll = conditional_loglik(spec_hat, data, warmup=warmup)
     stderr = None
     try:
         h = 1e-5
@@ -431,8 +413,8 @@ def fit_mle(
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            gp = lik.score(_spec_at(template, tp), cfg.warmup)
-            gm = lik.score(_spec_at(template, tm), cfg.warmup)
+            gp = lik.score(_spec_at(template, tp), warmup)
+            gm = lik.score(_spec_at(template, tm), warmup)
             H[i] = (gp - gm) / (2 * h)
         info = -0.5 * (H + H.T)
         cov = np.linalg.inv(info)
@@ -446,7 +428,6 @@ def fit_mle(
         convergence="max-iter" if best.status == 1 else "converged",
         stderr=stderr,
         n_used=data.n,
-        starts_tried=tried,
         report=stationarity_check(spec_hat),
     )
 
@@ -576,7 +557,7 @@ def semiparametric_fit(
     data: Dataset,
     template: ObservationDrivenBinarySpec,
     bandwidth: float | None = None,
-    config: FitConfig | None = None,
+    warmup: int | None = None,
     theta: np.ndarray | None = None,
 ) -> SemiparametricResult:
     """Profile out the link and fit the autoregressive parameters.
@@ -585,36 +566,35 @@ def semiparametric_fit(
     covariate loading is pinned to one, fixing the scale of the index that
     the nonparametric link absorbs.  One Nelder-Mead run starts from the
     parametric estimate ``theta`` (order ``alpha, beta, gamma``; by default
-    ``fit_mle(template, data, config)``) divided through by its
+    ``fit_mle(template, data, warmup)``) divided through by its
     ``gamma_1``, or from zero when that start is not finite or leaves the
     stationary region.  Bandwidth defaults to ``std(mu) * n**(-1/5)``
     recomputed per candidate; the returned link estimate is tabulated on
-    the final grid.  The profile drops the first ``config.warmup`` terms,
-    as ``fit_mle`` does.
+    the final grid.  The profile drops the first ``warmup`` terms (default
+    ``max(p, q, 10)``), as ``fit_mle`` does.
     """
     from scipy.optimize import minimize
 
-    cfg = config or FitConfig()
     p, q, d = template.alpha.size, template.beta.size, template.gamma.size
     if d < 1:
         raise ValueError("the scale normalization requires at least one covariate")
     n_free = p + q + (d - 1)
-    if data.n < cfg.min_obs_per_param * max(n_free, 1):
+    if data.n < _MIN_OBS_PER_PARAM * max(n_free, 1):
         raise DataSizeError(f"{data.n} observations cannot support {n_free} parameters")
     lik = _Likelihood(data, p)
     if n_free == 0:
         theta_free = np.zeros(0)
-        obj = _profile_objective(theta_free, template, lik, bandwidth, cfg.warmup)
+        obj = _profile_objective(theta_free, template, lik, bandwidth, warmup)
         best = type("R", (), {"x": theta_free, "fun": obj, "success": True})()
     else:
         if theta is None:
-            theta = fit_mle(template, data, cfg).theta_hat
+            theta = fit_mle(template, data, warmup).theta_hat
         best = minimize(
             _profile_objective,
-            _profile_start(theta, template, lik, bandwidth, cfg.warmup),
-            args=(template, lik, bandwidth, cfg.warmup),
+            _profile_start(theta, template, lik, bandwidth, warmup),
+            args=(template, lik, bandwidth, warmup),
             method="Nelder-Mead",
-            options={"maxiter": cfg.max_iter, "xatol": 1e-4, "fatol": 1e-7},
+            options={"maxiter": _MAX_ITER, "xatol": 1e-4, "fatol": 1e-7},
         )
     if not np.isfinite(best.fun):
         raise RuntimeError("no feasible starting point for the profile objective")

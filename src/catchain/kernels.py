@@ -392,11 +392,13 @@ _B0_SUP = {
 }
 
 
+_B0_TOLERANCE = 1e-9  # a certified sup must lie this far below 1
+
+
 def certify_b0(
     profile: tuple,
     bound_on_category_part: float,
     grid: GridSpec | None = None,
-    tolerance: float = 1e-9,
 ) -> float:
     """Certified sup of the one-step TV sensitivity over a bounded shift.
 
@@ -425,11 +427,11 @@ def certify_b0(
     lie far below the sweep.
 
     A zero shift certifies 0 once the profile's name and parameters are
-    checked.  Raises
-    :class:`CertificationError` when the result (NaN too) is not below one,
-    and ``ValueError`` naming the parameter when ``c`` or ``lipschitz`` is
-    not a finite number >= 0, ``n_categories`` not an integer >= 2 or
-    ``n_components`` not an integer >= 1 (a bool is not a count).
+    checked.  Raises :class:`CertificationError` when the result (NaN too)
+    is not below ``1 - 1e-9``, and ``ValueError`` naming the parameter when
+    ``c`` or ``lipschitz`` is not a finite number >= 0, ``n_categories``
+    not an integer >= 2 or ``n_components`` not an integer >= 1 (a bool is
+    not a count).
     """
     grid = grid or GridSpec()
     c = float(bound_on_category_part)
@@ -442,7 +444,7 @@ def certify_b0(
     sup = sweep(*profile[1:], c, grid)
     if off_box is not None and c > 0.0:
         sup = max(sup, off_box(*profile[1:], c, grid))
-    if not sup < 1.0 - tolerance:
+    if not sup < 1.0 - _B0_TOLERANCE:
         raise CertificationError(f"one-step sensitivity sup {sup} is not below 1")
     return sup
 

@@ -80,12 +80,12 @@ __all__ = [
     "latent_path",
     "model_to_kernel",
     "discrete_choice_cellprob",
-    "category_vector",
 ]
 
 STATIONARITY_MARGIN = 1e-8
 _POWER_SUM_TOL = 1e-16
 ENV_HORIZON = 160  # decay envelopes are stored up to this lag, then continue as their tail
+_CONTRACTION_STEPS = 512  # powers of the companion matrix searched for a contracting one
 
 
 class ConstructionError(RuntimeError):
@@ -107,7 +107,6 @@ class LinkFunction:
     """CDF link mapping the latent index to a success probability; ``pdf``,
     its density, is ``None`` for a custom link."""
 
-    kind: str
     cdf: Callable[[np.ndarray], np.ndarray]
     lipschitz_const: float
     pdf: Callable[[np.ndarray], np.ndarray] | None = None
@@ -119,7 +118,7 @@ def _logistic_pdf(z):
 
 
 def logistic_link() -> LinkFunction:
-    return LinkFunction("logistic", expit, 0.25, _logistic_pdf)
+    return LinkFunction(expit, 0.25, _logistic_pdf)
 
 
 def _probit_pdf(z):
@@ -130,11 +129,11 @@ def _probit_pdf(z):
 
 
 def probit_link() -> LinkFunction:
-    return LinkFunction("probit", ndtr, 1.0 / math.sqrt(2.0 * math.pi), _probit_pdf)
+    return LinkFunction(ndtr, 1.0 / math.sqrt(2.0 * math.pi), _probit_pdf)
 
 
 def custom_link(cdf: Callable, lipschitz_const: float) -> LinkFunction:
-    return LinkFunction("custom-cdf", cdf, float(lipschitz_const))
+    return LinkFunction(cdf, float(lipschitz_const))
 
 
 def russell_damping(persistence: float, feedback: float, link: LinkFunction):
@@ -166,15 +165,11 @@ class StationarityReport:
 
 @dataclass(frozen=True)
 class ContractionConstants:
-    """Multi-step contraction certificate for the latent recursion.
-
-    ``r`` steps contract the latent gap by ``kappa`` in the sup norm; ``L``
-    bounds the one-step sensitivity to every argument (and is at least 1).
-    """
+    """Multi-step contraction certificate for the latent recursion: ``r``
+    steps contract the latent gap by ``kappa`` in the sup norm."""
 
     r: int
     kappa: float
-    L: float
 
 
 def _inf_norm(A: np.ndarray) -> float:
@@ -348,27 +343,22 @@ class _LatentRecursion:
             note=note,
         )
 
-    def contraction(self, r_cap: int = 512) -> ContractionConstants:
-        """Smallest power of the companion matrix that contracts in sup norm."""
+    def contraction(self) -> ContractionConstants:
+        """Smallest power of the companion matrix, up to the
+        ``_CONTRACTION_STEPS``-th, that contracts in sup norm."""
         A = self.companion_matrix()
         report = self.stationarity()
         if not report.passed:
             raise ConstructionError(
                 f"spectral radius {report.spectral_radius} leaves no contracting power"
             )
-        L = max(
-            1.0,
-            _inf_norm(A),
-            self.category_forcing_bound(),
-            float(np.abs(self.Gamma).max(initial=0.0)),
-        )
         power = np.eye(A.shape[0])
-        for r in range(1, r_cap + 1):
+        for r in range(1, _CONTRACTION_STEPS + 1):
             power = power @ A
             norm = _inf_norm(power)
             if norm < 1.0:
-                return ContractionConstants(r=r, kappa=max(norm, 0.0), L=L)
-        raise ConstructionError(f"no contracting power found within {r_cap} steps")
+                return ContractionConstants(r=r, kappa=max(norm, 0.0))
+        raise ConstructionError(f"no contracting power found within {_CONTRACTION_STEPS} steps")
 
     def envelope(self, cc: ContractionConstants) -> tuple[float, float, float]:
         """``(s, prefac, rate)``: ``s`` bounds the summed latent response to a
@@ -636,11 +626,10 @@ class NonlinearBinarySpec(_BinaryLink, _LatentRecursion):
             note="declared contraction factor of the latent map",
         )
 
-    def contraction(self, r_cap: int = 512) -> ContractionConstants:
+    def contraction(self) -> ContractionConstants:
         """The declared factor, after a numeric sweep of the latent map."""
         self.verify_contraction()
-        L = max(1.0, self.kappa, abs(self.alpha), float(np.abs(self.gamma).max(initial=0.0)))
-        return ContractionConstants(r=1, kappa=self.kappa, L=L)
+        return ContractionConstants(r=1, kappa=self.kappa)
 
     def envelope(self, cc: ContractionConstants) -> tuple[float, float, float]:
         # scalar latent: the gap contracts by exactly kappa per step
@@ -753,11 +742,6 @@ def discrete_choice_cellprob(spec: DiscreteChoiceSpec, lam) -> np.ndarray:
     return np.array(_cell_columns(list(1.0 - spec.link.cdf(-lam))))
 
 
-def category_vector(spec, category: int) -> np.ndarray:
-    """Forcing vector contributed by a lagged category."""
-    return spec.category_vector(category)
-
-
 def companion_matrix(spec) -> np.ndarray:
     """Stacked-lag companion matrix of the latent recursion."""
     return spec.companion_matrix()
@@ -768,8 +752,9 @@ def stationarity_check(spec) -> StationarityReport:
     return spec.stationarity()
 
 
-def contraction_constants(spec, r_cap: int = 512) -> ContractionConstants:
-    return spec.contraction(r_cap)
+def contraction_constants(spec) -> ContractionConstants:
+    """``spec.contraction()``: the contraction certificate of its latent recursion."""
+    return spec.contraction()
 
 
 # ---------------------------------------------------------------------------

@@ -139,9 +139,6 @@ class SeededRng:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
         return np.random.default_rng(ss)
 
-    def split(self, stream_id: int) -> "SeededRng":
-        return SeededRng(seed=self.seed, stream_id=stream_id)
-
 
 def as_generator(rng) -> np.random.Generator:
     """Accept a ``SeededRng``, a ``Generator`` or an integer seed."""

@@ -156,6 +156,21 @@ def test_verify_with_fewer_replicas_than_chunks_writes_every_row(tmp_path, repli
     assert len(report) == 8 and all(line.split(",")[1] == "PASS" for line in report[1:])
 
 
+@pytest.mark.parametrize("seed,replicas,worst", [(7, 1, "n/a"), (1, 2, "0.783")])
+def test_verify_glued_row_reports_the_worst_z_only_where_the_count_has_spread(tmp_path, seed, replicas, worst):
+    # seed 7 at one replica: no mismatch at any time, where the floor of se
+    # read z -4.78e+04; seed 1 at two: both replicas mismatched at some time,
+    # where it read z 5.05e+05
+    cfg = {"verify": {"replicas": 20000, "pairs": 3, "length": 8, "sequences": 20}}
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "v"
+    argv = ["verify", "--config", cfg_path, "--out", str(out), "--seed", str(seed), "--replicas", str(replicas), "--quiet"]
+    assert main(argv) == EXIT_OK
+    rows = (out / "verify_report.csv").read_text().splitlines()
+    detail = next(r for r in rows if r.startswith("glued_coupling_mc,PASS,")).split(",", 2)[2]
+    assert detail.startswith(f"worst mismatch z {worst} vs one-sided ")
+
+
 def test_verify_across_seeds_is_stable(tmp_path):
     # 4-sigma design: essentially every seeded run must pass
     cfg = base_config()
@@ -895,3 +910,54 @@ def test_flag_overrides_are_checked_like_the_fields_they_set(tmp_path, capsys, m
         assert main(argv) == EXIT_CONFIG
         assert name in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["cfg.json", "taken"]
+
+
+@pytest.mark.parametrize(
+    "persistence,feedback,factor",
+    [(0.95, 0.5, "1.075"), (0.0, 0.0, "0.0")],
+    ids=["expanding", "zero"],
+)
+def test_nonlinear_map_factor_outside_the_unit_interval_is_config_error(tmp_path, capsys, persistence, feedback, factor):
+    # the spec's own contraction check, the one for every caller, names the factor
+    cfg = base_config()
+    cfg["model"] = {"class": "nonlinear_binary", "persistence": persistence, "feedback": feedback, "gamma": [0.3]}
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["bounds", "--config", cfg_path, "--out", str(tmp_path / "b"), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"model (nonlinear_binary): declared contraction {factor} not in (0,1)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command,patch,status,message",
+    [
+        (
+            "simulate",
+            {"simulate": {"window": 100, "eps": 1e-6, "max_burnin": 0}},
+            EXIT_FAILURE,
+            "burn-in horizon error: cannot reach eps=1e-06 within 0 burn-in steps",
+        ),
+        (
+            "fit",
+            {"model": {"class": "multinomial", "A": [[[0.3, 0.1], [0.1, 0.3]]], "Gamma": [[0.2], [0.1]], "n_categories": 3}},
+            EXIT_CONFIG,
+            "fit requires an observation_driven_binary model block",
+        ),
+        (
+            "bounds",
+            {
+                "covariates": {"kind": "finite_markov", **VALID_COVARIATES["finite_markov"]},
+                "bounds": {"metric": "discrete", "p_moment": 2},
+            },
+            EXIT_FAILURE,
+            "bound assembly failure: cannot certify the transformed tail",
+        ),
+    ],
+    ids=["simulate-burnin-horizon", "fit-multinomial", "bounds-discrete-moment-2"],
+)
+def test_command_exit_paths_name_the_failure_without_a_traceback(tmp_path, capsys, command, patch, status, message):
+    cfg = {**base_config(), **patch}
+    cfg_path = write_config(tmp_path, cfg)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / command), "--quiet"]) == status
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

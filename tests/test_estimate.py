@@ -10,7 +10,6 @@ from catchain import estimate
 from catchain.estimate import (
     DataSizeError,
     Dataset,
-    FitConfig,
     conditional_loglik,
     fit_mle,
     loglik_gradient,
@@ -124,8 +123,8 @@ def test_fit_on_noise_is_indistinguishable_from_coin_flipping():
 def test_fit_warmup_choice_barely_moves_estimates():
     data = simulate_dataset(5000, seed=7)
     template = ObservationDrivenBinarySpec(alpha=[0.0], beta=[0.0], gamma=[0.0])
-    fit_a = fit_mle(template, data, FitConfig(warmup=10))
-    fit_b = fit_mle(template, data, FitConfig(warmup=25))
+    fit_a = fit_mle(template, data, warmup=10)
+    fit_b = fit_mle(template, data, warmup=25)
     assert np.abs(fit_a.theta_hat - fit_b.theta_hat).max() < 0.02
 
 

@@ -36,7 +36,8 @@ stepped by one matrix product per time, must give the floats of the
 pair-by-pair loop kept here to 1e-12, and their k-step tail must bound the
 coefficients iterated out to ten times the horizon and equal the loop's
 one-step tail where that exists; the stationary-law solve must match the
-eigenvector it replaced.
+eigenvector it replaced, and the exact joint-chain coefficients, whose
+invariant law is one solve, those of the power iteration kept here.
 """
 
 import csv
@@ -61,10 +62,13 @@ from catchain.bounds import (
     bstar_from_b,
     bstar_sum_bracket,
 )
-from catchain.dependence import _JointChain
+from catchain.dependence import _JointChain, empirical_beta_small
 from catchain.estimate import (
+    _BARRIER_WEIGHT,
+    _MAX_ITER,
+    _START_OFFSETS,
+    _STATIONARITY_MARGIN,
     Dataset,
-    FitConfig,
     _Likelihood,
     _link_regression,
     _objective,
@@ -525,14 +529,8 @@ def test_exact_marginal_laws_match_reference_on_time_varying_covariates(seed, t,
     _assert_laws_match_reference(kernel, gen.normal(size=(t, 1)), init, t)
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    mem=st.integers(1, 3),
-    n_cov=st.integers(1, 4),
-)
-def test_joint_chain_step_matches_sparse_reference(seed, mem, n_cov):
-    gen = np.random.default_rng(seed)
+def _random_joint_chain(gen, mem, n_cov):
+    """An infinite-order kernel of memory ``mem`` and an ``n_cov``-state covariate chain."""
     spec = BinaryInfiniteOrderSpec(a=gen.uniform(-0.6, 0.6, size=mem), gamma=gen.uniform(-1.0, 1.0, size=1))
     kernel = model_to_kernel(spec, max_lag_y=mem, max_lag_x=1)
     # some zero transitions, which the sparse build skips; the diagonal and
@@ -545,7 +543,18 @@ def test_joint_chain_step_matches_sparse_reference(seed, mem, n_cov):
     cov = FiniteStateMarkovCovariates(
         transition=tuple(map(tuple, P)), emission=tuple((float(v),) for v in range(n_cov))
     )
-    chain = _JointChain(kernel, cov)
+    return kernel, cov
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mem=st.integers(1, 3),
+    n_cov=st.integers(1, 4),
+)
+def test_joint_chain_step_matches_sparse_reference(seed, mem, n_cov):
+    gen = np.random.default_rng(seed)
+    chain = _JointChain(*_random_joint_chain(gen, mem, n_cov))
     T = _reference_joint_matrix(chain)
     dist = gen.dirichlet(np.ones(chain.n_states), size=(3, 4))
     got = chain.step(dist)
@@ -553,6 +562,42 @@ def test_joint_chain_step_matches_sparse_reference(seed, mem, n_cov):
     want = np.asarray(dist.reshape(-1, chain.n_states) @ T).reshape(dist.shape)
     assert np.abs(got - want).max() <= 1e-15
     np.testing.assert_allclose(chain.step(dist[0, 0]), want[0, 0], rtol=0, atol=1e-15)
+
+
+def _reference_empirical_beta_small(kernel, cov, n_values, window):
+    """``empirical_beta_small`` with the invariant law iterated from the
+    uniform law on the sparse one-step matrix until one step moves it by
+    less than 1e-14 in l1, within 200 000 steps."""
+    chain = _JointChain(kernel, cov)
+    T = _reference_joint_matrix(chain)
+    pi = np.full(chain.n_states, 1.0 / chain.n_states)
+    for _ in range(200000):
+        new = np.asarray(pi @ T).ravel()
+        if np.abs(new - pi).sum() < 1e-14:
+            break
+        pi = new
+    else:
+        raise AssertionError("the power iteration did not settle")
+    pi = new
+    out = []
+    for n in n_values:
+        ref = chain.trajectory_law(pi, n, window)
+        total = 0.0
+        for idx in np.nonzero(pi > 1e-16)[0]:
+            law = chain.trajectory_law(np.eye(chain.n_states)[idx], n, window)
+            total += pi[idx] * 0.5 * float(np.abs(law - ref).sum())
+        out.append(total)
+    return np.array(out)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mem=st.integers(1, 3), n_cov=st.integers(1, 4))
+def test_empirical_beta_small_matches_power_iteration_reference(seed, mem, n_cov):
+    # the invariant law is one solve of the stacked one-step matrix
+    kernel, cov = _random_joint_chain(np.random.default_rng(seed), mem, n_cov)
+    got = empirical_beta_small(kernel, cov, [1, 2, 4], window=2)
+    want = _reference_empirical_beta_small(kernel, cov, [1, 2, 4], 2)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # -- finite-state covariate coupling -------------------------------------------------
@@ -1493,16 +1538,16 @@ def _reference_conditional_loglik(spec, data, warmup=None):
     return float(ll[warmup:].sum())
 
 
-def _reference_objective(theta, template, data, cfg):
+def _reference_objective(theta, template, data, warmup):
     # a second stationarity check inside conditional_loglik
     p, q = template.alpha.size, template.beta.size
     spec = ObservationDrivenBinarySpec(alpha=theta[:p], beta=theta[p : p + q], gamma=theta[p + q :], link=template.link)
     report = stationarity_check(spec)
-    slack = 1.0 - report.spectral_radius - cfg.stationarity_margin
+    slack = 1.0 - report.spectral_radius - _STATIONARITY_MARGIN
     if slack <= 0.0 or not np.isfinite(report.spectral_radius):
         return float("inf")
-    ll = _reference_conditional_loglik(spec, data, warmup=cfg.warmup)
-    return -ll / data.n - cfg.barrier_weight * math.log(slack)
+    ll = _reference_conditional_loglik(spec, data, warmup=warmup)
+    return -ll / data.n - _BARRIER_WEIGHT * math.log(slack)
 
 
 def _reference_profile_objective(theta_free, template, data, bandwidth):
@@ -1669,19 +1714,13 @@ def _fit_cases(draw):
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    case=_fit_cases(),
-    warmup=st.one_of(st.none(), st.integers(0, 40)),
-    margin=st.sampled_from([1e-3, 0.0, -1e-3]),
-)
-def test_objective_matches_per_evaluation_reference(case, warmup, margin):
-    # a negative margin lets a non-stationary spec through to the check the likelihood makes
+@given(case=_fit_cases(), warmup=st.one_of(st.none(), st.integers(0, 40)))
+def test_objective_matches_per_evaluation_reference(case, warmup):
     template, data, thetas = case
-    cfg = FitConfig(warmup=warmup, stationarity_margin=margin)
     lik = _Likelihood(data, template.alpha.size)
     for theta in thetas:
-        got = _outcome_bytes(_objective, theta, template, lik, cfg)
-        assert got == _outcome_bytes(_reference_objective, theta, template, data, cfg)
+        got = _outcome_bytes(_objective, theta, template, lik, warmup)
+        assert got == _outcome_bytes(_reference_objective, theta, template, data, warmup)
         spec = ObservationDrivenBinarySpec(
             alpha=theta[: template.alpha.size],
             beta=theta[template.alpha.size : template.alpha.size + template.beta.size],
@@ -1721,37 +1760,31 @@ def test_objectives_match_reference_on_the_selftest_data(seed):
     lik = _Likelihood(data, 1)
     for off in (0.0, 0.5, -0.5, 0.4):
         theta = np.array([off, 0.5 * off, off])
-        cfg = FitConfig()
-        assert _objective(theta, spec, lik, cfg) == _reference_objective(theta, spec, data, cfg)
+        assert _objective(theta, spec, lik, None) == _reference_objective(theta, spec, data, None)
         got = _profile_objective(theta[:2], spec, lik, None)
         assert got == _reference_profile_objective(theta[:2], spec, data, None)
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    case=_fit_cases(),
-    warmup=st.one_of(st.none(), st.integers(0, 40)),
-    margin=st.sampled_from([1e-3, 0.0, -1e-3]),
-)
-def test_fused_objective_is_objective_with_score_and_barrier_gradient(case, warmup, margin):
+@given(case=_fit_cases(), warmup=st.one_of(st.none(), st.integers(0, 40)))
+def test_fused_objective_is_objective_with_score_and_barrier_gradient(case, warmup):
     template, data, thetas = case
-    cfg = FitConfig(warmup=warmup, stationarity_margin=margin)
     lik = _Likelihood(data, template.alpha.size)
     p, q = template.alpha.size, template.beta.size
     for theta in thetas:
-        got = _outcome_bytes(lambda t: _objective_and_gradient(t, template, lik, cfg)[0], theta)
-        assert got == _outcome_bytes(_objective, theta, template, lik, cfg)
-        if not isinstance(got, bytes) or not np.isfinite(np.frombuffer(got)[0]):
-            continue  # the check raised, or theta lies outside the margin
-        grad = _objective_and_gradient(theta, template, lik, cfg)[1]
+        got = _outcome_bytes(lambda t: _objective_and_gradient(t, template, lik, warmup)[0], theta)
+        assert got == _outcome_bytes(_objective, theta, template, lik, warmup)
+        if not np.isfinite(np.frombuffer(got)[0]):
+            continue  # theta lies outside the margin
+        grad = _objective_and_gradient(theta, template, lik, warmup)[1]
         spec = ObservationDrivenBinarySpec(alpha=theta[:p], beta=theta[p : p + q], gamma=theta[p + q :], link=template.link)
         want = -loglik_gradient(spec, data, warmup) / data.n
-        slack = 1.0 - stationarity_check(spec).spectral_radius - margin
-        want[p : p + q] += cfg.barrier_weight * _radius_gradient(spec.beta) / slack
+        slack = 1.0 - stationarity_check(spec).spectral_radius - _STATIONARITY_MARGIN
+        want[p : p + q] += _BARRIER_WEIGHT * _radius_gradient(spec.beta) / slack
         assert grad.tobytes() == want.tobytes()
 
 
-def _reference_fit_mle_nelder_mead(template, data, cfg):
+def _reference_fit_mle_nelder_mead(template, data):
     # the multi-start Nelder-Mead search of fit_mle before BFGS: the same
     # starts, objective and tie-break, stopped at xatol 1e-6 and fatol 1e-9
     from scipy.optimize import minimize
@@ -1759,15 +1792,15 @@ def _reference_fit_mle_nelder_mead(template, data, cfg):
     p, q = template.alpha.size, template.beta.size
     lik = _Likelihood(data, p)
     candidates = []
-    for off in cfg.start_offsets:
+    for off in _START_OFFSETS:
         x0 = np.full(p + q + template.gamma.size, off)
         x0[p : p + q] *= 0.5
         res = minimize(
             _objective,
             x0,
-            args=(template, lik, cfg),
+            args=(template, lik, None),
             method="Nelder-Mead",
-            options={"maxiter": cfg.max_iter, "xatol": 1e-6, "fatol": 1e-9},
+            options={"maxiter": _MAX_ITER, "xatol": 1e-6, "fatol": 1e-9},
         )
         if np.isfinite(res.fun) and np.all(np.isfinite(res.x)):
             candidates.append(res)
@@ -1799,9 +1832,8 @@ def test_fit_mle_matches_nelder_mead_reference(beta, link):
     # a custom link has no density, so BFGS differences the objective
     spec = ObservationDrivenBinarySpec(alpha=[0.4], beta=beta, gamma=[0.3], link=_FIT_LINKS[link])
     data = _forward_binary_data(spec, 1000, seed=len(beta))
-    cfg = FitConfig()
-    got = fit_mle(spec, data, cfg)
-    want = _reference_fit_mle_nelder_mead(spec, data, cfg)
+    got = fit_mle(spec, data)
+    want = _reference_fit_mle_nelder_mead(spec, data)
     assert got.convergence == "converged"
-    assert _objective(got.theta_hat, spec, _Likelihood(data, 1), cfg) <= want.fun + 1e-9
+    assert _objective(got.theta_hat, spec, _Likelihood(data, 1), None) <= want.fun + 1e-9
     assert float(np.abs(got.theta_hat - want.x).max()) <= 1e-5
