@@ -17,12 +17,12 @@ consistent with this convention (it misses one ``b_0`` term); see
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .csvio import read_rows, table
 
 __all__ = [
     "DecayError",
@@ -173,11 +173,7 @@ class DecaySeq:
     @classmethod
     def from_csv(cls, text_or_path) -> "DecaySeq":
         """Read an ``m,value`` two-column CSV (header required)."""
-        if hasattr(text_or_path, "read"):
-            rows = list(csv.reader(text_or_path))
-        else:
-            with open(text_or_path, newline="") as fh:
-                rows = list(csv.reader(fh))
+        rows = read_rows(text_or_path)
         if not rows or [c.strip() for c in rows[0]] != ["m", "value"]:
             raise DecayError("expected CSV header 'm,value'")
         pairs = sorted((int(r[0]), float(r[1])) for r in rows[1:] if r)
@@ -187,16 +183,7 @@ class DecaySeq:
         return cls(np.array([v for _, v in pairs]))
 
     def to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["m", "value"])
-        for m, v in enumerate(self.values):
-            w.writerow([m, repr(float(v))])
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", newline="") as fh:
-                fh.write(text)
-        return text
+        return table(["m", "value"], ((m, float(v)) for m, v in enumerate(self.values)), path)
 
     # -- pointwise access --------------------------------------------------
 
@@ -490,16 +477,7 @@ class DependenceBoundCurve:
     inputs: dict = field(default_factory=dict)
 
     def to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "bound"])
-        for n in range(1, self.n_max + 1):
-            w.writerow([n, repr(float(self.bound[n]))])
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", newline="") as fh:
-                fh.write(text)
-        return text
+        return table(["n", "bound"], ((n, float(self.bound[n])) for n in range(1, self.n_max + 1)), path)
 
 
 def _working_horizon(n_max: int, horizon: int | None, ingredients: dict) -> int:

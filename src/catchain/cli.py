@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import bdtrc, ndtr, ndtri
 
 from .bounds import DecaySeq, DivergenceError, bstar_from_b, bstar_renewal_oracle, perturbation_bound
+from .csvio import table
 from .dependence import certificate_for_model, empirical_beta_small
 from .estimate import Dataset, fit_mle, loglik_gradient, semiparametric_fit
 from .kernels import (
@@ -511,11 +512,8 @@ def cmd_verify(conf: dict, quiet: bool) -> int:
         all_ok = all_ok and passed
         if not quiet:
             print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
-    lines = ["check,status,detail"]
-    for name, status, detail in rows:
-        safe = detail.replace(",", ";")
-        lines.append(f"{name},{status},{safe}")
-    write_atomic(os.path.join(conf["out"], "verify_report.csv"), "\n".join(lines) + "\n")
+    report = table(["check", "status", "detail"], ((n, st, d.replace(",", ";")) for n, st, d in rows))
+    write_atomic(os.path.join(conf["out"], "verify_report.csv"), report)
     return EXIT_OK if all_ok else EXIT_FAILURE
 
 
@@ -558,13 +556,11 @@ def cmd_fit(conf: dict, quiet: bool) -> int:
         + [f"beta_{j+1}" for j in range(template.beta.size)]
         + [f"gamma_{i+1}" for i in range(template.gamma.size)]
     )
-    lines = ["name,estimate" + (",stderr" if result.stderr is not None else "")]
-    for i, nm in enumerate(names):
-        row = f"{nm},{float(result.theta_hat[i])!r}"
-        if result.stderr is not None:
-            row += f",{float(result.stderr[i])!r}"
-        lines.append(row)
-    write_atomic(os.path.join(out_dir, "theta_hat.csv"), "\n".join(lines) + "\n")
+    header, columns = ["name", "estimate"], [names, result.theta_hat.tolist()]
+    if result.stderr is not None:
+        header.append("stderr")
+        columns.append(result.stderr.tolist())
+    write_atomic(os.path.join(out_dir, "theta_hat.csv"), table(header, zip(*columns)))
     summary = [
         f"convergence: {result.convergence}",
         f"loglik: {result.loglik!r}",
@@ -580,14 +576,13 @@ def cmd_fit(conf: dict, quiet: bool) -> int:
     write_atomic(os.path.join(out_dir, "fit_summary.txt"), "\n".join(summary) + "\n")
     if blk["semiparametric"]:
         sem = semiparametric_fit(data, template, warmup=blk["warmup"], theta=result.theta_hat)
-        rows = ["z,fhat"]
-        rows += [f"{float(z)!r},{float(f)!r}" for z, f in zip(sem.grid, sem.fhat)]
-        write_atomic(os.path.join(out_dir, "fhat_grid.csv"), "\n".join(rows) + "\n")
+        grid = zip(sem.grid.tolist(), sem.fhat.tolist())
+        write_atomic(os.path.join(out_dir, "fhat_grid.csv"), table(["z", "fhat"], grid))
         # the profile's own coordinates, with the pinned first loading written out
         p, q = template.alpha.size, template.beta.size
         profile = np.concatenate([sem.theta_hat[: p + q], [1.0], sem.theta_hat[p + q :]])
-        rows = ["name,estimate"] + [f"{nm},{float(v)!r}" for nm, v in zip(names, profile)]
-        write_atomic(os.path.join(out_dir, "theta_profile.csv"), "\n".join(rows) + "\n")
+        rows = zip(names, profile.tolist())
+        write_atomic(os.path.join(out_dir, "theta_profile.csv"), table(["name", "estimate"], rows))
     if not quiet:
         print("\n".join(summary))
     return EXIT_OK

@@ -9,8 +9,6 @@ joint chain is finite, so its mixing coefficients can be computed exactly
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +23,7 @@ from .bounds import (
     heredity_exponent,
     tau_bound,
 )
+from .csvio import table
 from .kernels import KernelHandle, memory_state, memory_step, transition_table
 from .models import model_to_kernel
 from .prob import stationary_law
@@ -101,20 +100,14 @@ class DependenceCertificate:
     classification: dict = field(default_factory=dict)
 
     def to_csv(self, dest=None, empirical: np.ndarray | None = None) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
         header = ["n", "bound"] + (["empirical_lowerbound"] if empirical is not None else [])
-        w.writerow(header)
+        rows = []
         for n in range(1, self.curve.n_max + 1):
-            row = [n, repr(float(self.curve.bound[n]))]
+            row = [n, float(self.curve.bound[n])]
             if empirical is not None:
-                row.append(repr(float(empirical[n - 1])) if n - 1 < len(empirical) else "")
-            w.writerow(row)
-        text = buf.getvalue()
-        if dest is not None:
-            with open(dest, "w", newline="") as fh:
-                fh.write(text)
-        return text
+                row.append(float(empirical[n - 1]) if n - 1 < len(empirical) else "")
+            rows.append(row)
+        return table(header, rows, dest)
 
     def summary(self) -> str:
         lines = [

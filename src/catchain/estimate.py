@@ -14,13 +14,12 @@ parametric estimate rescaled to the pinned loading.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import read_rows, table
 from .models import (
     ObservationDrivenBinarySpec,
     StationarityReport,
@@ -80,11 +79,7 @@ class Dataset:
     def from_csv(cls, path_or_text) -> "Dataset":
         """Read ``t,y,x_1..x_d[,lambda_1..k]`` CSV (``simulate``'s
         ``path.csv`` included); only ``y`` and the ``x_*`` columns are kept."""
-        if hasattr(path_or_text, "read"):
-            rows = list(csv.reader(path_or_text))
-        else:
-            with open(path_or_text, newline="") as fh:
-                rows = list(csv.reader(fh))
+        rows = read_rows(path_or_text)
         if not rows:
             raise ValueError("dataset CSV is empty")
         header = [c.strip() for c in rows[0]]
@@ -108,16 +103,8 @@ class Dataset:
         return cls(y=y, x=x)
 
     def to_csv(self, dest=None) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t", "y"] + [f"x_{i+1}" for i in range(self.dim)])
-        for t in range(self.n):
-            w.writerow([t + 1, int(self.y[t])] + [repr(float(v)) for v in self.x[t]])
-        text = buf.getvalue()
-        if dest is not None:
-            with open(dest, "w", newline="") as fh:
-                fh.write(text)
-        return text
+        header = ["t", "y"] + [f"x_{i+1}" for i in range(self.dim)]
+        return table(header, ([t + 1, int(self.y[t])] + self.x[t].tolist() for t in range(self.n)), dest)
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +570,8 @@ def semiparametric_fit(
         raise DataSizeError(f"{data.n} observations cannot support {n_free} parameters")
     lik = _Likelihood(data, p)
     if n_free == 0:
-        theta_free = np.zeros(0)
-        obj = _profile_objective(theta_free, template, lik, bandwidth, warmup)
-        best = type("R", (), {"x": theta_free, "fun": obj, "success": True})()
+        x = np.zeros(0)
+        fun, success = _profile_objective(x, template, lik, bandwidth, warmup), True
     else:
         if theta is None:
             theta = fit_mle(template, data, warmup).theta_hat
@@ -596,17 +582,18 @@ def semiparametric_fit(
             method="Nelder-Mead",
             options={"maxiter": _MAX_ITER, "xatol": 1e-4, "fatol": 1e-7},
         )
-    if not np.isfinite(best.fun):
+        x, fun, success = np.asarray(best.x), best.fun, best.success
+    if not np.isfinite(fun):
         raise RuntimeError("no feasible starting point for the profile objective")
-    mu = lik.mu(*_profile_params(best.x, p, q))
+    mu = lik.mu(*_profile_params(x, p, q))
     h = _bandwidth(bandwidth, mu, data.n)
     grid, fhat, empty = _link_regression(lik.yf, mu, h)
     return SemiparametricResult(
-        theta_hat=np.asarray(best.x),
+        theta_hat=x,
         grid=grid,
         fhat=fhat,
-        objective=-float(best.fun),
+        objective=-float(fun),
         bandwidth=h,
         empty_windows=empty,
-        convergence="converged" if getattr(best, "success", True) else "max-iter",
+        convergence="converged" if success else "max-iter",
     )

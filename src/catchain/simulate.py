@@ -24,6 +24,7 @@ import numpy as np
 from scipy.special import gamma, hyp1f1
 
 from .bounds import DecaySeq, DivergenceError, GeometricTail, bstar_from_b
+from .csvio import lines
 from .kernels import (
     KernelHandle,
     memory_step,
@@ -243,8 +244,9 @@ class FiniteStateMarkovCovariates:
             return s
         s[0] = gen.choice(self.n_states, p=pi)
         u = gen.random(length - 1) if length > 1 else None
+        last = P.shape[0] - 1  # a row whose rounded sum ends below u draws the last state
         for t in range(1, length):
-            s[t] = int(np.searchsorted(cum[s[t - 1]], u[t - 1], side="right"))
+            s[t] = min(int(np.searchsorted(cum[s[t - 1]], u[t - 1], side="right")), last)
         return s
 
     def sample(self, length: int, rng) -> np.ndarray:
@@ -700,16 +702,15 @@ def covariate_coupling_coeffs(model, horizon: int, metric: str = "l1") -> DecayS
 CSV_BLOCK = 4096  # rows formatted per block, which bounds the per-row strings alive at once
 
 
-def path_to_csv(path: SamplePath, dest=None) -> str:
+def path_to_csv(path: SamplePath) -> str:
     """Serialize a path as ``t,y,x_1..x_d[,lambda_1..k]`` CSV.
 
     ``lam`` has one row per time; a 1-d ``lam`` is one ``lambda_1`` column,
     or, on a path of one time, that time's latent block.
 
-    Fields are what ``csv.writer`` writes for them: ``str`` of the integers
-    and ``repr`` of the floats, none of which holds a delimiter, quote or
-    line break, so none is quoted.  Columns are formatted in blocks of
-    ``CSV_BLOCK`` rows with ``tolist`` and joins; each block becomes one
+    Fields are ``str`` of the integers and ``repr`` of the floats, joined
+    into lines by :func:`catchain.csvio.lines`.  Columns are formatted in
+    blocks of ``CSV_BLOCK`` rows with ``tolist``; each block becomes one
     string, so the per-row strings of only one block are alive at once.
     """
     T = path.y.size
@@ -724,15 +725,11 @@ def path_to_csv(path: SamplePath, dest=None) -> str:
             raise ValueError(f"lam has {lam.shape[0]} rows for a path of {T} times")
         header += [f"lambda_{i+1}" for i in range(lam.shape[1])]
         floats.append(lam)
-    blocks = [",".join(header) + "\n"]
+    blocks = [lines([header])]
     for lo in range(0, T, CSV_BLOCK):
         hi = min(lo + CSV_BLOCK, T)
         cols = [map(str, range(lo + 1, hi + 1)), map(str, path.y[lo:hi].astype(np.int64).tolist())]
         for arr in floats:
             cols += [map(repr, col) for col in arr[lo:hi].T.tolist()]
-        blocks.append("".join([",".join(row) + "\n" for row in zip(*cols, strict=True)]))
-    text = "".join(blocks)
-    if dest is not None:
-        with open(dest, "w", newline="") as fh:
-            fh.write(text)
-    return text
+        blocks.append(lines(zip(*cols, strict=True)))
+    return "".join(blocks)

@@ -961,3 +961,49 @@ def test_command_exit_paths_name_the_failure_without_a_traceback(tmp_path, capsy
     assert main([command, "--config", cfg_path, "--out", str(tmp_path / command), "--quiet"]) == status
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_semiparametric_fit_with_no_free_profile_parameter(tmp_path):
+    # with no lag and one covariate the profile pins the only loading to one,
+    # so it evaluates its objective once and optimizes nothing
+    cfg = base_config()
+    cfg["model"].update(alpha=[], beta=[], gamma=[0.8])
+    cfg["fit"] = {"selftest": True, "n": 2000, "semiparametric": True}
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", write_config(tmp_path, cfg), "--out", str(out), "--quiet"]) == EXIT_OK
+    assert (out / "theta_profile.csv").read_text() == "name,estimate\ngamma_1,1.0\n"
+    assert len((out / "fhat_grid.csv").read_text().splitlines()) == 513
+
+
+def test_multinomial_without_category_lags_certifies_a_zero_b0(tmp_path, capsys):
+    # no category lag shifts the latent block, so b0 is 0 at any alphabet size
+    cfg = base_config()
+    cfg["model"] = {"class": "multinomial", "A": [], "Gamma": [[0.2], [0.1]], "n_categories": 3}
+    assert main(["bounds", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "b")]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "ingredient b0_certificate: 0.0\n" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_config_that_is_not_json_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"seed": 1,')
+    assert main(["bounds", "--config", str(cfg_path), "--out", str(tmp_path / "b"), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: config is not valid JSON" in err and "Traceback" not in err
+
+
+def test_fit_failing_from_every_start_exits_one(tmp_path, capsys, monkeypatch):
+    import scipy.optimize
+
+    def abandoned(fun, x0, **kwargs):  # status 3: BFGS met a NaN
+        return scipy.optimize.OptimizeResult(x=np.asarray(x0, dtype=float), fun=np.inf, status=3, success=False)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", abandoned)
+    cfg = base_config()
+    cfg["fit"] = {"selftest": True, "n": 2000}
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", write_config(tmp_path, cfg), "--out", str(out), "--quiet"]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert "optimizer failed from every start" in err and "Traceback" not in err
+    assert not (out / "theta_hat.csv").exists()

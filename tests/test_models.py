@@ -1,6 +1,13 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import expit
+
+import catchain
 
 from catchain.kernels import enumerate_b_exact
 from catchain.models import (
@@ -18,6 +25,7 @@ from catchain.models import (
     latent_recursion,
     logistic_link,
     model_to_kernel,
+    probit_link,
     russell_damping,
     stationarity_check,
 )
@@ -140,6 +148,47 @@ def test_contraction_constants_two_lags_match_power_oracle():
 def test_contraction_constants_reject_explosive():
     with pytest.raises(ConstructionError):
         contraction_constants(spec_od(beta=(1.2,)))
+
+
+def test_latent_response_sum_closes_a_slow_contraction_with_an_upper_tail():
+    # at beta above about 0.912 the powers of A stay above 1e-16 past the
+    # 400 summed terms, so the sum ends in its geometric tail
+    spec = spec_od(beta=(0.95,))
+    total = spec.envelope(contraction_constants(spec))[0]
+    A = companion_matrix(spec)
+    power, norms = np.eye(1), []
+    while len(norms) < 10**5 and power.any():
+        norms.append(float(np.abs(power).sum(axis=1).max()))
+        power = power @ A
+    assert total >= math.fsum(norms)
+
+
+# -- links -------------------------------------------------------------------------
+
+
+def test_probit_density_is_bit_equal_to_scipy_stats():
+    from scipy.stats import norm
+
+    gen = SeededRng(4).generator()
+    z = np.concatenate(
+        [gen.normal(size=20000) * scale for scale in (0.1, 1.0, 3.0, 30.0)]
+        + [[0.0, -0.0, 40.0, -40.0, np.inf, -np.inf]]
+    )
+    pdf = probit_link().pdf
+    assert pdf(z).tobytes() == norm.pdf(z).tobytes()
+    assert pdf(0.5) == norm.pdf(0.5) and np.isnan(pdf(np.nan))
+
+
+def test_probit_density_leaves_scipy_stats_unimported():
+    src = os.path.dirname(os.path.dirname(catchain.__file__))
+    code = (
+        "import sys, numpy as np; from catchain.models import probit_link; "
+        "probit_link().pdf(np.linspace(-3.0, 3.0, 7)); print('scipy.stats' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_russell_damping_contraction_bound():

@@ -176,6 +176,16 @@ def test_ladder_draw_at_top_of_unit_interval_stays_in_alphabet():
     assert y1.max() == 2 and y2.max() == 2
 
 
+def test_finite_state_draw_at_top_of_unit_interval_stays_in_the_state_space():
+    # each row's cumulative sum ends at 0.9999999999999998, below the draw,
+    # which lies within the 1e-10 the class allows a row to miss 1 by
+    row = (0.3448318529124632, 0.28698205780409697, 0.3681860892834397)
+    model = FiniteStateMarkovCovariates(transition=(row,) * 3, emission=((0.0,), (1.0,), (2.0,)))
+    states = model.sample_states(6, _TopDraws(np.random.PCG64(0)))
+    assert states.min() >= 0 and states[1:].tolist() == [2] * 5
+    np.testing.assert_array_equal(model.sample(6, _TopDraws(np.random.PCG64(0)))[1:, 0], 2.0)
+
+
 def test_ladder_runs_on_2_to_the_11_memory_states():
     # 2**11 memory states would be 2**22 code pairs; each step reads the two tables
     gen = SeededRng(0).generator()
