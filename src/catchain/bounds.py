@@ -289,12 +289,21 @@ def bstar_from_b(b: DecaySeq, horizon: int) -> DecaySeq:
     The result's ``tail_sum_bound`` is set from the renewal-series total, so
     ``sum_from`` is a certified bound even past the horizon.
 
-    The iteration stops early, with the same values as the full loop.  Let
-    ``support`` be one past the last index with ``b_k != 0`` (the last one,
-    not the first zero: the head may rise by up to 1e-15 after a zero).
-    Entry ``j`` of the distribution is the reset ``j`` steps back times a
-    product of ``1 - b``, so after ``support`` consecutive resets that are
-    exactly 0.0 the entries below ``support`` are exactly 0.0.  Every later
+    The iteration stops early, with the same values as the full loop.  A
+    reset sums the nonnegative products ``dist[j] * b_j``, so it is exactly
+    0.0 only when every product rounds to 0.0.  When the head is
+    nonincreasing the iteration stops at its first zero reset: the next
+    step's products are ``(dist[j] * (1 - b_j)) * b_{j+1}`` and a fresh
+    ``0.0 * b_0``, and since ``1 - b_j <= 1``, ``b_{j+1} <= b_j`` and
+    rounding is monotone, each is at most the rounded ``dist[j] * b_j``,
+    which is 0.0; so every later reset is 0.0 too.
+
+    A head that rises (a decay sequence may rise by up to 1e-15, after a
+    zero too) keeps a longer rule.  Let ``support`` be one past the last
+    index with ``b_k != 0``.  Entry ``j`` of the distribution is the reset
+    ``j`` steps back times a product of ``1 - b``, so after ``support``
+    consecutive resets that are exactly 0.0 the entries below ``support``
+    are exactly 0.0.  Every later
     reset then sums products that are each exactly 0.0 (a zero mass, or
     ``b_k == 0`` at ``k >= support``), the zero block shifts forward, and
     every remaining entry is exactly 0.0.  For a geometric tail the resets
@@ -306,7 +315,8 @@ def bstar_from_b(b: DecaySeq, horizon: int) -> DecaySeq:
         raise ValueError("horizon must be >= 0")
     bh = b.head(horizon + 1)
     keep = 1.0 - bh
-    support = int(np.flatnonzero(bh)[-1]) + 1 if np.any(bh) else 0
+    # consecutive zero resets after which every later reset is 0.0
+    stop = 1 if np.all(bh[1:] <= bh[:-1]) else int(np.flatnonzero(bh)[-1]) + 1
     out = np.zeros(horizon + 1)
     out[0] = bh[0]
     dist = np.zeros(horizon + 1)
@@ -318,7 +328,7 @@ def bstar_from_b(b: DecaySeq, horizon: int) -> DecaySeq:
         dist[0] = reset
         out[n] = reset
         zero_run = zero_run + 1 if reset == 0.0 else 0
-        if zero_run >= support:
+        if zero_run >= stop:
             break
     tail_bound = None
     if b.is_summable:

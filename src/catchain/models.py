@@ -17,21 +17,22 @@ Each family is one class; shared code never asks which family it holds.
 ``covariate_dim``, ``stationarity()`` and ``kernel_parts(...)`` (the other
 kernel fields, with b0 certified from the spec's ``b0_profile``; see
 :func:`~catchain.kernels.certify_b0`).  The latent families derive from
-``_LatentRecursion``, the linear recursion
-``lam_t = sum_k A_k v(y_{t-k}) + Gamma x_t + sum_j B_j lam_{t-j}``.  A new
-linear family defines ``A``, ``B``, ``Gamma``, ``block_dim``,
-``category_vector(c)`` (the ``v``), ``response(lam)`` (the category law given
-the leading latent block) and its TV Lipschitz constant ``tv_lipschitz``, and
-inherits the rest.  The nonlinear family replaces the step and the
-contraction certificate.  ``_latent_scan`` is the one engine behind kernel
-evaluation (``latent_recursion``), ``latent_path`` and forward sampling: one
-blocked loop that takes each block's ``covariate_forcing`` as a list and runs
-the family's one ``stepper()`` and then ``draw``.  A block of dimension 1
-(the binary families, and a two-category multinomial or one-component choice
-spec) steps on Python floats, a larger block on arrays.  The infinite-order
-chain truncated at ``m`` lags is the observation-driven recursion with no
-latent lags, so it runs on the same engine: ``_scan_parts`` builds the
-scan's kernel fields for every family.
+``_LatentRecursion``, the linear recursion ``lam_t = sum_k A_k v(y_{t-k}) +
+Gamma x_t + sum_j B_j lam_{t-j}``.  A new linear family defines ``A``, ``B``,
+``Gamma``, ``block_dim``, ``category_vector(c)`` (the ``v``), ``cells(lam)``
+(the category law given the leading latent block, as a list of floats) and
+its TV Lipschitz constant ``tv_lipschitz``, and inherits the rest,
+``response`` and ``draw`` among it.  The nonlinear family replaces the step
+and the contraction certificate.  ``_latent_scan`` is the one engine behind
+kernel evaluation (``latent_recursion``), ``latent_path`` and forward
+sampling: one blocked loop that takes each block's ``covariate_forcing`` as a
+list and runs the family's one ``stepper()`` and then ``draw``.  A block of
+dimension 1 (the binary families, and a two-category multinomial or
+one-component choice spec) steps on Python floats, a larger block on arrays;
+the multinomial and choice families draw on the running sum of their
+``cells``.  The infinite-order chain truncated at ``m`` lags is the
+observation-driven recursion with no latent lags, so it runs on the same
+engine: ``_scan_parts`` builds the scan's kernel fields for every family.
 
 ``model_to_kernel`` turns a spec into a :class:`~catchain.kernels.KernelHandle`
 whose decay metadata is derived from the contraction structure of the latent
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -420,10 +421,22 @@ class _LatentRecursion:
                 return (x[:, 0] * g[0] + 0.0).tolist()
             return [float(g @ x_t) for x_t in x]
 
+    def response(self, lam) -> np.ndarray:
+        return np.array(self.cells(lam))
+
     def draw(self, lam, u: float) -> int:
-        """Category drawn by inverting ``u`` through ``response(lam)``, the
-        last category when a rounded last sum falls below ``u``."""
-        return min(int((self.response(np.atleast_1d(lam)).cumsum() < u).sum()), self.n_categories - 1)
+        """Category drawn by inverting ``u`` through ``cells(lam)``: the
+        first whose running sum is not below ``u``, the last when a rounded
+        last sum falls below ``u``.
+
+        The cells are nonnegative, so the running sums (added left to right,
+        as ``cumsum`` adds them) never decrease, and a NaN stays NaN: the
+        sums below ``u`` are a prefix, and the first one that is not is the
+        count of sums below ``u``."""
+        for c, total in enumerate(accumulate(self.cells(lam))):
+            if not total < u:
+                return c
+        return self.n_categories - 1
 
     def kernel_parts(self, max_lag_y, max_lag_x) -> dict:
         """Kernel fields from the contraction of the latent recursion."""
@@ -677,11 +690,12 @@ class MultinomialSpec(_LatentRecursion):
             v[category - 1] = 1.0
         return v
 
-    def response(self, lam: np.ndarray) -> np.ndarray:
-        z = np.concatenate([[0.0], lam])
-        z = z - z.max()
-        ez = np.exp(z)
-        return ez / ez.sum()
+    def cells(self, lam) -> list:
+        """Softmax of ``(0, lam)``: one ``np.exp`` and a numpy sum, whose
+        rounding differs from ``math.exp`` and Python's left-to-right sum."""
+        z = np.concatenate(([0.0], lam), axis=None)  # lam is a float at block dimension 1
+        ez = np.exp(z - z.max())
+        return (ez / ez.sum()).tolist()
 
 
 @dataclass
@@ -726,18 +740,20 @@ class DiscreteChoiceSpec(_LatentRecursion):
     def category_vector(self, category: int) -> np.ndarray:
         return np.array([(category >> i) & 1 for i in range(self.n_components)], dtype=float)
 
-    def response(self, lam: np.ndarray) -> np.ndarray:
-        return discrete_choice_cellprob(self, lam)
+    def cells(self, lam) -> list:
+        """Pattern-cell probabilities given the leading latent block.
+
+        Component ``i`` fires with probability ``P(eps_i > -lam_i)``; cells
+        are indexed by bitmask with bit ``i`` marking component ``i``.  Sums
+        to one."""
+        lam = np.asarray(lam, dtype=float).reshape(-1)[: self.n_components]
+        return _cell_columns((1.0 - self.link.cdf(-lam)).tolist())
 
 
 def discrete_choice_cellprob(spec: DiscreteChoiceSpec, lam) -> np.ndarray:
-    """Pattern-cell probabilities given the leading latent block.
-
-    Component ``i`` fires with probability ``P(eps_i > -lam_i)``; cells are
-    indexed by bitmask with bit ``i`` marking component ``i``.  Sums to one.
-    """
-    lam = np.asarray(lam, dtype=float).reshape(-1)[: spec.n_components]
-    return np.array(_cell_columns(list(1.0 - spec.link.cdf(-lam))))
+    """``spec.response(lam)``: the pattern-cell probabilities given the
+    leading latent block."""
+    return spec.response(lam)
 
 
 def companion_matrix(spec) -> np.ndarray:

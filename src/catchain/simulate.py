@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,9 +171,14 @@ class AR1Covariates:
         if length == 0:
             return x
         x[0] = self.stationary_sd * gen.normal(size=self.dim)
-        eps = self.sd * gen.normal(size=(length - 1, self.dim)) if length > 1 else None
-        for t in range(1, length):
-            x[t] = self.rho * x[t - 1] + eps[t - 1]
+        eps = self.sd * gen.normal(size=(length - 1, self.dim))
+        rho = float(self.rho)
+        for j in range(self.dim):  # one column at a time, on Python floats
+            prev, column = float(x[0, j]), []
+            for e in eps[:, j].tolist():
+                prev = rho * prev + e
+                column.append(prev)
+            x[1:, j] = column
         return x
 
     def exp_abs(self) -> float:
@@ -238,16 +244,17 @@ class FiniteStateMarkovCovariates:
         gen = as_generator(rng)
         P = self._P()
         pi = self.invariant()
-        cum = np.cumsum(P, axis=1)
-        s = np.empty(length, dtype=np.int64)
+        cum = np.cumsum(P, axis=1).tolist()
         if length == 0:
-            return s
-        s[0] = gen.choice(self.n_states, p=pi)
-        u = gen.random(length - 1) if length > 1 else None
+            return np.empty(0, dtype=np.int64)
+        state = int(gen.choice(self.n_states, p=pi))
+        states = [state]
         last = P.shape[0] - 1  # a row whose rounded sum ends below u draws the last state
-        for t in range(1, length):
-            s[t] = min(int(np.searchsorted(cum[s[t - 1]], u[t - 1], side="right")), last)
-        return s
+        # a cumulative row of nonnegative entries is sorted: bisect_right counts its entries <= u
+        for u in gen.random(length - 1).tolist():
+            state = min(bisect_right(cum[state], u), last)
+            states.append(state)
+        return np.array(states, dtype=np.int64)
 
     def sample(self, length: int, rng) -> np.ndarray:
         return self._g()[self.sample_states(length, rng)]
@@ -298,7 +305,10 @@ class FiniteStateMarkovCovariates:
 
 
 def sample_covariates(model, length: int, rng) -> np.ndarray:
-    """Stationary covariate path of shape ``(length, d)``."""
+    """Stationary covariate path of shape ``(length, d)``; ``length`` must be
+    an integer >= 0."""
+    if isinstance(length, bool) or not isinstance(length, numbers.Integral) or length < 0:
+        raise ValueError(f"length must be an integer >= 0, got {length!r}")
     return model.sample(length, rng)
 
 

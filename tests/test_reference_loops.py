@@ -37,7 +37,12 @@ pair-by-pair loop kept here to 1e-12, and their k-step tail must bound the
 coefficients iterated out to ten times the horizon and equal the loop's
 one-step tail where that exists; the stationary-law solve must match the
 eigenvector it replaced, and the exact joint-chain coefficients, whose
-invariant law is one solve, those of the power iteration kept here.
+invariant law is one solve, those of the power iteration kept here.  The
+multinomial and choice laws, given as lists of floats and drawn by a
+running sum, must give the bytes of the array formulas and the categories
+of the clamped count draw kept here; the AR(1) and finite-state covariate
+samplers, which step on Python floats, the paths and the generator state
+of the array row loop and the ``searchsorted`` loop kept here.
 """
 
 import csv
@@ -111,6 +116,7 @@ from catchain.prob import SeededRng, as_generator, stationary_law
 from test_simulate import _TopDraws
 from catchain.simulate import (
     CSV_BLOCK,
+    AR1Covariates,
     FiniteStateMarkovCovariates,
     IIDCovariates,
     SamplePath,
@@ -215,10 +221,29 @@ def test_bstar_past_underflow_matches_reference(first, rate, horizon):
         ([0.3, 0.0, 1e-15], 200),
         ([0.4, 0.2, 0.0, 1e-15], 1200),
         ([0.0, 0.0, 1e-15], 120),  # b*_3 = 1e-15 follows two exact zeros
+        # heads that rise after a zero reset: b*_1 is 0.0, a later b* is not
+        ([0.0, 1e-15], 6),
+        ([0.0, 0.0, 0.0, 1e-15, 5e-16], 80),
+        ([1e-300, 1e-300, 0.0, 1e-15], 40),
+        # nonincreasing heads whose first zero reset comes before len(values) in a row
+        ([1e-300] * 4, 40),  # b*_5 is the first 0.0
+        ([1e-200, 1e-200, 1e-200, 1e-300, 1e-300, 5e-324], 60),  # b*_7
+        ([0.3 * 0.5**k for k in range(1100)], 2600),  # b*_2212; the head is 0.0 from k = 1074
     ],
 )
 def test_bstar_edge_cases_match_reference(values, horizon):
     _assert_same_as_reference(DecaySeq(np.array(values)), horizon)
+
+
+_tiny_heads = st.lists(
+    st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-160, 1e-15, 0.3]), min_size=1, max_size=8
+).map(lambda v: np.sort(np.array(v))[::-1])
+
+
+@_settings
+@given(vals=_tiny_heads, horizon=st.integers(0, 200))
+def test_bstar_tiny_heads_match_reference(vals, horizon):
+    _assert_same_as_reference(DecaySeq(vals), horizon)
 
 
 def test_bstar_readme_spec_matches_reference_past_underflow():
@@ -959,6 +984,176 @@ def test_wide_block_scan_matches_array_reference(spec, T, seed):
     _assert_scan_matches_reference(spec, x, y=y)
     pre = gen.integers(0, n, size=gen.integers(0, p + 2))
     _assert_scan_matches_reference(spec, x, y=y[: max(T - 1, 0)], pre=pre)
+
+
+def _reference_response(spec, lam):
+    """The wide-block category laws as array formulas: the softmax of
+    ``(0, lam)``, and the choice cells doubled one component at a time."""
+    if isinstance(spec, MultinomialSpec):
+        z = np.concatenate([[0.0], lam])
+        z = z - z.max()
+        ez = np.exp(z)
+        return ez / ez.sum()
+    lam = np.asarray(lam, dtype=float).reshape(-1)[: spec.n_components]
+    success = list(1.0 - spec.link.cdf(-lam))
+    cells = [1.0 - success[0], success[0]]
+    for p in success[1:]:
+        q = 1.0 - p
+        cells = [cell * q for cell in cells] + [cell * p for cell in cells]
+    return np.array(cells)
+
+
+def _reference_draw(spec, lam, u):
+    """The count of cumulative response probabilities below ``u``, clamped
+    to the last category."""
+    response = _reference_response(spec, np.atleast_1d(lam))
+    return min(int((response.cumsum() < u).sum()), spec.n_categories - 1)
+
+
+@st.composite
+def _response_specs(draw):
+    """Multinomial specs with 2 to 5 categories and choice specs with 1 to 3
+    components; the law given the latent block reads no lag or loading."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        noise = draw(st.sampled_from(["logistic", "gaussian"]))
+        return DiscreteChoiceSpec(A=[], B=[], Gamma=np.zeros((k, 1)), n_components=k, noise=noise)
+    n = draw(st.integers(2, 5))
+    return MultinomialSpec(A=[], B=[], Gamma=np.zeros((n - 1, 1)), n_categories=n)
+
+
+_latent_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 40.0, -40.0, 800.0, -800.0, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+    st.floats(-50.0, 50.0),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=_response_specs(), data=st.data())
+def test_wide_block_response_and_draw_match_reference(spec, data):
+    k = spec.block_dim
+    lam = np.array(data.draw(st.lists(_latent_values, min_size=k, max_size=k), label="lam"))
+    uniform = data.draw(st.floats(0.0, 1.0, exclude_max=True), label="u")
+    with np.errstate(invalid="ignore"):  # an infinite latent value gives inf - inf
+        want = _reference_response(spec, lam)
+        assert spec.response(lam).tobytes() == want.tobytes()
+        # the scan hands a block of dimension 1 to draw as a float
+        lead = float(lam[0]) if k == 1 else lam
+        sums = want.cumsum()
+        at_sums = [float(v) for v in sums if 0.0 <= v < 1.0]
+        for u in [0.0, float(np.nextafter(1.0, 0.0)), uniform, *at_sums]:
+            assert spec.draw(lead, u) == _reference_draw(spec, lead, u)
+
+
+# -- covariate samplers --------------------------------------------------------------
+
+
+def _reference_ar1_sample(model, length, gen):
+    """One array row per step."""
+    x = np.empty((length, model.dim))
+    if length == 0:
+        return x
+    x[0] = model.stationary_sd * gen.normal(size=model.dim)
+    eps = model.sd * gen.normal(size=(length - 1, model.dim)) if length > 1 else None
+    for t in range(1, length):
+        x[t] = model.rho * x[t - 1] + eps[t - 1]
+    return x
+
+
+def _reference_states(model, length, gen):
+    """One ``searchsorted`` on the cumulative transition row per step."""
+    P = model._P()
+    cum = np.cumsum(P, axis=1)
+    s = np.empty(length, dtype=np.int64)
+    if length == 0:
+        return s
+    s[0] = gen.choice(model.n_states, p=model.invariant())
+    u = gen.random(length - 1) if length > 1 else None
+    last = P.shape[0] - 1
+    for t in range(1, length):
+        s[t] = min(int(np.searchsorted(cum[s[t - 1]], u[t - 1], side="right")), last)
+    return s
+
+
+class _GridDraws(np.random.Generator):
+    """Every uniform is one of ``grid``, picked by the generator's integers."""
+
+    def __init__(self, bit_generator, grid):
+        super().__init__(bit_generator)
+        self.grid = np.asarray(grid, dtype=float)
+
+    def random(self, size=None):
+        return self.grid[self.integers(0, self.grid.size, size=size)]
+
+
+def _assert_sampler_matches_reference(sample, reference, make_gen):
+    gen, ref_gen = make_gen(), make_gen()
+    got, want = sample(gen), reference(ref_gen)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+_lengths = st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rho=st.one_of(st.sampled_from([0.0, -0.0, -0.5, -0.99]), st.floats(-0.99, 0.99)),
+    sd=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    dim=st.integers(1, 3),
+    length=_lengths,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ar1_sampler_matches_row_loop(rho, sd, dim, length, seed):
+    model = AR1Covariates(rho=rho, sd=sd, dim=dim)
+    _assert_sampler_matches_reference(
+        lambda gen: sample_covariates(model, length, gen),
+        lambda gen: _reference_ar1_sample(model, length, gen),
+        lambda: np.random.default_rng(seed),
+    )
+
+
+@st.composite
+def _sampler_chains(draw):
+    """Chains of 1 to 4 states, with exact zeros or without, and the
+    10-state chain whose rows of ten 0.1 entries sum, rounded, to
+    0.9999999999999999."""
+    kind = draw(st.sampled_from(["zeros", "dense", "tenths"]))
+    if kind == "tenths":
+        P = np.full((10, 10), 0.1)
+    else:
+        S = draw(st.integers(1, 4))
+        entries = st.sampled_from([0.0, 0.25, 0.5, 1.0]) if kind == "zeros" else st.floats(0.01, 1.0)
+        P = np.array([draw(st.lists(entries, min_size=S, max_size=S)) for _ in range(S)])
+        assume(np.all(P.sum(axis=1) > 0))
+        P = P / P.sum(axis=1, keepdims=True)
+    try:
+        return FiniteStateMarkovCovariates(transition=P.tolist(), emission=np.arange(P.shape[0]).reshape(-1, 1).tolist())
+    except UnsupportedCovariateError:  # more than one invariant law
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(model=_sampler_chains(), length=_lengths, seed=st.integers(0, 2**32 - 1), draws=st.sampled_from(["random", "top", "grid"]))
+def test_finite_state_sampler_matches_searchsorted_loop(model, length, seed, draws):
+    cum = np.cumsum(model._P(), axis=1)
+    make_gen = {
+        "random": lambda: np.random.default_rng(seed),
+        "top": lambda: _TopDraws(np.random.PCG64(seed)),
+        # uniforms exactly at a cumulative sum below 1, at 0.0 and at the top
+        "grid": lambda: _GridDraws(np.random.PCG64(seed), [0.0, np.nextafter(1.0, 0.0), *cum[cum < 1.0]]),
+    }[draws]
+    _assert_sampler_matches_reference(
+        lambda gen: model.sample_states(length, gen),
+        lambda gen: _reference_states(model, length, gen),
+        make_gen,
+    )
+    _assert_sampler_matches_reference(
+        lambda gen: sample_covariates(model, length, gen),
+        lambda gen: model._g()[_reference_states(model, length, gen)],
+        make_gen,
+    )
 
 
 # -- CSV export ----------------------------------------------------------------------

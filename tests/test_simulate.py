@@ -75,6 +75,26 @@ def test_empty_covariate_path_has_the_model_dimension(model):
     assert x.shape == (0, 2)
 
 
+_COVARIATE_MODELS = [
+    IIDCovariates(dim=2),
+    AR1Covariates(rho=0.5, dim=2),
+    FiniteStateMarkovCovariates(transition=((0.9, 0.1), (0.2, 0.8)), emission=((0.0, 1.0), (1.0, -1.0))),
+]
+
+
+@pytest.mark.parametrize("length", [-1, 2.5, 2.0, True, False, "3", None])
+@pytest.mark.parametrize("model", _COVARIATE_MODELS, ids=lambda m: type(m).__name__)
+def test_covariate_path_rejects_a_bad_length_by_name(model, length):
+    with pytest.raises(ValueError, match="length"):
+        sample_covariates(model, length, SeededRng(8))
+
+
+@pytest.mark.parametrize("model", _COVARIATE_MODELS, ids=lambda m: type(m).__name__)
+def test_covariate_path_takes_a_numpy_integer_length(model):
+    want = sample_covariates(model, 3, SeededRng(8))
+    assert sample_covariates(model, np.int64(3), SeededRng(8)).tobytes() == want.tobytes()
+
+
 # -- forward sampling --------------------------------------------------------------
 
 
