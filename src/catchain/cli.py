@@ -87,13 +87,6 @@ def _nonlinear_binary(persistence, feedback, alpha, gamma, link):
     return NonlinearBinarySpec(g=g, kappa=kappa, alpha=alpha, gamma=gamma, link=link)
 
 
-def _finite_markov(transition, emission):
-    def tuples(value):
-        return tuple(map(tuples, value)) if isinstance(value, list) else value
-
-    return FiniteStateMarkovCovariates(transition=tuples(transition), emission=tuples(emission))
-
-
 _LINK = Field(one_of({"logistic": logistic_link(), "probit": probit_link()}), "logistic")
 _COEFFICIENTS = Field(array(1), [0.0])
 _LAG_MATRICES = Field(array(3), [])
@@ -142,7 +135,7 @@ COVARIATES = {
     "iid_normal": (functools.partial(IIDCovariates, kind="normal"), {"mean": _MEAN, "sd": _SD, "dim": _DIM}),
     "iid_const": (functools.partial(IIDCovariates, kind="const"), {"mean": _MEAN, "dim": _DIM}),
     "ar1": (AR1Covariates, {"rho": Field(real()), "sd": _SD, "dim": _DIM}),
-    "finite_markov": (_finite_markov, {"transition": Field(array(2)), "emission": Field(array(2))}),
+    "finite_markov": (FiniteStateMarkovCovariates, {"transition": Field(array(2)), "emission": Field(array(2))}),
 }
 
 # command -> the fields of the config block of the same name

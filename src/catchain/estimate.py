@@ -45,6 +45,7 @@ _STATIONARITY_MARGIN = 1e-3  # a fit keeps the spectral radius below 1 minus thi
 _BARRIER_WEIGHT = 1e-6  # weight of the log barrier on the stationarity slack
 _START_OFFSETS = (0.0, 0.5, -0.5, 0.25, -0.25)  # fit_mle's fan of starts; the profile starts once
 _MIN_OBS_PER_PARAM = 10  # fewer observations per parameter raise DataSizeError
+_LINK_GRID = 512  # cells of the profile's link regression, the rows of fhat_grid.csv
 
 
 class DataSizeError(ValueError):
@@ -159,6 +160,14 @@ def _default_warmup(spec: ObservationDrivenBinarySpec) -> int:
     # contraction blocks is far into the noise for any admissible spec
     base = max(spec.alpha.size, spec.beta.size)
     return max(base, 10)
+
+
+def _kept_warmup(warmup: int | None, spec: ObservationDrivenBinarySpec, n: int) -> int:
+    """``warmup`` or its default, once it leaves one of the ``n`` observations."""
+    warmup = _default_warmup(spec) if warmup is None else warmup
+    if warmup >= n:
+        raise ValueError(f"a warmup of {warmup} steps leaves none of the {n} observations")
+    return warmup
 
 
 class _Likelihood:
@@ -283,11 +292,7 @@ def _feasible(theta, template):
     when the radius is not finite or leaves no slack inside the margin.  A
     positive slack puts the radius below ``1 - _STATIONARITY_MARGIN``, so the
     spec passes ``stationarity_check``."""
-    p, q, d = template.alpha.size, template.beta.size, template.gamma.size
-    _, b, _ = _unpack(theta, p, q, d)
-    spec = ObservationDrivenBinarySpec(
-        alpha=theta[:p], beta=b, gamma=theta[p + q :], link=template.link
-    )
+    spec = _spec_at(template, theta)
     report = stationarity_check(spec)
     slack = 1.0 - report.spectral_radius - _STATIONARITY_MARGIN
     if slack <= 0.0 or not np.isfinite(report.spectral_radius):
@@ -339,8 +344,8 @@ def fit_mle(
     invertible.  The likelihood drops the first ``warmup`` terms (default
     ``max(p, q, 10)``), as ``conditional_loglik`` does.  Responses that are
     all equal from the warmup on have no maximum-likelihood estimate and
-    raise ``ValueError``; fewer than ten observations per parameter raise
-    :class:`DataSizeError`.
+    raise ``ValueError``, as does a warmup that leaves no observation;
+    fewer than ten observations per parameter raise :class:`DataSizeError`.
     """
     from scipy.optimize import minimize
 
@@ -349,7 +354,7 @@ def fit_mle(
         raise DataSizeError(
             f"{data.n} observations cannot support {n_par} parameters"
         )
-    warmup = _default_warmup(template) if warmup is None else warmup
+    warmup = _kept_warmup(warmup, template, data.n)
     kept = np.unique(data.y[warmup:])
     if kept.size == 1:  # the likelihood rises without bound towards the constant fit
         raise ValueError(f"every response after the {warmup}-step warmup is {int(kept[0])}: no maximum-likelihood estimate exists")
@@ -442,7 +447,7 @@ def _epanechnikov(u: np.ndarray) -> np.ndarray:
     return 0.75 * np.clip(1.0 - u * u, 0.0, None)
 
 
-def _link_regression(y, mu, h, grid_size=512):
+def _link_regression(y, mu, h):
     """Kernel regression of the responses on the index over a fixed grid.
 
     Observations are binned to the nearest grid cell and the kernel is
@@ -454,17 +459,17 @@ def _link_regression(y, mu, h, grid_size=512):
         grid = np.array([lo - 1e-6, hi + 1e-6])
         fill = float(y.mean())
         return grid, np.array([fill, fill]), 0
-    grid = np.linspace(lo, hi, grid_size)
-    step = (hi - lo) / (grid_size - 1)
-    idx = np.clip(np.rint((mu - lo) / step).astype(np.int64), 0, grid_size - 1)
-    cnt = np.bincount(idx, minlength=grid_size).astype(float)
-    ysum = np.bincount(idx, weights=y, minlength=grid_size)
-    # no kernel weight past grid_size - 1 cells can reach another cell
-    width = int(np.clip(np.ceil(h / step), 1, grid_size - 1))
+    grid = np.linspace(lo, hi, _LINK_GRID)
+    step = (hi - lo) / (_LINK_GRID - 1)
+    idx = np.clip(np.rint((mu - lo) / step).astype(np.int64), 0, _LINK_GRID - 1)
+    cnt = np.bincount(idx, minlength=_LINK_GRID).astype(float)
+    ysum = np.bincount(idx, weights=y, minlength=_LINK_GRID)
+    # no kernel weight past _LINK_GRID - 1 cells can reach another cell
+    width = int(np.clip(np.ceil(h / step), 1, _LINK_GRID - 1))
     kern = _epanechnikov(np.arange(-width, width + 1) * step / h)
     # the cells of the full convolution that mode="same" keeps while the kernel is the shorter
-    den = np.convolve(cnt, kern)[width : width + grid_size]
-    num = np.convolve(ysum, kern)[width : width + grid_size]
+    den = np.convolve(cnt, kern)[width : width + _LINK_GRID]
+    num = np.convolve(ysum, kern)[width : width + _LINK_GRID]
     empty = int((den <= 1e-12).sum())
     valid = den > 1e-12
     fhat = np.empty_like(grid)
@@ -558,7 +563,7 @@ def semiparametric_fit(
     stationary region.  Bandwidth defaults to ``std(mu) * n**(-1/5)``
     recomputed per candidate; the returned link estimate is tabulated on
     the final grid.  The profile drops the first ``warmup`` terms (default
-    ``max(p, q, 10)``), as ``fit_mle`` does.
+    ``max(p, q, 10)``), as ``fit_mle`` does, and rejects a warmup past the data.
     """
     from scipy.optimize import minimize
 
@@ -568,6 +573,7 @@ def semiparametric_fit(
     n_free = p + q + (d - 1)
     if data.n < _MIN_OBS_PER_PARAM * max(n_free, 1):
         raise DataSizeError(f"{data.n} observations cannot support {n_free} parameters")
+    warmup = _kept_warmup(warmup, template, data.n)
     lik = _Likelihood(data, p)
     if n_free == 0:
         x = np.zeros(0)

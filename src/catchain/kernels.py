@@ -473,11 +473,7 @@ def b_exact_from_table(table: np.ndarray, n_categories: int, memory: int) -> Dec
     return DecaySeq(out)
 
 
-def enumerate_b_exact(
-    kernel: KernelHandle,
-    m_max: int | None = None,
-    past_x=None,
-) -> DecaySeq:
+def enumerate_b_exact(kernel: KernelHandle, past_x=None) -> DecaySeq:
     """Exact memory sensitivity by exhaustive history enumeration.
 
     For a truncated kernel with memory ``M``, computes for each ``m`` the
@@ -489,14 +485,10 @@ def enumerate_b_exact(
     n, mem = kernel.n_categories, kernel.truncation.max_lag_y
     if past_x is None:
         past_x = np.zeros((kernel.truncation.max_lag_x, kernel.covariate_dim))
-    table = transition_table(kernel, past_x)
-    seq = b_exact_from_table(table, n, mem)
-    if m_max is not None and m_max < len(seq.values) - 1:
-        seq = DecaySeq(seq.values[: m_max + 1])
-    return seq
+    return b_exact_from_table(transition_table(kernel, past_x), n, mem)
 
 
-def table_kernel(table: np.ndarray, n_categories: int | None = None, covariate_dim: int = 1) -> KernelHandle:
+def table_kernel(table: np.ndarray) -> KernelHandle:
     """Wrap an explicit ``(N^M, N)`` transition table as a kernel handle.
 
     The decay metadata is exact: ``b`` comes from exhaustive enumeration
@@ -504,7 +496,7 @@ def table_kernel(table: np.ndarray, n_categories: int | None = None, covariate_d
     ``e`` vanishes.  The table's ``b_0`` must be below one.
     """
     table = np.asarray(table, dtype=float)
-    n = table.shape[1] if n_categories is None else n_categories
+    n = table.shape[1]
     mem = round(math.log(table.shape[0], n))
     if n**mem != table.shape[0]:
         raise ValueError("table rows must be a power of the alphabet size")
@@ -519,7 +511,7 @@ def table_kernel(table: np.ndarray, n_categories: int | None = None, covariate_d
 
     return KernelHandle(
         n_categories=n,
-        covariate_dim=covariate_dim,
+        covariate_dim=1,
         probs_fn=probs_fn,
         truncation=TruncationPolicy(max_lag_y=mem, max_lag_x=1),
         b=b_exact,
@@ -560,15 +552,13 @@ def covariate_sensitivity_check(
     kernel: KernelHandle,
     rng,
     lags: int | None = None,
-    delta: float = 1e-3,
     n_histories: int = 50,
-    slack: float = 1e-6,
 ) -> float:
     """Finite-difference spot check of the declared ``e`` envelope.
 
-    Perturbs one covariate lag at a time on random histories and returns the
-    worst ratio of observed TV change to the envelope prediction
-    ``e_lag * |perturbation|``; values at most ``1 + slack`` confirm the
+    Perturbs one covariate lag at a time by 1e-3 on random histories and
+    returns the worst ratio of observed TV change to the envelope prediction
+    ``e_lag * |perturbation|``; values at most ``1 + 1e-6`` confirm the
     envelope (ratios are capped only by validity, not sharpness).
     """
     from .prob import as_generator
@@ -584,11 +574,11 @@ def covariate_sensitivity_check(
         for s in range(lags):
             for dcoord in range(kernel.covariate_dim):
                 xp = x.copy()
-                xp[s, dcoord] += delta
+                xp[s, dcoord] += 1e-3
                 tv = tv_distance(base, kernel.probs(y, xp))
-                env = kernel.e.value(s) * delta
+                env = kernel.e.value(s) * 1e-3
                 if env == 0.0:
-                    if tv > slack:
+                    if tv > 1e-6:
                         worst = max(worst, np.inf)
                 else:
                     worst = max(worst, tv / env)

@@ -489,11 +489,11 @@ def _scan_parts(spec, max_lag_y: int, max_lag_x: int, keep_lam: bool = True) -> 
     ``truncation`` and ``extra["latent_sampler"](x, u)``, which returns the
     categories and the leading latent block (``None`` without ``keep_lam``)."""
     p, _ = spec.lag_counts
+    # the kernel pads every history to max_lag_y categories and max_lag_x covariates
+    depth = max(min(max_lag_x, max_lag_y - p + 1 if p >= 1 else max_lag_x), 0)
 
     def probs_fn(y, x):
-        n_steps = min(max_lag_x, y.size - p + 1 if p >= 1 else max_lag_x, x.shape[0])
-        lam = _recursion_state(spec, y, x, max(n_steps, 0))
-        return spec.response(lam[: spec.block_dim])
+        return spec.response(latent_recursion(spec, y, x, depth)[: spec.block_dim])
 
     def latent_sampler(x, u):
         y, lam, _ = _latent_scan(spec, x, u=u)
@@ -615,9 +615,9 @@ class NonlinearBinarySpec(_BinaryLink, _LatentRecursion):
         if not 0.0 < self.kappa < 1.0:
             raise ConstructionError(f"declared contraction {self.kappa} not in (0,1)")
 
-    def verify_contraction(self, rng=None, n_pairs: int = 256, span: float = 20.0) -> None:
-        gen = np.random.default_rng(0 if rng is None else rng)
-        s = gen.uniform(-span, span, size=(n_pairs, 2))
+    def verify_contraction(self) -> None:
+        """Check the declared factor on 256 seeded pairs of points in [-20, 20)."""
+        s = np.random.default_rng(0).uniform(-20.0, 20.0, size=(256, 2))
         lhs = np.abs(np.vectorize(self.g)(s[:, 0]) - np.vectorize(self.g)(s[:, 1]))
         rhs = self.kappa * np.abs(s[:, 0] - s[:, 1])
         if np.any(lhs > rhs * (1.0 + 1e-9) + 1e-12):
@@ -847,12 +847,7 @@ def latent_recursion(spec, past_y, past_x, n: int) -> np.ndarray:
     Raises :class:`~catchain.kernels.KernelInputError` for a category
     outside the alphabet.
     """
-    return _recursion_state(spec, _in_alphabet(spec, past_y), past_x, n)
-
-
-def _recursion_state(spec, past_y, past_x, n: int) -> np.ndarray:
-    """:func:`latent_recursion` on categories already checked, as the
-    kernel's history is."""
+    past_y = _in_alphabet(spec, past_y)
     p, _ = spec.lag_counts
     past_x = np.atleast_2d(np.asarray(past_x, dtype=float))
     if past_x.shape[0] < n or past_y.size < n + p - 1:

@@ -37,25 +37,25 @@ class ProbVectorError(ValueError):
     """Weights do not form a probability vector within tolerance."""
 
 
-def as_prob_vector(weights, tol: float = PROB_TOL) -> np.ndarray:
+def as_prob_vector(weights) -> np.ndarray:
     """Validate ``weights`` as a probability vector and renormalize exactly.
 
-    Entries must be nonnegative (tiny negative float noise below ``tol`` is
-    clipped) and sum to one within ``tol``.  The returned copy sums to one up
-    to the last ulp, so downstream couplings never accumulate the caller's
-    rounding error.
+    Entries must be nonnegative (tiny negative float noise below
+    ``PROB_TOL`` is clipped) and sum to one within ``PROB_TOL``.  The returned
+    copy sums to one up to the last ulp, so downstream couplings never
+    accumulate the caller's rounding error.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size < 2:
         raise ProbVectorError("need a 1-d vector over an alphabet of size >= 2")
     if not np.all(np.isfinite(w)):
         raise ProbVectorError("non-finite weight")
-    if np.any(w < -tol):
+    if np.any(w < -PROB_TOL):
         raise ProbVectorError(f"negative weight {w.min()}")
     w = np.clip(w, 0.0, None)
     s = w.sum()
-    if abs(s - 1.0) > tol:
-        raise ProbVectorError(f"weights sum to {s}, not 1 within {tol}")
+    if abs(s - 1.0) > PROB_TOL:
+        raise ProbVectorError(f"weights sum to {s}, not 1 within {PROB_TOL}")
     return w / s
 
 

@@ -83,6 +83,22 @@ def _gaussian_norm_p(mean: float, sd: float, p: float) -> float:
     return float(moment ** (1.0 / p))
 
 
+def _is_count(value, low: int) -> bool:
+    """Whether ``value`` is an integer >= ``low``; a bool is not a count."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= low
+
+
+def _check_count(name: str, value, low: int = 0) -> None:
+    if not _is_count(value, low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_coupling_args(horizon, metric) -> None:
+    if metric not in ("l1", "discrete"):
+        raise ValueError("metric must be 'l1' or 'discrete'")
+    _check_count("horizon", horizon)
+
+
 def _check_gaussian_fields(dim, sd, mean=0.0) -> None:
     """Reject fields a Gaussian covariate class cannot certify: a mean or
     sd that is not a finite real (bools included), a negative sd, and a
@@ -91,8 +107,7 @@ def _check_gaussian_fields(dim, sd, mean=0.0) -> None:
         real = isinstance(value, numbers.Real) and not isinstance(value, bool)
         if not (real and math.isfinite(value) and value >= low):
             raise ValueError(f"{name} must be a finite number{'' if low < 0 else ' >= 0'}, got {value!r}")
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
-        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+    _check_count("dim", dim, 1)
 
 
 def _finite_array(value, name: str) -> np.ndarray:
@@ -122,6 +137,7 @@ class IIDCovariates:
         _check_gaussian_fields(self.dim, self.sd, self.mean)
 
     def sample(self, length: int, rng) -> np.ndarray:
+        _check_count("length", length)
         gen = as_generator(rng)
         if self.kind == "const":
             return np.full((length, self.dim), self.mean)
@@ -142,6 +158,7 @@ class IIDCovariates:
     def coupling_coeffs(self, horizon: int, metric: str) -> DecaySeq:
         """The coupling shares all innovations from time 1 on, so only the
         time-0 draws differ."""
+        _check_coupling_args(horizon, metric)
         vals = np.zeros(horizon + 1)
         if self.kind == "normal" and self.sd > 0:
             vals[0] = 1.0 if metric == "discrete" else self.dim * 2.0 * self.sd / math.sqrt(math.pi)
@@ -166,6 +183,7 @@ class AR1Covariates:
         return self.sd / math.sqrt(1.0 - self.rho**2)
 
     def sample(self, length: int, rng) -> np.ndarray:
+        _check_count("length", length)
         gen = as_generator(rng)
         x = np.empty((length, self.dim))
         if length == 0:
@@ -192,6 +210,7 @@ class AR1Covariates:
     def coupling_coeffs(self, horizon: int, metric: str) -> DecaySeq:
         """The pre-time-0 innovations are swapped for an independent copy,
         leaving a geometrically damped gap with an exact closed form."""
+        _check_coupling_args(horizon, metric)
         if metric == "discrete":
             raise UnsupportedCovariateError("continuous AR(1) paths never meet under the discrete metric")
         first = self.dim * 2.0 * self.stationary_sd / math.sqrt(math.pi)
@@ -241,6 +260,7 @@ class FiniteStateMarkovCovariates:
         return stationary_law(self._P())
 
     def sample_states(self, length: int, rng) -> np.ndarray:
+        _check_count("length", length)
         gen = as_generator(rng)
         P = self._P()
         pi = self.invariant()
@@ -278,6 +298,7 @@ class FiniteStateMarkovCovariates:
         ``max(cost) p ((k - 1) + k (1 - delta_k) / delta_k)`` at the first
         ``k`` with ``delta_k > 0``.  The product chain has ``S^2`` states, so
         a pair that has not met by ``k = S^2`` never does."""
+        _check_coupling_args(horizon, metric)
         P, g, pi = self._P(), self._g(), self.invariant()
         S = P.shape[0]
         off = 1.0 - np.eye(S)
@@ -306,9 +327,7 @@ class FiniteStateMarkovCovariates:
 
 def sample_covariates(model, length: int, rng) -> np.ndarray:
     """Stationary covariate path of shape ``(length, d)``; ``length`` must be
-    an integer >= 0."""
-    if isinstance(length, bool) or not isinstance(length, numbers.Integral) or length < 0:
-        raise ValueError(f"length must be an integer >= 0, got {length!r}")
+    an integer >= 0, which the covariate class checks."""
     return model.sample(length, rng)
 
 
@@ -537,8 +556,7 @@ def _check_ladder_inputs(table_a, table_b, code_a0, code_b0, n, mem, length, rep
     and a negative length."""
     counts = (("n_categories", n, 1), ("memory", mem, 1), ("length", length, 0), ("replicas", replicas, 1))
     for name, value, low in counts:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        _check_count(name, value, low)
     shape = (n**mem, n)
     for name, table in (("table_a", table_a), ("table_b", table_b)):
         if table.shape != shape:
@@ -549,7 +567,7 @@ def _check_ladder_inputs(table_a, table_b, code_a0, code_b0, n, mem, length, rep
         if off > PROB_TOL:
             raise ValueError(f"every row of {name} must sum to 1 within {PROB_TOL:g}, one is off by {off:.3g}")
     for name, code in (("code_a0", code_a0), ("code_b0", code_b0)):
-        if isinstance(code, bool) or not isinstance(code, numbers.Integral) or not 0 <= code < n**mem:
+        if not (_is_count(code, 0) and code < n**mem):
             raise ValueError(f"{name} must be a memory-state code in [0, {n**mem}), got {code!r}")
 
 
@@ -698,9 +716,7 @@ def exact_marginal_law(kernel: KernelHandle, x: np.ndarray, init, t: int) -> np.
 
 def covariate_coupling_coeffs(model, horizon: int, metric: str = "l1") -> DecaySeq:
     """Per-lag expected discrepancy of the canonical covariate coupling,
-    as defined by the covariate class's ``coupling_coeffs``."""
-    if metric not in ("l1", "discrete"):
-        raise ValueError("metric must be 'l1' or 'discrete'")
+    as defined by the covariate class's ``coupling_coeffs``, which checks both."""
     return model.coupling_coeffs(horizon, metric)
 
 

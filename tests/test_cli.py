@@ -290,6 +290,16 @@ def test_fit_on_all_ones_responses_fails_without_estimate(tmp_path, capsys):
     assert not (out / "theta_hat.csv").exists()
 
 
+def test_fit_with_a_warmup_past_the_data_fails_by_name(tmp_path, capsys):
+    cfg = base_config()
+    cfg["fit"] = {"selftest": True, "n": 200, "warmup": 10000, "semiparametric": True}
+    out = tmp_path / "f"
+    assert main(["fit", "--config", write_config(tmp_path, cfg), "--out", str(out), "--quiet"]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert "fit failed:" in err and "warmup of 10000 steps" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_fit_without_data_source_is_config_error(tmp_path):
     cfg_path = write_config(tmp_path, base_config())
     assert main(["fit", "--config", cfg_path, "--out", str(tmp_path / "f2")]) == EXIT_CONFIG

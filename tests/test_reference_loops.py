@@ -42,7 +42,10 @@ multinomial and choice laws, given as lists of floats and drawn by a
 running sum, must give the bytes of the array formulas and the categories
 of the clamped count draw kept here; the AR(1) and finite-state covariate
 samplers, which step on Python floats, the paths and the generator state
-of the array row loop and the ``searchsorted`` loop kept here.
+of the array row loop and the ``searchsorted`` loop kept here.  A
+spec-built kernel fixes its recursion depth once, when it is built; its
+``probs`` must give the bytes, or raise the error, of the per-call depth
+and history slicing kept here, for all five families.
 """
 
 import csv
@@ -1043,6 +1046,104 @@ def test_wide_block_response_and_draw_match_reference(spec, data):
         at_sums = [float(v) for v in sums if 0.0 <= v < 1.0]
         for u in [0.0, float(np.nextafter(1.0, 0.0)), uniform, *at_sums]:
             assert spec.draw(lead, u) == _reference_draw(spec, lead, u)
+
+
+# -- kernel law ------------------------------------------------------------------------
+
+
+def _reference_kernel_probs(kernel, spec, past_y, past_x):
+    """``kernel.probs`` as each call once found its recursion depth: pad
+    or cut the history to the truncation, take the depth the padded history
+    supports, and slice it into the window and the categories before it.
+    ``spec`` is the recursion the kernel runs."""
+    pol = kernel.truncation
+    y = np.zeros(pol.max_lag_y, dtype=np.int64)
+    y[: min(len(past_y), pol.max_lag_y)] = np.asarray(past_y, dtype=np.int64)[: pol.max_lag_y]
+    x = np.zeros((pol.max_lag_x, kernel.covariate_dim))
+    x[: min(len(past_x), pol.max_lag_x)] = np.asarray(past_x, dtype=float)[: pol.max_lag_x]
+    p, _ = spec.lag_counts
+    n = max(min(pol.max_lag_x, y.size - p + 1 if p >= 1 else pol.max_lag_x, x.shape[0]), 0)
+    if x.shape[0] < n or y.size < n + p - 1:
+        raise ValueError("history too short for the requested recursion depth")
+    m = max(n - 1, 0)
+    _, _, state = _latent_scan(spec, x[:n][::-1], y=y[:m][::-1], pre=y[m : n + p - 1])
+    return spec.response(state.reshape(-1)[: spec.block_dim])
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A spec of one of the five families, the recursion its kernel runs
+    and the lag arguments of ``model_to_kernel``: a ``max_lag_y`` of None or
+    1 to 5, which can lie below the category lag count, and a ``max_lag_x``
+    of None or 1 to 5."""
+    family = draw(st.sampled_from(["observation", "nonlinear", "multinomial", "choice", "infinite"]))
+    d = draw(st.integers(1, 2))
+    gamma = draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))
+    p, q = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    max_lag_y = draw(st.one_of(st.none(), st.integers(1, 5)))
+    max_lag_x = draw(st.one_of(st.none(), st.integers(1, 5)))
+    link = draw(st.sampled_from([logistic_link(), probit_link()]))
+    if family == "infinite":
+        a = draw(st.lists(st.floats(-0.4, 0.4), min_size=1, max_size=4))
+        tail = draw(st.sampled_from([None, GeometricTail(0.5)]))
+        spec = BinaryInfiniteOrderSpec(a=a, gamma=gamma, link=link, a_tail=tail)
+        return spec, None, max_lag_y, max_lag_x
+    if family == "nonlinear":
+        g, kappa = russell_damping(draw(st.floats(-0.6, 0.6)), draw(st.floats(-0.5, 0.5)), link)
+        spec = NonlinearBinarySpec(g=g, kappa=max(kappa, 0.5), alpha=draw(st.floats(-0.5, 0.5)), gamma=gamma, link=link)
+        return spec, spec, max_lag_y, max_lag_x
+    k = 1 if family == "observation" else draw(st.integers(1, 2))
+
+    def matrix(rows, cols, bound):
+        # zero or at least 0.01 in size: a tiny latent coefficient overflows the envelope's prefactor
+        entry = st.one_of(st.just(0.0), st.floats(0.01, bound), st.floats(-bound, -0.01))
+        vals = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        return np.array(vals, dtype=float).reshape(rows, cols)
+
+    A = [matrix(k, k, 0.3) for _ in range(p)]
+    B = [matrix(k, k, 0.5 / (k * q)) for _ in range(q)]
+    Gamma = matrix(k, d, 1.0)
+    if family == "observation":
+        alpha, beta = [float(Am[0, 0]) for Am in A], [float(Bj[0, 0]) for Bj in B]
+        spec = ObservationDrivenBinarySpec(alpha=alpha, beta=beta, gamma=Gamma[0], link=link)
+    elif family == "multinomial":
+        spec = MultinomialSpec(A=A, B=B, Gamma=Gamma, n_categories=k + 1)
+    else:
+        noise = draw(st.sampled_from(["logistic", "gaussian"]))
+        spec = DiscreteChoiceSpec(A=A, B=B, Gamma=Gamma, n_components=k, noise=noise)
+    return spec, spec, max_lag_y, max_lag_x
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_kernel_cases(), data=st.data())
+def test_kernel_probs_match_per_call_depth_reference(case, data):
+    spec, recursion, max_lag_y, max_lag_x = case
+    kernel = model_to_kernel(spec, max_lag_y, max_lag_x)
+    pol = kernel.truncation
+    if recursion is None:  # the infinite-order chain runs its truncated lags without latent lags
+        recursion = ObservationDrivenBinarySpec(alpha=spec.a[: pol.max_lag_y], beta=[], gamma=spec.gamma, link=spec.link)
+    # histories from empty (all padding) to longer than the truncation
+    lengths = st.tuples(st.integers(0, pol.max_lag_y + 2), st.integers(0, pol.max_lag_x + 2))
+    for ly, lx in data.draw(st.lists(lengths, min_size=1, max_size=4), label="lengths"):
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        y = gen.integers(0, kernel.n_categories, size=ly)
+        x = _covariates(gen, lx, kernel.covariate_dim)
+        want = _outcome_bytes(_reference_kernel_probs, kernel, recursion, y, x)
+        assert _outcome_bytes(kernel.probs, y, x) == want
+
+
+@pytest.mark.parametrize("max_lag_y", [1, 2, 3, 4])
+def test_kernel_probs_below_the_category_lags_match_reference(max_lag_y):
+    # four category lags: a max_lag_y of 3 leaves depth 0, and 1 or 2
+    # leave too few categories for the lags before the window
+    spec = ObservationDrivenBinarySpec(alpha=[0.3, -0.2, 0.1, 0.2], beta=[0.4], gamma=[0.5, -0.3])
+    kernel = model_to_kernel(spec, max_lag_y, 3)
+    gen = np.random.default_rng(max_lag_y)
+    for ly, lx in [(0, 0), (1, 1), (max_lag_y, 3), (6, 5)]:
+        y, x = gen.integers(0, 2, size=ly), _covariates(gen, lx, 2)
+        want = _outcome_bytes(_reference_kernel_probs, kernel, spec, y, x)
+        assert _outcome_bytes(kernel.probs, y, x) == want
+        assert isinstance(want, bytes) == (max_lag_y >= 3)
 
 
 # -- covariate samplers --------------------------------------------------------------

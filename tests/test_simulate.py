@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,39 @@ def test_covariate_path_rejects_a_bad_length_by_name(model, length):
 def test_covariate_path_takes_a_numpy_integer_length(model):
     want = sample_covariates(model, 3, SeededRng(8))
     assert sample_covariates(model, np.int64(3), SeededRng(8)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("length", [-1, 2.5, 2.0, True, False, "3", None])
+@pytest.mark.parametrize("model", _COVARIATE_MODELS, ids=lambda m: type(m).__name__)
+def test_covariate_class_rejects_a_bad_length_by_name(model, length):
+    with pytest.raises(ValueError, match=f"length must be an integer >= 0, got {re.escape(repr(length))}"):
+        model.sample(length, SeededRng(8))
+    if isinstance(model, FiniteStateMarkovCovariates):
+        with pytest.raises(ValueError, match="length must be an integer >= 0"):
+            model.sample_states(length, SeededRng(8))
+
+
+@pytest.mark.parametrize("model", _COVARIATE_MODELS, ids=lambda m: type(m).__name__)
+def test_covariate_class_takes_a_numpy_integer_length_and_horizon(model):
+    assert model.sample(np.int64(3), SeededRng(8)).tobytes() == model.sample(3, SeededRng(8)).tobytes()
+    got = model.coupling_coeffs(np.int64(8), "l1")
+    assert got.values.tobytes() == model.coupling_coeffs(8, "l1").values.tobytes()
+
+
+@pytest.mark.parametrize("horizon", [-1, 2.5, 2.0, True, "3", None])
+@pytest.mark.parametrize("model", _COVARIATE_MODELS, ids=lambda m: type(m).__name__)
+def test_coupling_coeffs_reject_a_bad_horizon_by_name(model, horizon):
+    with pytest.raises(ValueError, match=f"horizon must be an integer >= 0, got {re.escape(repr(horizon))}"):
+        model.coupling_coeffs(horizon, "l1")
+    with pytest.raises(ValueError, match="horizon must be an integer >= 0"):
+        covariate_coupling_coeffs(model, horizon)
+
+
+@pytest.mark.parametrize("metric", ["bogus", "L1", "", None])
+@pytest.mark.parametrize("model", _COVARIATE_MODELS, ids=lambda m: type(m).__name__)
+def test_coupling_coeffs_reject_an_unknown_metric(model, metric):
+    with pytest.raises(ValueError, match="metric must be 'l1' or 'discrete'"):
+        model.coupling_coeffs(8, metric)
 
 
 # -- forward sampling --------------------------------------------------------------
