@@ -232,10 +232,6 @@ class DecaySeq:
             return self.value(len(self)) <= self.values[-1] + 1e-15
         return True
 
-    def require_nonincreasing(self, what: str = "sequence") -> None:
-        if not self.is_nonincreasing:
-            raise DecayError(f"{what} must be nonincreasing")
-
     @property
     def is_summable(self) -> bool:
         if self.tail_sum_bound is not None:
@@ -273,7 +269,8 @@ class DecaySeq:
 
 
 def _check_b(b: DecaySeq) -> None:
-    b.require_nonincreasing("memory-decay sequence b")
+    if not b.is_nonincreasing:
+        raise DecayError("memory-decay sequence b must be nonincreasing")
     if b.value(0) >= 1.0:
         raise ContractionError(f"b_0 = {b.value(0)} violates b_0 < 1")
 
@@ -410,7 +407,6 @@ class PerturbationBound:
     value: float
     factor: float
     truncation_error: float
-    horizon: int
 
 
 def perturbation_bound(
@@ -446,7 +442,6 @@ def perturbation_bound(
         value=factor * sup_kernel_tv,
         factor=factor,
         truncation_error=(tail_high - tail_low) * sup_kernel_tv,
-        horizon=horizon,
     )
 
 
@@ -483,7 +478,6 @@ class DependenceBoundCurve:
     bound: np.ndarray
     n_max: int
     horizon: int
-    tail_estimate: float
     inputs: dict = field(default_factory=dict)
 
     def to_csv(self, path=None) -> str:
@@ -589,15 +583,7 @@ def beta_bound(
     bound = np.zeros(n_max + 1)
     for n in range(1, n_max + 1):
         bound[n] = float(rev_cum[n]) + tail
-    return DependenceBoundCurve(
-        kind="beta",
-        values=g,
-        bound=bound,
-        n_max=n_max,
-        horizon=horizon,
-        tail_estimate=tail,
-        inputs={"exp_abs_x0": exp_abs_x0},
-    )
+    return DependenceBoundCurve(kind="beta", values=g, bound=bound, n_max=n_max, horizon=horizon)
 
 
 def tau_bound(
@@ -623,15 +609,7 @@ def tau_bound(
     bound = np.zeros(n_max + 1)
     for n in range(1, n_max + 1):
         bound[n] = max(float(running[n - 1]), tail_sup)
-    return DependenceBoundCurve(
-        kind="tau",
-        values=h,
-        bound=bound,
-        n_max=n_max,
-        horizon=horizon,
-        tail_estimate=tail_sup,
-        inputs={"exp_abs_x0": exp_abs_x0},
-    )
+    return DependenceBoundCurve(kind="tau", values=h, bound=bound, n_max=n_max, horizon=horizon)
 
 
 def heredity_exponent(eta: float, kappa: float, p: float, q: float) -> float:
@@ -649,8 +627,6 @@ class DecayTransferReport:
     partial_sums: np.ndarray
     increment_ratio: float
     fitted_rate: float | None
-    horizon: int
-    moment_order: int
 
 
 def decay_transfer_check(b: DecaySeq, k: int, horizon: int) -> DecayTransferReport:
@@ -675,10 +651,4 @@ def decay_transfer_check(b: DecaySeq, k: int, horizon: int) -> DecayTransferRepo
         if idx.size >= 8:
             slope = np.polyfit(idx, np.log(bs[1:][pos]), 1)[0]
             fitted = float(np.exp(slope))
-    return DecayTransferReport(
-        partial_sums=partial,
-        increment_ratio=ratio,
-        fitted_rate=fitted,
-        horizon=horizon,
-        moment_order=k,
-    )
+    return DecayTransferReport(partial_sums=partial, increment_ratio=ratio, fitted_rate=fitted)

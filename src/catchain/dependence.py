@@ -69,7 +69,7 @@ def classify_decay(n_values: np.ndarray, bound_values: np.ndarray) -> dict:
     mask = bound_values > 1e-290
     n = np.asarray(n_values, dtype=float)[mask]
     y = np.log(bound_values[mask])
-    out = {"kind": "flat", "rate": None, "power": None, "r2_geometric": 0.0, "r2_polynomial": 0.0}
+    out = {"kind": "flat", "power": None, "r2_geometric": 0.0, "r2_polynomial": 0.0}
     if n.size < 3:
         return out
 
@@ -79,11 +79,10 @@ def classify_decay(n_values: np.ndarray, bound_values: np.ndarray) -> dict:
         ss_tot = float(((yv - yv.mean()) ** 2).sum())
         return (1.0 - float((resid**2).sum()) / ss_tot if ss_tot > 0 else 1.0), coef
 
-    r2_geo, coef_geo = _r2(n, y)
+    r2_geo, _ = _r2(n, y)
     r2_poly, coef_poly = _r2(np.log(n), y)
     out["r2_geometric"] = r2_geo
     out["r2_polynomial"] = r2_poly
-    out["rate"] = float(np.exp(coef_geo[0]))
     out["power"] = float(-coef_poly[0])
     out["kind"] = "geometric" if r2_geo >= r2_poly else "polynomial"
     return out
@@ -345,6 +344,5 @@ def heredity_bound(
         bound=vals.copy(),
         n_max=n_max,
         horizon=tau_curve.horizon,
-        tail_estimate=float(vals[n_max]),
         inputs={"eta": weights.eta, "p": p, "q": q, "inherited_exponent": exponent},
     )

@@ -386,7 +386,7 @@ def fit_mle(
             convergence="failed",
             stderr=None,
             n_used=data.n,
-            report=StationarityReport(False, float("inf"), 0.0),
+            report=StationarityReport(False, float("inf")),
         )
     top = min(c.fun for c in candidates)
     # ties at the objective's resolution go to the smallest parameter
@@ -435,8 +435,6 @@ class SemiparametricResult:
     grid: np.ndarray
     fhat: np.ndarray
     objective: float
-    bandwidth: float
-    empty_windows: int
     convergence: str
 
     def predicted(self, mu: np.ndarray) -> np.ndarray:
@@ -531,7 +529,7 @@ def _profile_objective(theta_free, template, lik: _Likelihood, bandwidth, warmup
     return -float(ll[warmup:].sum()) / lik.n
 
 
-def _profile_start(theta, template, lik: _Likelihood, bandwidth, warmup) -> np.ndarray:
+def _profile_start(theta, template, lik: _Likelihood, warmup) -> np.ndarray:
     """The parametric ``theta`` in the profile's coordinates, ``(alpha /
     gamma_1, beta, gamma_2..d / gamma_1)``: the index divided by ``gamma_1``
     has the pinned loading, and ``beta`` does not scale.  The zero vector
@@ -540,7 +538,7 @@ def _profile_start(theta, template, lik: _Likelihood, bandwidth, warmup) -> np.n
     a, b, g = _unpack(theta, p, q, d)
     with np.errstate(divide="ignore", invalid="ignore"):
         x0 = np.concatenate([a / g[0], b, g[1:] / g[0]])
-    if np.isfinite(x0).all() and np.isfinite(_profile_objective(x0, template, lik, bandwidth, warmup)):
+    if np.isfinite(x0).all() and np.isfinite(_profile_objective(x0, template, lik, None, warmup)):
         return x0
     return np.zeros(x0.size)
 
@@ -548,7 +546,6 @@ def _profile_start(theta, template, lik: _Likelihood, bandwidth, warmup) -> np.n
 def semiparametric_fit(
     data: Dataset,
     template: ObservationDrivenBinarySpec,
-    bandwidth: float | None = None,
     warmup: int | None = None,
     theta: np.ndarray | None = None,
 ) -> SemiparametricResult:
@@ -560,9 +557,9 @@ def semiparametric_fit(
     parametric estimate ``theta`` (order ``alpha, beta, gamma``; by default
     ``fit_mle(template, data, warmup)``) divided through by its
     ``gamma_1``, or from zero when that start is not finite or leaves the
-    stationary region.  Bandwidth defaults to ``std(mu) * n**(-1/5)``
-    recomputed per candidate; the returned link estimate is tabulated on
-    the final grid.  The profile drops the first ``warmup`` terms (default
+    stationary region.  The bandwidth is ``std(mu) * n**(-1/5)``, floored
+    at 1e-3 and recomputed per candidate; the returned link estimate is
+    tabulated on the final grid.  The profile drops the first ``warmup`` terms (default
     ``max(p, q, 10)``), as ``fit_mle`` does, and rejects a warmup past the data.
     """
     from scipy.optimize import minimize
@@ -577,14 +574,14 @@ def semiparametric_fit(
     lik = _Likelihood(data, p)
     if n_free == 0:
         x = np.zeros(0)
-        fun, success = _profile_objective(x, template, lik, bandwidth, warmup), True
+        fun, success = _profile_objective(x, template, lik, None, warmup), True
     else:
         if theta is None:
             theta = fit_mle(template, data, warmup).theta_hat
         best = minimize(
             _profile_objective,
-            _profile_start(theta, template, lik, bandwidth, warmup),
-            args=(template, lik, bandwidth, warmup),
+            _profile_start(theta, template, lik, warmup),
+            args=(template, lik, None, warmup),
             method="Nelder-Mead",
             options={"maxiter": _MAX_ITER, "xatol": 1e-4, "fatol": 1e-7},
         )
@@ -592,14 +589,6 @@ def semiparametric_fit(
     if not np.isfinite(fun):
         raise RuntimeError("no feasible starting point for the profile objective")
     mu = lik.mu(*_profile_params(x, p, q))
-    h = _bandwidth(bandwidth, mu, data.n)
-    grid, fhat, empty = _link_regression(lik.yf, mu, h)
-    return SemiparametricResult(
-        theta_hat=x,
-        grid=grid,
-        fhat=fhat,
-        objective=-float(fun),
-        bandwidth=h,
-        empty_windows=empty,
-        convergence="converged" if success else "max-iter",
-    )
+    grid, fhat, _ = _link_regression(lik.yf, mu, _bandwidth(None, mu, data.n))
+    convergence = "converged" if success else "max-iter"
+    return SemiparametricResult(theta_hat=x, grid=grid, fhat=fhat, objective=-float(fun), convergence=convergence)

@@ -11,14 +11,13 @@ most recent first; ``past_x[0]`` is the covariate entering the current step.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .bounds import DecaySeq
-from .prob import tv_distance
+from .prob import _check_count, tv_distance
 
 __all__ = [
     "KernelInputError",
@@ -36,7 +35,6 @@ __all__ = [
     "enumerate_b_exact",
     "table_kernel",
     "transition_table",
-    "n_memory_states",
     "memory_state",
     "state_code",
     "successor_code",
@@ -157,10 +155,6 @@ def truncation_error_bound(kernel: KernelHandle, covariate_tail_scale: float = 1
 # ---------------------------------------------------------------------------
 
 
-def n_memory_states(n_categories: int, memory: int) -> int:
-    return n_categories**memory
-
-
 def memory_state(code, n_categories: int, memory: int) -> tuple:
     """Decode a state code (or an array of codes) into categories ordered
     most recent first."""
@@ -205,7 +199,7 @@ def transition_table(kernel: KernelHandle, past_x) -> np.ndarray:
     row, so the table is exact for kernels truncated at ``max_lag_y``.
     """
     n, mem = kernel.n_categories, kernel.truncation.max_lag_y
-    n_states = n_memory_states(n, mem)
+    n_states = n**mem
     if n_states * n > ENUM_STATE_LIMIT:
         raise UnsupportedKernelError(f"{n_states} memory states exceed the enumeration limit")
     table = np.empty((n_states, n))
@@ -321,8 +315,7 @@ def _mesh_block(axis: np.ndarray, dims: int, block: slice) -> list:
 
 
 def _b0_multinomial(n_categories: int, c: float, grid: GridSpec) -> float:
-    if isinstance(n_categories, bool) or not isinstance(n_categories, numbers.Integral) or n_categories < 2:
-        raise ValueError(f"n_categories must be an integer >= 2, got {n_categories!r}")
+    _check_count("n_categories", n_categories, 2)
     if c == 0.0:
         return 0.0
     # A shift y in [-c, c]^(N-1) moves the log-likelihood ratios of the two
@@ -337,8 +330,7 @@ def _b0_multinomial(n_categories: int, c: float, grid: GridSpec) -> float:
 def _b0_discrete_choice(
     cdf: Callable, n_components: int, lipschitz: float, c: float, grid: GridSpec
 ) -> float:
-    if isinstance(n_components, bool) or not isinstance(n_components, numbers.Integral) or n_components < 1:
-        raise ValueError(f"n_components must be an integer >= 1, got {n_components!r}")
+    _check_count("n_components", n_components, 1)
     _check_lipschitz(lipschitz)
     if n_components == 1:
         # the law is Bernoulli(1 - F(-z)), whose TV under the shift is
@@ -524,18 +516,14 @@ def table_kernel(table: np.ndarray) -> KernelHandle:
 def b_seq_certified(kernel: KernelHandle, horizon: int, method: str = "auto") -> DecaySeq:
     """Certified category-memory decay sequence up to ``horizon``.
 
-    ``"envelope"`` evaluates the declared analytic envelope; ``"exact"``
-    enumerates small truncated instances; ``"auto"`` enumerates when the
-    instance is within the enumeration budget and falls back to the envelope
-    otherwise.
+    ``"envelope"`` evaluates the declared analytic envelope; ``"auto"``
+    enumerates the truncated instance when it is within the enumeration
+    budget and falls back to the envelope otherwise.
     """
-    if method not in ("auto", "envelope", "exact"):
-        raise ValueError("method must be auto, envelope or exact")
+    if method not in ("auto", "envelope"):
+        raise ValueError("method must be auto or envelope")
     n, mem = kernel.n_categories, kernel.truncation.max_lag_y
-    small = n ** (2 * mem) <= ENUM_STATE_LIMIT
-    if method == "exact" or (method == "auto" and small and mem <= horizon):
-        if not small:
-            raise UnsupportedKernelError("instance too large for exact enumeration")
+    if method == "auto" and n ** (2 * mem) <= ENUM_STATE_LIMIT and mem <= horizon:
         exact = enumerate_b_exact(kernel)
         vals = np.zeros(horizon + 1)
         vals[: min(len(exact.values), horizon + 1)] = exact.values[: horizon + 1]

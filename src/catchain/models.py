@@ -158,8 +158,6 @@ def russell_damping(persistence: float, feedback: float, link: LinkFunction):
 class StationarityReport:
     passed: bool
     spectral_radius: float
-    margin: float
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -202,14 +200,16 @@ def _power_norm_sum(A: np.ndarray, r: int, kappa: float) -> tuple[float, float]:
     return total, max(c_r, 1.0)
 
 
-def _geometric_envelope(scale: float, rate: float, horizon: int, cap: float | None = None) -> DecaySeq:
-    """DecaySeq for ``min(cap, scale * rate**m)`` with a geometric tail."""
-    m = np.arange(horizon + 1, dtype=float)
-    if rate <= 0.0 or scale == 0.0:
+def _geometric_envelope(
+    scale: float, rate: float, horizon: int, cap: float | None = None, lag: int = 0
+) -> DecaySeq:
+    """DecaySeq for ``min(cap, scale * rate**max(m - lag, 0))`` with a
+    geometric tail."""
+    if scale == 0.0:
         vals = np.zeros(horizon + 1)
         vals[0] = min(scale, cap) if cap is not None else scale
         return DecaySeq(np.clip(vals, 0.0, None))
-    vals = scale * rate**m
+    vals = scale * rate ** np.maximum(np.arange(horizon + 1, dtype=float) - lag, 0.0)
     if cap is not None:
         vals = np.minimum(vals, cap)
     tail = GeometricTail(rate) if vals[-1] > 0 else None
@@ -329,18 +329,11 @@ class _LatentRecursion:
     def stationarity(self) -> StationarityReport:
         """Spectral-radius check of the companion matrix."""
         A = self.companion_matrix()
-        note = ""
         try:
             rho = float(np.max(np.abs(np.linalg.eigvals(A)))) if A.size else 0.0
         except np.linalg.LinAlgError:
-            rho = float("inf")
-            note = "eigenproblem did not converge; treating as non-stationary"
-        return StationarityReport(
-            passed=rho <= 1.0 - STATIONARITY_MARGIN,
-            spectral_radius=rho,
-            margin=STATIONARITY_MARGIN,
-            note=note,
-        )
+            rho = float("inf")  # an eigenproblem that does not converge counts as non-stationary
+        return StationarityReport(passed=rho <= 1.0 - STATIONARITY_MARGIN, spectral_radius=rho)
 
     def contraction(self) -> ContractionConstants:
         """Smallest power of the companion matrix, up to the
@@ -359,16 +352,18 @@ class _LatentRecursion:
                 return ContractionConstants(r=r, kappa=max(norm, 0.0))
         raise ConstructionError(f"no contracting power found within {_CONTRACTION_STEPS} steps")
 
-    def envelope(self, cc: ContractionConstants) -> tuple[float, float, float]:
-        """``(s, prefac, rate)``: ``s`` bounds the summed latent response to a
-        unit forcing, and ``prefac * rate**m`` bounds it after ``m`` steps."""
+    def envelope(self, cc: ContractionConstants) -> tuple[float, float, float, float]:
+        """``(s, prefac, rate, c_r)``: ``s`` bounds the summed latent response
+        to a unit forcing, and ``prefac * rate**m`` bounds it after ``m``
+        steps, as does ``c_r * rate**max(m - r, 0)``, which never forms
+        ``1 / kappa``."""
         s_a, c_r = _power_norm_sum(self.companion_matrix(), cc.r, cc.kappa)
         if cc.kappa == 0.0:
             # no latent memory at all: only the finitely many category lags matter
-            return s_a, 1.0, 0.0
-        # ||A^s|| <= (C_r / kappa) * rate**s, smooth in s so a geometric tail
-        # is an exact continuation of the stored envelope values
-        return s_a, c_r / cc.kappa, cc.kappa ** (1.0 / cc.r)
+            return s_a, 1.0, 0.0, 1.0
+        # ||A^s|| <= C_r * kappa**floor(s / r) <= (C_r / kappa) * rate**s, smooth
+        # in s so a geometric tail is an exact continuation of the stored values
+        return s_a, c_r / cc.kappa, cc.kappa ** (1.0 / cc.r), c_r
 
     def stepper(self):
         """``(step, state)``: ``step(y_lags, gx)`` takes the category lags
@@ -442,14 +437,15 @@ class _LatentRecursion:
         """Kernel fields from the contraction of the latent recursion."""
         with np.errstate(over="ignore"):  # an overflowing forcing bound is rejected by name
             cc = self.contraction()
-            s_a, prefac, rate = self.envelope(cc)
+            s_a, prefac, rate, c_r = self.envelope(cc)
             d_max = _finite_forcing(self.category_forcing_bound() * s_a)
         p, q = self.lag_counts
         tv_lip = self.tv_lipschitz
         b0 = certify_b0(self.b0_profile, d_max)
-        e_scale = tv_lip * float(np.abs(self.Gamma).max(initial=0.0)) * prefac
+        g_max = float(np.abs(self.Gamma).max(initial=0.0))
+        e_scale = tv_lip * g_max * prefac
         cap = min(b0, tv_lip * d_max)
-        gap_scale = 0.0
+        gap_scale, b_lag = 0.0, 0
         if rate == 0.0:
             b_vals = np.zeros(max(p + 1, 2))
             b_vals[: max(p, 1)] = cap
@@ -458,19 +454,26 @@ class _LatentRecursion:
             e_env = DecaySeq(np.array([e_scale, 0.0]))
         else:
             # histories agreeing on m lags share the last m - p + 1 forcing terms
-            gap_scale = tv_lip * d_max * prefac * rate ** (1 - p)
-            b_env = _geometric_envelope(gap_scale, rate, ENV_HORIZON, cap=cap)
+            with np.errstate(over="ignore", invalid="ignore"):
+                gap_scale = tv_lip * d_max * prefac * np.float64(rate) ** (1 - p)
+            if not math.isfinite(gap_scale):
+                # a tiny rate overflowed 1 / kappa or rate**(1 - p): the same bound
+                # as c_r * rate**max(m + 1 - p - r, 0), which forms neither
+                gap_scale, b_lag = tv_lip * d_max * c_r, p + cc.r - 1
+            b_env = _geometric_envelope(gap_scale, rate, ENV_HORIZON, cap=cap, lag=b_lag)
             vals = b_env.values.copy()
             vals[0] = max(vals[0], b0)
             b_env = DecaySeq(vals, tail=b_env.tail)
-            e_env = _geometric_envelope(e_scale, rate, ENV_HORIZON)
+            if math.isfinite(e_scale):
+                e_env = _geometric_envelope(e_scale, rate, ENV_HORIZON)
+            else:  # as for b: c_r * rate**max(m - r, 0)
+                e_env = _geometric_envelope(tv_lip * g_max * c_r, rate, ENV_HORIZON, lag=cc.r)
         _finite_envelope(e_env)
 
         if max_lag_x is None:
             if gap_scale > 0.0:
-                max_lag_x = int(
-                    min(256, max(8, math.ceil(math.log(1e-14 / max(gap_scale, 1e-280)) / math.log(rate))))
-                )
+                lead = math.ceil(math.log(1e-14 / max(gap_scale, 1e-280)) / math.log(rate))
+                max_lag_x = int(min(256, max(8, lead + b_lag)))
             else:
                 max_lag_x = max(8, p + q)
         if max_lag_y is None:
@@ -529,13 +532,7 @@ class BinaryInfiniteOrderSpec(_BinaryLink):
         return DecaySeq(np.clip(vals, 0.0, None), tail=self.a_tail)
 
     def stationarity(self) -> StationarityReport:
-        summable = self.abs_coeff_seq().is_summable
-        return StationarityReport(
-            passed=summable,
-            spectral_radius=0.0,
-            margin=STATIONARITY_MARGIN,
-            note="lag coefficients" + ("" if summable else " not summable"),
-        )
+        return StationarityReport(passed=self.abs_coeff_seq().is_summable, spectral_radius=0.0)
 
     def kernel_parts(self, max_lag_y, max_lag_x) -> dict:
         """Kernel fields from the tail sums of the lag coefficients."""
@@ -630,21 +627,16 @@ class NonlinearBinarySpec(_BinaryLink, _LatentRecursion):
         raise UnsupportedKernelError("nonlinear latent maps have no companion form")
 
     def stationarity(self) -> StationarityReport:
-        return StationarityReport(
-            passed=self.kappa <= 1.0 - STATIONARITY_MARGIN,
-            spectral_radius=self.kappa,
-            margin=STATIONARITY_MARGIN,
-            note="declared contraction factor of the latent map",
-        )
+        return StationarityReport(passed=self.kappa <= 1.0 - STATIONARITY_MARGIN, spectral_radius=self.kappa)
 
     def contraction(self) -> ContractionConstants:
         """The declared factor, after a numeric sweep of the latent map."""
         self.verify_contraction()
         return ContractionConstants(r=1, kappa=self.kappa)
 
-    def envelope(self, cc: ContractionConstants) -> tuple[float, float, float]:
+    def envelope(self, cc: ContractionConstants) -> tuple[float, float, float, float]:
         # scalar latent: the gap contracts by exactly kappa per step
-        return 1.0 / (1.0 - cc.kappa), 1.0, cc.kappa
+        return 1.0 / (1.0 - cc.kappa), 1.0, cc.kappa, 1.0
 
     def stepper(self):
         """``step(y_lags, gx)`` returns ``(g(lam) + alpha * y_{t-1}) + gx``."""

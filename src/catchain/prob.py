@@ -3,11 +3,13 @@
 Total variation distance, the maximal coupling of two categorical
 distributions (minimum-overlap diagonal plus an independent product of the
 normalized residuals), sampling from a coupling table, a chain's stationary
-law and reproducible random streams keyed by ``(seed, stream_id)``.
+law, reproducible random streams keyed by ``(seed, stream_id)`` and the
+integer-count check of argument validation.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,3 +168,13 @@ def sample_coupled(table: CouplingTable, rng, size: int | None = None):
     if size is None:
         return int(u), int(v)
     return u.astype(np.int64), v.astype(np.int64)
+
+
+def _is_count(value, low: int) -> bool:
+    """Whether ``value`` is an integer >= ``low``; a bool is not a count."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= low
+
+
+def _check_count(name: str, value, low: int = 0) -> None:
+    if not _is_count(value, low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -33,7 +33,7 @@ from .kernels import (
     successor_code,
     transition_table,
 )
-from .prob import PROB_TOL, as_generator, stationary_law
+from .prob import PROB_TOL, _check_count, _is_count, as_generator, stationary_law
 
 __all__ = [
     "HorizonError",
@@ -81,16 +81,6 @@ def _gaussian_norm_p(mean: float, sd: float, p: float) -> float:
         * hyp1f1(-p / 2.0, 0.5, -(mean**2) / (2.0 * sd**2))
     )
     return float(moment ** (1.0 / p))
-
-
-def _is_count(value, low: int) -> bool:
-    """Whether ``value`` is an integer >= ``low``; a bool is not a count."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= low
-
-
-def _check_count(name: str, value, low: int = 0) -> None:
-    if not _is_count(value, low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_coupling_args(horizon, metric) -> None:
@@ -360,7 +350,6 @@ class CoupledPathPair:
     y1: np.ndarray
     y2: np.ndarray
     mismatch: np.ndarray
-    length: int
 
 
 def _required_burnin(b: DecaySeq, window: int, eps: float, max_burnin: int) -> tuple[int, float]:
@@ -522,7 +511,7 @@ def glued_coupling(
             diag[j - 1] = cur[j - 1]
         prev = cur
     mismatch = y1 != diag
-    return CoupledPathPair(y1=y1, y2=diag, mismatch=mismatch, length=length)
+    return CoupledPathPair(y1=y1, y2=diag, mismatch=mismatch)
 
 
 def kernel_distance_profile(

@@ -627,6 +627,33 @@ def test_path_overflow_exits_one_without_an_overflow_warning(tmp_path, capsys):
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"class": "observation_driven_binary", "alpha": [0.3, 0.1], "beta": [1e-200], "gamma": [0.3]},
+        {"class": "observation_driven_binary", "alpha": [0.3, 0.1, 0.1], "beta": [1e-200], "gamma": [0.3]},
+        {"class": "multinomial", "A": [], "B": [[[2.2e-313]]], "Gamma": [[0.0]], "n_categories": 2},
+        {"class": "multinomial", "A": [[[0.3]], [[0.2]], [[0.1]]], "B": [[[1.16e-117]]], "Gamma": [[0.3]], "n_categories": 2},
+        {"class": "observation_driven_binary", "alpha": [0.4], "beta": [0.1], "gamma": [1e308]},
+    ],
+    ids=["two-lags", "three-lags-power-overflows", "subnormal-no-lags", "multinomial-three-lags", "huge-loading"],
+)
+def test_overflowing_envelope_prefactor_certifies_finite_bounds(tmp_path, capsys, model):
+    # a tiny latent coefficient overflowed 1 / kappa or rate**(1 - p), and a
+    # huge loading the covariate envelope's scale: an inf times rate**m or a
+    # NaN from 0 * inf ended in a DecayError traceback, and Python's float
+    # power raised OverflowError
+    cfg = base_config()
+    cfg["model"] = model
+    out = tmp_path / "bounds"
+    assert main(["bounds", "--config", write_config(tmp_path, cfg), "--out", str(out), "--quiet"]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    for name in ("b.csv", "dependence_bound.csv"):
+        values = [float(row.split(",")[1]) for row in (out / name).read_text().splitlines()[1:]]
+        assert values and all(math.isfinite(v) and v >= 0.0 for v in values)
+
+
 def test_semiparametric_fit_without_a_covariate_is_config_error(tmp_path, capsys):
     # fit wrote theta_hat.csv and fit_summary.txt, then ended in a ValueError
     # traceback from the profile's scale normalization

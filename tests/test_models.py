@@ -233,6 +233,29 @@ def test_model_to_kernel_rejects_nonstationary():
         model_to_kernel(spec_od(beta=(1.05,)))
 
 
+_TINY_LATENT_SPECS = {
+    "two-lags": spec_od(alpha=(0.3, 0.1), beta=(1e-200,)),
+    "three-lags": spec_od(alpha=(0.3, 0.1, 0.1), beta=(1e-200,)),
+    "subnormal": MultinomialSpec(A=[], B=[[[2.2e-313]]], Gamma=[[0]], n_categories=2),
+    "multinomial-three-lags": MultinomialSpec(
+        A=[[[0.3]], [[0.2]], [[0.1]]], B=[[[1.16e-117]]], Gamma=[[0.3]], n_categories=2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_TINY_LATENT_SPECS))
+def test_tiny_latent_coefficient_envelope_bounds_the_exact_sensitivity(name):
+    # 1 / kappa and rate**(1 - p) overflowed the envelope, and 0 * inf made a NaN
+    spec = _TINY_LATENT_SPECS[name]
+    kernel = model_to_kernel(spec, max_lag_y=3, max_lag_x=3)
+    exact = enumerate_b_exact(kernel).values
+    assert np.all(exact <= kernel.b.head(exact.size))
+    assert math.isfinite(kernel.b.total()) and math.isfinite(kernel.e.total())
+    # b_p is positive (about beta * alpha_p * L): a tiny rate is not a chain without latent memory
+    p, _ = spec.lag_counts
+    assert p == 0 or kernel.b.value(p) > 0.0
+
+
 def test_latent_gap_decay_slope_under_declared_rate():
     spec = spec_od()
     cc = contraction_constants(spec)

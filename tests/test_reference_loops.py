@@ -1095,8 +1095,9 @@ def _kernel_cases(draw):
     k = 1 if family == "observation" else draw(st.integers(1, 2))
 
     def matrix(rows, cols, bound):
-        # zero or at least 0.01 in size: a tiny latent coefficient overflows the envelope's prefactor
-        entry = st.one_of(st.just(0.0), st.floats(0.01, bound), st.floats(-bound, -0.01))
+        # zero, tiny (down to the least subnormal) or at least 0.01 in size
+        tiny = st.sampled_from([1e-200, -1e-200, 1e-117, -1e-117, 2.2e-313, 5e-324, -5e-324])
+        entry = st.one_of(st.just(0.0), tiny, st.floats(0.01, bound), st.floats(-bound, -0.01))
         vals = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
         return np.array(vals, dtype=float).reshape(rows, cols)
 
