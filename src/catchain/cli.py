@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import bdtrc, ndtr, ndtri
@@ -337,6 +338,23 @@ def sidak_z(family_rate: float, n_tests: int, sides: int) -> float:
     return float(-ndtri(per_test / sides))
 
 
+def _on_two_lanes(run, jobs: list) -> list:
+    """``[run(*job) for job in jobs]``, with the odd jobs on one worker thread
+    while the calling thread runs the even ones.  numpy releases the GIL in
+    the ladder's draws and full-width gathers, so the lanes overlap.  A job's
+    exception reaches the caller once the calling thread's lane stops; the
+    worker's pending jobs are then cancelled and its thread joined."""
+    out = [None] * len(jobs)
+    pool = ThreadPoolExecutor(1, thread_name_prefix="catchain-lane")
+    try:
+        odd = [pool.submit(run, *job) for job in jobs[1::2]]
+        out[0::2] = [run(*job) for job in jobs[0::2]]
+        out[1::2] = [future.result() for future in odd]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return out
+
+
 def _verify_checks(vblk: dict, seed: int):
     """Yield (name, passed, detail) for the execution-time verification suite."""
     from .kernels import memory_state
@@ -389,26 +407,31 @@ def _verify_checks(vblk: dict, seed: int):
     z_one = sidak_z(GLUED_MC_FALSE_ALARM, n_tests, 1)
     z_two = sidak_z(GLUED_MC_FALSE_ALARM, n_tests, 2)
     gen = SeededRng(seed, 12).generator()
-    worst_mis = worst_marg = -math.inf
-    failures = []
-    for i in range(pairs):
+    tables = []
+    for _ in range(pairs):
         raw = gen.dirichlet(np.ones(2), size=4)
         table_a = 0.7 * raw + 0.3 / 2
         table_b = np.clip(table_a + gen.uniform(-0.04, 0.04, size=table_a.shape), 0.05, None)
-        table_b = table_b / table_b.sum(axis=1, keepdims=True)
-        # eight fixed chunks, each on its own stream, merged by integer counts
-        sizes = [replicas // 8] * 8
-        sizes[-1] += replicas - sum(sizes)
+        tables.append((table_a, table_b / table_b.sum(axis=1, keepdims=True)))
+    # eight fixed chunks per pair, each on its own stream, merged by integer
+    # counts; fewer than eight replicas leave the first chunks empty
+    sizes = [replicas // 8] * 8
+    sizes[-1] += replicas - sum(sizes)
+    jobs = [(i, chunk, size) for i in range(pairs) for chunk, size in enumerate(sizes) if size]
+
+    def chunk_counts(i, chunk, size):
+        y1, y2 = coupled_ladder_mc(*tables[i], 0, 3, 2, 2, length, size, SeededRng(seed, 100 + 16 * i + chunk))
+        marg = [np.stack([(y == k).sum(axis=1) for k in range(2)], axis=1) for y in (y1, y2)]
+        return (y1 != y2).sum(axis=1), *marg
+
+    counts = _on_two_lanes(chunk_counts, jobs)
+    worst_mis = worst_marg = -math.inf
+    failures = []
+    for i, (table_a, table_b) in enumerate(tables):
         mism_ct = marg1 = marg2 = 0
-        for chunk, size in enumerate(sizes):
-            if size == 0:  # fewer than eight replicas leave the first chunks empty
-                continue
-            y1, y2 = coupled_ladder_mc(
-                table_a, table_b, 0, 3, 2, 2, length, size, SeededRng(seed, 100 + 16 * i + chunk)
-            )
-            mism_ct = mism_ct + (y1 != y2).sum(axis=1)
-            marg1 = marg1 + np.stack([(y1 == k).sum(axis=1) for k in range(2)], axis=1)
-            marg2 = marg2 + np.stack([(y2 == k).sum(axis=1) for k in range(2)], axis=1)
+        for (pair, _, _), (mis, m1, m2) in zip(jobs, counts):
+            if pair == i:
+                mism_ct, marg1, marg2 = mism_ct + mis, marg1 + m1, marg2 + m2
         delta = float(0.5 * np.abs(table_a - table_b).sum(axis=1).max())
         b_hi = np.maximum(
             b_exact_from_table(table_a, 2, 2).values, b_exact_from_table(table_b, 2, 2).values

@@ -834,7 +834,8 @@ def latent_recursion(spec, past_y, past_x, n: int) -> np.ndarray:
     """Latent state obtained by iterating the update map ``n`` times from 0.
 
     ``past_y`` and ``past_x`` are most recent first and must reach back far
-    enough (``n + p - 1`` categories, ``n`` covariates).  Returns the stacked
+    enough (``n`` covariates and, with ``p >= 1`` category lags, ``n + p - 1``
+    categories; without category lags none is read).  Returns the stacked
     state; its leading block is the index driving the current response.
     Raises :class:`~catchain.kernels.KernelInputError` for a category
     outside the alphabet.
@@ -842,7 +843,7 @@ def latent_recursion(spec, past_y, past_x, n: int) -> np.ndarray:
     past_y = _in_alphabet(spec, past_y)
     p, _ = spec.lag_counts
     past_x = np.atleast_2d(np.asarray(past_x, dtype=float))
-    if past_x.shape[0] < n or past_y.size < n + p - 1:
+    if past_x.shape[0] < n or (p >= 1 and past_y.size < n + p - 1):
         raise ValueError("history too short for the requested recursion depth")
     # past_y[0] is the category one step before the present; the first n - 1
     # categories fall inside the recursion window, the next p before it

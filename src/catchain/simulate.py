@@ -541,11 +541,15 @@ def _check_covariate_rows(length: int, **paths: np.ndarray) -> None:
 
 def _check_ladder_inputs(table_a, table_b, code_a0, code_b0, n, mem, length, replicas) -> None:
     """Reject, by argument name, what the ladder cannot step: tables that are
-    not ``(N^memory, N)`` laws, codes outside ``[0, N^memory)``, no replicas
-    and a negative length."""
+    not ``(N^memory, N)`` laws or hold ``2**31`` or more entries, codes
+    outside ``[0, N^memory)``, no replicas and a negative length."""
     counts = (("n_categories", n, 1), ("memory", mem, 1), ("length", length, 0), ("replicas", replicas, 1))
     for name, value, low in counts:
         _check_count(name, value, low)
+    if n ** (mem + 1) >= 2**31:  # the ladder's int32 codes index the flattened tables
+        raise ValueError(
+            f"table_a and table_b of n_categories**(memory + 1) = {n ** (mem + 1)} entries must hold fewer than 2**31"
+        )
     shape = (n**mem, n)
     for name, table in (("table_a", table_a), ("table_b", table_b)):
         if table.shape != shape:
@@ -588,10 +592,10 @@ def coupled_ladder_mc(
 
     ``table_a``/``table_b`` map memory-state codes to next-category laws and
     are held fixed over time (no-covariate or frozen-covariate case).
-    Returns ``(y1, y2)`` as ``(length, replicas)`` integer arrays.  Raises
+    Returns ``(y1, y2)`` as ``(length, replicas)`` ``int32`` arrays.  Raises
     ``ValueError`` naming the argument for tables that are not
-    ``(N^memory, N)`` laws, codes outside ``[0, N^memory)``, ``replicas < 1``
-    and ``length < 0``.
+    ``(N^memory, N)`` laws or hold ``2**31`` or more entries, codes outside
+    ``[0, N^memory)``, ``replicas < 1`` and ``length < 0``.
 
     Rung ``j`` follows ``table_b`` up to time ``j``; each coupled step
     reads its two laws straight from the tables, at the earlier rung's
@@ -619,9 +623,11 @@ def coupled_ladder_mc(
     R = replicas
 
     # y[t] and c[t] hold the latest rung's category at t and its code after
-    # t; each rung overwrites only its active replicas
-    y = np.empty((length + 1, R), dtype=np.int64)
-    c = np.empty((length + 1, R), dtype=np.int64)
+    # t; each rung overwrites only its active replicas.  Categories, codes
+    # and the gather indices ``code * N + category`` lie below the table's
+    # entry count, which the check holds below 2**31
+    y = np.empty((length + 1, R), dtype=np.int32)
+    c = np.empty((length + 1, R), dtype=np.int32)
     # the first rung: the plain table_a chain, counted one cumulative column
     # at a time; the rows are nondecreasing, so counting the first N - 1
     # columns keeps a rounded last sum below u inside the alphabet
@@ -638,10 +644,10 @@ def coupled_ladder_mc(
     settles = min(table_a.min(), table_b.min()) > np.finfo(float).tiny
     skip = _draw_skipper(gen)
     every = np.arange(R)
-    diag = np.zeros((length + 1, R), dtype=np.int64)
+    diag = np.zeros((length + 1, R), dtype=np.int32)
     for j in range(0, length + 1):
         # the active replicas, with the earlier rung's code and this rung's at t - 1
-        act, pc, cc = every, c[0].copy(), np.full(R, code_b0, dtype=np.int64)
+        act, pc, cc = every, c[0].copy(), np.full(R, code_b0, dtype=np.int32)
         c[0] = code_b0
         for t in range(1, length + 1):
             if settles and t == j:  # every earlier step settled, so both rungs hold c[t - 1]

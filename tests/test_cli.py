@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -187,6 +189,66 @@ def test_verify_across_seeds_is_stable(tmp_path):
         ):
             passes += 1
     assert passes >= 5
+
+
+# verify_report.csv of the verify-mc benchmark config at 200 000 replicas
+_VERIFY_MC_DIGESTS = {
+    5: "117ddc06269df6e01086c8ca1ce17d7c8b3f8ce4dc7faa9724a10a96d0a2ed94",
+    11: "5743cfbc7cca258a945cd695c47409b592e42900a731d1f6741e284d43648295",
+}
+
+
+def _lane_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("catchain-lane")]
+
+
+@pytest.mark.parametrize("seed", sorted(_VERIFY_MC_DIGESTS))
+def test_verify_glued_ladder_on_two_lanes_matches_its_chunks_run_serially(tmp_path, monkeypatch, seed):
+    cfg_path = write_config(tmp_path, {"verify": {"replicas": 20000, "pairs": 3, "length": 8, "sequences": 20}})
+    argv = ["verify", "--config", cfg_path, "--seed", str(seed), "--replicas", "200000", "--quiet"]
+    ladder = cli.coupled_ladder_mc
+    lanes = {}
+
+    def recorded(*args):
+        lanes[args[-1].stream_id] = threading.get_ident()
+        return ladder(*args)
+
+    monkeypatch.setattr(cli, "coupled_ladder_mc", recorded)
+    threads = threading.active_count()
+    assert main(argv + ["--out", str(tmp_path / "lanes")]) == EXIT_OK
+    assert threading.active_count() == threads and not _lane_threads()
+    # 3 pairs of 8 chunks: the calling thread takes the even jobs, one worker the odd ones
+    streams = [100 + 16 * i + chunk for i in range(3) for chunk in range(8)]
+    assert sorted(lanes) == streams
+    assert {lanes[s] for s in streams[0::2]} == {threading.get_ident()}
+    assert len({lanes[s] for s in streams[1::2]} - {threading.get_ident()}) == 1
+
+    def serial(run, jobs):
+        return [run(*job) for job in jobs]
+
+    monkeypatch.setattr(cli, "_on_two_lanes", serial)
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == EXIT_OK
+    report = (tmp_path / "lanes" / "verify_report.csv").read_bytes()
+    assert report.splitlines() == (tmp_path / "serial" / "verify_report.csv").read_bytes().splitlines()
+    assert hashlib.sha256(report).hexdigest() == _VERIFY_MC_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("stream", [100, 101, 139], ids=["calling-lane", "worker-lane", "last-chunk"])
+def test_verify_chunk_exception_reaches_the_caller_and_leaves_no_thread(tmp_path, monkeypatch, stream):
+    cfg_path = write_config(tmp_path, {"verify": {"replicas": 2000, "pairs": 3, "length": 8, "sequences": 2}})
+    ladder = cli.coupled_ladder_mc
+
+    def failing(*args):
+        if args[-1].stream_id == stream:
+            raise RuntimeError(f"chunk on stream {stream} failed")
+        return ladder(*args)
+
+    monkeypatch.setattr(cli, "coupled_ladder_mc", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"chunk on stream {stream} failed"):
+        main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v"), "--quiet"])
+    assert threading.active_count() == threads and not _lane_threads()
+    assert not (tmp_path / "v" / "verify_report.csv").exists()
 
 
 def test_sidak_thresholds():

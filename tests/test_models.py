@@ -9,7 +9,7 @@ from scipy.special import expit
 
 import catchain
 
-from catchain.kernels import enumerate_b_exact
+from catchain.kernels import enumerate_b_exact, transition_table
 from catchain.models import (
     BinaryInfiniteOrderSpec,
     ConstructionError,
@@ -254,6 +254,20 @@ def test_tiny_latent_coefficient_envelope_bounds_the_exact_sensitivity(name):
     # b_p is positive (about beta * alpha_p * L): a tiny rate is not a chain without latent memory
     p, _ = spec.lag_counts
     assert p == 0 or kernel.b.value(p) > 0.0
+
+
+def test_latent_kernel_without_category_lags_evaluates_its_padded_histories():
+    # max_lag_y 3 lies below the recursion depth of 8 covariates; with no
+    # category lag the recursion reads no category, so 3 are enough
+    spec = MultinomialSpec(A=[], B=[[[0.3]]], Gamma=[[0.2]], n_categories=2)
+    kernel = model_to_kernel(spec, max_lag_y=3)
+    depth = kernel.truncation.max_lag_x
+    full = model_to_kernel(spec, max_lag_y=depth, max_lag_x=depth)
+    probs = kernel.probs([0, 1, 0], [[0.1]])
+    assert np.array_equal(probs, full.probs([0, 1, 0] + [1] * (depth - 3), [[0.1]]))
+    table = transition_table(kernel, [[0.1]])
+    assert table.shape == (8, 2) and np.array_equal(table, np.tile(probs, (8, 1)))
+    assert np.all(enumerate_b_exact(kernel).values == 0.0)
 
 
 def test_latent_gap_decay_slope_under_declared_rate():

@@ -1063,7 +1063,8 @@ def _reference_kernel_probs(kernel, spec, past_y, past_x):
     x[: min(len(past_x), pol.max_lag_x)] = np.asarray(past_x, dtype=float)[: pol.max_lag_x]
     p, _ = spec.lag_counts
     n = max(min(pol.max_lag_x, y.size - p + 1 if p >= 1 else pol.max_lag_x, x.shape[0]), 0)
-    if x.shape[0] < n or y.size < n + p - 1:
+    # a recursion without category lags reads no category
+    if x.shape[0] < n or (p >= 1 and y.size < n + p - 1):
         raise ValueError("history too short for the requested recursion depth")
     m = max(n - 1, 0)
     _, _, state = _latent_scan(spec, x[:n][::-1], y=y[:m][::-1], pre=y[m : n + p - 1])
@@ -1680,6 +1681,27 @@ def test_coupling_row_ladder_matches_per_step_reference_on_verify_fixtures(seed)
             got = coupled_ladder_mc(*args, SeededRng(seed, 100 + 16 * i + chunk))
             want = _reference_coupled_ladder_mc(*args, SeededRng(seed, 100 + 16 * i + chunk))
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("n, mem", [(1024, 1), (32, 2)])
+@pytest.mark.parametrize("top", [False, True], ids=["seeded", "top"])
+def test_int32_ladder_matches_per_step_reference_at_the_widest_codes(n, mem, top):
+    # the gather index code * N + category reaches 2**20 - 1 at N 1024 (past
+    # int16) and 2**15 - 1 at N 32 with memory 2, where the successor code
+    # also carries a category into the upper digit
+    gen = np.random.default_rng(n)
+    table_a = gen.dirichlet(np.ones(n), size=n**mem)
+    table_b = 0.5 * table_a + 0.5 * gen.dirichlet(np.ones(n), size=n**mem)
+    for length in (1, 2, 3):
+        args = (table_a, table_b, n**mem - 1, n**mem - 2, n, mem, length, 4)
+
+        def rng():
+            return _TopDraws(np.random.PCG64(0)) if top else np.random.default_rng(length)
+
+        got = coupled_ladder_mc(*args, rng())
+        want = _reference_coupled_ladder_mc(*args, rng())
+        assert got[0].dtype == got[1].dtype == np.int32
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @st.composite

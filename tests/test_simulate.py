@@ -277,6 +277,22 @@ def test_ladder_rejects_malformed_input_by_name(change, name):
         coupled_ladder_mc(**{**args, **change}, rng=SeededRng(0))
 
 
+@pytest.mark.parametrize(
+    "n, memory, match",
+    [
+        (2, 30, "table_a and table_b of .* = 2147483648 entries must hold fewer than 2"),
+        (1291, 2, "table_a and table_b of .* = 2151685171 entries"),
+        (2, 29, "table_a must be shaped"),  # 2**30 entries: the ladder's int32 codes fit
+        (1290, 2, "table_a must be shaped"),  # 2146689000 entries
+    ],
+)
+def test_ladder_rejects_tables_of_2_to_the_31_entries_by_name(n, memory, match):
+    # such a table is 16 GiB; the check reads n_categories and memory first,
+    # so a small table stands in for it
+    with pytest.raises(ValueError, match=match):
+        coupled_ladder_mc(_LADDER_TABLE, _LADDER_TABLE, 0, 0, n, memory, 1, 1, SeededRng(0))
+
+
 def test_glued_coupling_runs_on_kernel_past_the_table_limit():
     # the README spec keeps 46 lags: 2**46 memory states, far past any table
     k = model_to_kernel(ObservationDrivenBinarySpec(alpha=[0.4], beta=[0.5], gamma=[0.3]))
